@@ -128,6 +128,8 @@ def _symcheck_records(rep, sizes, lemma):
 def run(args):
     sizes = parse_sizes(args.n)
     ring = make_ring(args.ring, args.omega)
+    if args.trials < 1:
+        raise ConfigError("need at least one trial, got %d" % args.trials)
     modes = ("axioms", "twolocal", "local", "symcheck") \
         if args.mode == "all" else (args.mode,)
     if min(sizes) < 3:

@@ -14,6 +14,10 @@ coefficients, provided the ring contains 1/2.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import lcm
+from operator import add, mul
+
 from .errors import (
     ComplexWeight,
     DimensionMismatch,
@@ -28,7 +32,7 @@ from .matrices import (
     require_skew_adjoint,
     zeros,
 )
-from .rings import GAUSS, GaussianField, imaginary_unit
+from .rings import GAUSS, GaussianField, GaussianRational, imaginary_unit
 
 
 # basis elements are immutable and requested constantly, so the
@@ -136,6 +140,20 @@ def bracket(a, b):
     return commutator(a, b)
 
 
+def _gauss_coeff_ints(x):
+    """decompose(x) for a skew-adjoint Gaussian x, as integers over one
+    denominator: returns (den, numerators) in basis order.
+
+    Skew-adjointness makes the coefficients Re x^{ij} and Im x^{ij} for
+    i < j and Im x^{ii}, so they are read straight off x._int_form().
+    """
+    den, re, im = x._int_form()
+    n = x.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return den, ([re[i][j] for i, j in upper] + [im[i][j] for i, j in upper]
+                 + [im[i][i] for i in range(n)])
+
+
 def decompose(x):
     """Coefficients of a skew-adjoint matrix over the canonical basis.
 
@@ -145,6 +163,9 @@ def decompose(x):
     """
     require_skew_adjoint(x)
     ring = x.ring
+    if isinstance(ring, GaussianField):
+        den, nums = _gauss_coeff_ints(x)
+        return [GaussianRational(c, 0, den) for c in nums]
     n = x.n
     minus_i = -imaginary_unit(ring)
     half = ring.one / 2
@@ -186,12 +207,43 @@ def recompose(coeffs, n, ring=GAUSS):
     return Matrix(ring, grid)
 
 
+def _gauss_table(values):
+    """The images of a Gaussian map as one integer structure matrix.
+
+    Returns (den, re_rows, im_rows, re_cols, im_cols), all numerators
+    over den. Column k holds image k flattened row-major; row p*n + q
+    holds the (p, q) entry of every image. Both layouts are kept so that
+    apply can walk whichever is shorter for its argument.
+    """
+    forms = [v._int_form() for v in values]
+    den = lcm(*(d for d, _, _ in forms))
+    re_cols = tuple(tuple(den // d * v for r in re for v in r)
+                    for d, re, _ in forms)
+    im_cols = tuple(tuple(den // d * v for r in im for v in r)
+                    for d, _, im in forms)
+    return den, tuple(zip(*re_cols)), tuple(zip(*im_cols)), re_cols, im_cols
+
+
 class LinearLieMap:
     """A linear map tabulated on the canonical basis.
 
     values[k] is the image of canonical_basis(n)[k]. Applying the map to
     an arbitrary skew-adjoint matrix decomposes it and recombines the
     tabulated images with the same coefficients.
+
+    Over the Gaussian rationals the images are tabulated once, at
+    construction, as an integer structure matrix: one shared denominator
+    D and, for each of the n^2 output entries, a row of n^2 integer
+    numerators for its real part and one for its imaginary part (2n^2 by
+    n^2 in all). apply(x) reads the integer coefficients of x off its
+    integer form, over its denominator den_x, and builds each output
+    entry from two integer dot products over D*den_x: 2n^4 integer
+    multiply-adds and n^2 fraction reductions per call, where the
+    entry-by-entry recombination pays a reduction per multiply-add. An
+    argument with fewer than n^2/2 nonzero coefficients sums the image
+    columns it picks instead, 2n^2 multiply-adds per coefficient. Other
+    rings recombine entry by entry (_apply_generic), which is also the
+    reference the table is tested against.
     """
 
     def __init__(self, ring, n, values):
@@ -202,6 +254,8 @@ class LinearLieMap:
         self.ring = ring
         self.n = n
         self.values = values
+        self._table = _gauss_table(values) \
+            if isinstance(ring, GaussianField) else None
 
     @classmethod
     def tabulate(cls, fn, n, ring=GAUSS):
@@ -210,6 +264,33 @@ class LinearLieMap:
     def apply(self, x):
         if x.n != self.n or x.ring != self.ring:
             raise DimensionMismatch("map and argument disagree on shape")
+        if self._table is None:
+            return self._apply_generic(x)
+        require_skew_adjoint(x)
+        den, re_rows, im_rows, re_cols, im_cols = self._table
+        den_x, c = _gauss_coeff_ints(x)
+        picked = [k for k, ck in enumerate(c) if ck]
+        if 2 * len(picked) < len(c):
+            # a sparse argument (basis elements, staircases): summing the
+            # few image columns it picks beats n^2 full-length dot products
+            re = repeat(0, len(c))
+            im = repeat(0, len(c))
+            for k in picked:
+                re = map(add, re, map(mul, re_cols[k], repeat(c[k])))
+                im = map(add, im, map(mul, im_cols[k], repeat(c[k])))
+        else:
+            re = [sum(map(mul, c, row)) for row in re_rows]
+            im = [sum(map(mul, c, row)) for row in im_rows]
+        d = den * den_x
+        zero = self.ring.zero
+        flat = [GaussianRational(a, b, d) if a or b else zero
+                for a, b in zip(re, im)]
+        n = self.n
+        return Matrix._make(self.ring, tuple(tuple(flat[p * n:(p + 1) * n])
+                                             for p in range(n)))
+
+    def _apply_generic(self, x):
+        # the ring-generic recombination; the reference for the table
         n = self.n
         grid = [[self.ring.zero] * n for _ in range(n)]
         for c, img in zip(decompose(x), self.values):
@@ -242,10 +323,6 @@ class InnerDerivation:
 
     def as_linear_map(self):
         return LinearLieMap.tabulate(self.apply, self.a.n, self.a.ring)
-
-
-def apply_linear_map(m, x):
-    return m.apply(x)
 
 
 def centralizer_gauge(lam, n, ring=GAUSS):

@@ -377,7 +377,7 @@ def corner_coherence(lmap, anchor_index, indices):
         raise DimensionMismatch("anchor %d is not in the block %r"
                                 % (anchor_index, S))
     rep = VerificationReport("block corner coherence",
-                             anchor="lemma 4.0",
+                             anchor="eq 5.10",
                              config={"indices": S, "anchor": anchor_index,
                                      "ring": lmap.ring.name})
     w_s = corner_implementer(lmap, S)

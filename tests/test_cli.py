@@ -127,6 +127,13 @@ class TestMainExitCodes:
         assert cli.main(["--mode", "twolocal", "--n", "2"]) == 2
         assert "three distinct indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_is_2(self, trials, capsys):
+        # a campaign with no trials would pass vacuously
+        assert cli.main(["--mode", "local", "--n", "3",
+                         "--trials", trials]) == 2
+        assert "at least one trial" in capsys.readouterr().err
+
     def test_bad_out_path_is_3(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "r.json"
         assert cli.main(["--mode", "axioms", "--out", str(missing)]) == 3

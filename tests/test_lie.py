@@ -18,7 +18,6 @@ from skewlie.errors import (
 from skewlie.lie import (
     InnerDerivation,
     LinearLieMap,
-    apply_linear_map,
     basis_labels,
     bracket,
     canonical_basis,
@@ -153,18 +152,26 @@ class TestDecompose:
 
 class TestLinearMaps:
     def test_tabulated_inner_derivation_agrees(self):
+        # the integer table must reproduce the ring-generic recombination
+        # entry for entry, on dense (row dot products) and sparse (column
+        # sums) arguments alike
         rng = random.Random(8)
-        a = random_skew(rng, 4)
-        der = InnerDerivation(a)
-        m = der.as_linear_map()
-        for _ in range(5):
-            x = random_skew(rng, 4)
-            assert apply_linear_map(m, x) == bracket(a, x)
+        for n in range(3, 7):
+            a = random_skew(rng, n)
+            m = InnerDerivation(a).as_linear_map()
+            args = [random_skew(rng, n) for _ in range(5)]
+            args += canonical_basis(n) + [staircase(n), zeros(n)]
+            for x in args:
+                out = m.apply(x)
+                assert out == bracket(a, x)
+                assert out.rows == m._apply_generic(x).rows
 
     def test_linear_map_shape_guard(self):
         m = LinearLieMap(GAUSS, 2, canonical_basis(2))
         with pytest.raises(DimensionMismatch):
             m.apply(zeros(3))
+        with pytest.raises(NotSkewAdjoint):
+            m.apply(matrix_unit(2, 1, 1))
         with pytest.raises(DimensionMismatch):
             LinearLieMap(GAUSS, 2, [zeros(2)])
 

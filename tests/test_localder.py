@@ -44,6 +44,20 @@ from skewlie.matrices import at_point, block_compress, zeros
 from skewlie.rings import GAUSS, FunctionRing
 
 
+class CountingOracle:
+    """Forwards queries to a base oracle and counts them."""
+
+    def __init__(self, base):
+        self.base = base
+        self.ring = base.ring
+        self.n = base.n
+        self.calls = 0
+
+    def query(self, x):
+        self.calls += 1
+        return self.base.query(x)
+
+
 def make_map(seed, n, ring=GAUSS, gauge="central"):
     rng = random.Random(seed)
     a0 = random_skew(rng, n, ring)
@@ -108,6 +122,22 @@ class TestBuildD:
                     assert d.entry(i, j) == a0.entry(i, j)
         assert is_central(d - a0)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_query_counts(self, n):
+        # n^2 queries tabulate the map; build_d reads the staircase and the
+        # n basis witnesses of I*e_{i,i}, and only the staircase is new
+        rng = random.Random(90 + n)
+        oracle = CountingOracle(GaugedInnerLocal(random_skew(rng, n),
+                                                 seed=90 + n))
+        lmap = WitnessedLocalMap(oracle)
+        assert oracle.calls == n * n
+        reads = []
+        read = lmap.witness
+        lmap.witness = lambda x: reads.append(x) or read(x)
+        build_d(lmap)
+        assert len(reads) == n + 1
+        assert oracle.calls == n * n + 1
+
     def test_function_ring_build(self):
         r = FunctionRing(2)
         a0, lmap = make_map(30, 3, ring=r)
@@ -159,6 +189,7 @@ class TestBlockImplementers:
         _, lmap = make_map(43, 4)
         rep = corner_coherence(lmap, 2, (1, 2, 3))
         assert rep.passed, rep.summary()
+        assert rep.anchor == "eq 5.10"
 
     def test_lemma_4_0_corners(self):
         _, lmap = make_map(44, 4)

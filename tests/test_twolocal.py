@@ -39,6 +39,20 @@ from skewlie.twolocal import (
 )
 
 
+class CountingOracle:
+    """Forwards queries to a base oracle and counts them."""
+
+    def __init__(self, base):
+        self.base = base
+        self.ring = base.ring
+        self.n = base.n
+        self.calls = 0
+
+    def query(self, x, y):
+        self.calls += 1
+        return self.base.query(x, y)
+
+
 def make_oracle(seed, n, ring=GAUSS, gauge="central"):
     rng = random.Random(seed)
     a0 = random_skew(rng, n, ring)
@@ -134,6 +148,14 @@ class TestReconstruction:
         elements += [("r%d" % k, random_skew(rng, n)) for k in range(10)]
         assert verify_implementer(oracle, abar, elements) == []
         assert is_central(abar - a0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pair_query_count(self, n):
+        # O(n^2) queries: one pair per upper corner plus the staircase pair
+        _, base = make_oracle(40 + n, n)
+        oracle = CountingOracle(base)
+        reconstruct_implementer(oracle)
+        assert oracle.calls == n * (n - 1) // 2 + 1
 
     def test_function_ring_reconstruction_projects_pointwise(self):
         r = FunctionRing(3)
