@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, UnknownLemma
+from .errors import ConfigError
 from .localder import lift_campaign, localder_campaign
 from .reporting import VerificationReport
 from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
@@ -104,14 +104,7 @@ def build_parser():
 
 
 def _symcheck_records(rep, sizes, lemma):
-    if lemma is not None:
-        try:
-            lemmas = [str(lemma)]
-            certify_lemma(lemmas[0], max(3, sizes[0]))
-        except UnknownLemma as e:
-            raise ConfigError(str(e))
-    else:
-        lemmas = known_lemmas()
+    lemmas = known_lemmas() if lemma is None else [lemma]
     full = lemma is not None
     for n in sizes:
         for lem in lemmas:
@@ -130,6 +123,9 @@ def run(args):
     ring = make_ring(args.ring, args.omega)
     if args.trials < 1:
         raise ConfigError("need at least one trial, got %d" % args.trials)
+    if args.lemma is not None and args.lemma not in known_lemmas():
+        raise ConfigError("no certificate builder for %r (known: %s)"
+                          % (args.lemma, ", ".join(known_lemmas())))
     modes = ("axioms", "twolocal", "local", "symcheck") \
         if args.mode == "all" else (args.mode,)
     if min(sizes) < 3:

@@ -14,6 +14,7 @@ coefficients, provided the ring contains 1/2.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from itertools import repeat
 from math import lcm
 from operator import add, mul
@@ -22,7 +23,6 @@ from .errors import (
     ComplexWeight,
     DimensionMismatch,
     EqualIndices,
-    UnsupportedRing,
     ZeroWeight,
 )
 from .matrices import (
@@ -32,7 +32,14 @@ from .matrices import (
     require_skew_adjoint,
     zeros,
 )
-from .rings import GAUSS, GaussianField, GaussianRational, imaginary_unit
+from .rings import (
+    GAUSS,
+    FunctionElement,
+    FunctionRing,
+    GaussianField,
+    GaussianRational,
+    imaginary_unit,
+)
 
 
 # basis elements are immutable and requested constantly, so the
@@ -312,19 +319,6 @@ class LinearLieMap:
         return hash((self.n, tuple(self.values)))
 
 
-class InnerDerivation:
-    """x -> [a, x] for a fixed skew-adjoint a."""
-
-    def __init__(self, a):
-        self.a = require_skew_adjoint(a, "derivation seed")
-
-    def apply(self, x):
-        return bracket(self.a, x)
-
-    def as_linear_map(self):
-        return LinearLieMap.tabulate(self.apply, self.a.n, self.a.ring)
-
-
 def centralizer_gauge(lam, n, ring=GAUSS):
     """The central skew-adjoint element lam * I * identity.
 
@@ -339,6 +333,54 @@ def centralizer_gauge(lam, n, ring=GAUSS):
     v = lam * i_unit
     return Matrix(ring, ((v if i == j else z for j in range(n))
                          for i in range(n)))
+
+
+class GaugedInnerOracle:
+    """The witness-gauge model shared by the gauged inner-derivation oracles.
+
+    Every witness is a0 plus a central summand lam * I * identity. The
+    scale lam is drawn from sha256 of the seed, the order-free key of the
+    queried elements and, over a function ring, the point, so it varies
+    from query to query and from point to point. The mapped values are
+    those of [a0, .]; the gauges exercise exactly the freedom
+    reconstruction has to cope with. Witnesses are memoized per key, so
+    a repeated query returns the same object. gauge="none" answers a0
+    itself. Subclasses define query and name their seed in seed_role.
+    """
+
+    seed_role = "oracle seed"
+
+    def __init__(self, a0, seed=0, gauge="central"):
+        self.a0 = require_skew_adjoint(a0, self.seed_role)
+        self.ring = a0.ring
+        self.n = a0.n
+        self.seed = seed
+        if gauge not in ("central", "none"):
+            raise ValueError("gauge must be 'central' or 'none', got %r" % gauge)
+        self.gauge = gauge
+        self._witnesses = {}
+
+    def _scale(self, key):
+        def draw(t):
+            msg = "|".join((str(self.seed),) + key + (str(t),))
+            h = sha256(msg.encode()).digest()
+            return int.from_bytes(h[:4], "big") % 19 - 9
+        if isinstance(self.ring, FunctionRing):
+            return FunctionElement(GAUSS.scalar(draw(t))
+                                   for t in range(self.ring.npoints))
+        return self.ring.scalar(draw(0))
+
+    def _witness(self, *elements):
+        """The witness answered for a query on elements."""
+        if self.gauge == "none":
+            return self.a0
+        key = tuple(sorted(z.cache_key() for z in elements))
+        w = self._witnesses.get(key)
+        if w is None:
+            w = self.a0 + centralizer_gauge(self._scale(key), self.n,
+                                            self.ring)
+            self._witnesses[key] = w
+        return w
 
 
 def is_central(x):
@@ -359,38 +401,3 @@ def random_skew(rng, n, ring=GAUSS):
             grid[i][j] = v
             grid[j][i] = -ring.star(v)
     return Matrix(ring, grid)
-
-
-def span_contains(target, generators):
-    """Whether target lies in the Gaussian-rational span of the generators.
-
-    Only matrices over the Gaussian rationals are supported; entries of
-    all matrices are flattened and membership is decided exactly.
-    """
-    from .errors import Infeasible
-    from .linsolve import ReducedSystem
-
-    if not isinstance(target.ring, GaussianField):
-        raise UnsupportedRing("span membership runs over the Gaussian rationals")
-    gens = list(generators)
-    n = target.n
-    for g in gens:
-        if g.n != n:
-            raise DimensionMismatch("generator size %d does not match %d"
-                                    % (g.n, n))
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append({k: g.rows[i][j] for k, g in enumerate(gens)
-                         if g.rows[i][j]})
-    sys = ReducedSystem(rows, len(gens))
-    flat = [target.rows[i][j] for i in range(n) for j in range(n)]
-    try:
-        x = sys.solve(flat)
-    except Infeasible:
-        return False
-    rebuilt = zeros(n)
-    for c, g in zip(x, gens):
-        if c:
-            rebuilt = rebuilt + c * g
-    return rebuilt == target

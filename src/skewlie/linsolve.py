@@ -91,10 +91,6 @@ class ReducedSystem:
         return len(self._pivots)
 
     @property
-    def pivot_cols(self):
-        return sorted(self._pivots)
-
-    @property
     def free_cols(self):
         return [c for c in range(self.ncols) if c not in self._pivots]
 

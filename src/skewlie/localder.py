@@ -20,7 +20,6 @@ enters anywhere.
 from __future__ import annotations
 
 import random
-from hashlib import sha256
 
 from .errors import (
     DimensionMismatch,
@@ -31,20 +30,17 @@ from .errors import (
     WitnessContractError,
 )
 from .lie import (
+    GaugedInnerOracle,
     LinearLieMap,
     basis_labels,
     bracket,
     canonical_basis,
-    centralizer_gauge,
-    decompose,
     ie_bar,
     ie_diag,
     random_skew,
-    recompose,
     s_elem,
     staircase,
 )
-from .linsolve import ReducedSystem
 from .matrices import (
     Matrix,
     at_point,
@@ -54,55 +50,27 @@ from .matrices import (
     zeros,
 )
 from .reporting import VerificationReport
-from .rings import GAUSS, FunctionElement, FunctionRing, GaussianField
+from .rings import FunctionRing, GaussianField
 from .twolocal import PreparedBracketSolver
 
 FINITE_NOTE = ("all maps are tabulated on the finite canonical basis and "
                "verified by exact arithmetic; no continuity assumptions enter")
 
 
-class GaugedInnerLocal:
+class GaugedInnerLocal(GaugedInnerOracle):
     """A point-witness oracle built from one inner derivation.
 
-    query(x) returns ([a0, x], a0 + gauge(x)) where the gauge is a
-    central summand whose scale is derived from x (and varies from point
-    to point over a function ring). The gauges are invisible to the
-    mapped values but make every witness different, which is the freedom
-    reconstruction has to tolerate.
+    query(x) returns ([a0, x], w) where w is the gauged witness of lie's
+    GaugedInnerOracle, keyed on x: invisible to the mapped values, but
+    different for every element, which is the freedom reconstruction has
+    to tolerate.
     """
 
-    def __init__(self, a0, seed=0, gauge="central"):
-        self.a0 = require_skew_adjoint(a0, "local seed")
-        self.ring = a0.ring
-        self.n = a0.n
-        self.seed = seed
-        if gauge not in ("central", "none"):
-            raise ValueError("gauge must be 'central' or 'none', got %r" % gauge)
-        self.gauge = gauge
-        self._witnesses = {}
-
-    def _scale(self, key):
-        def draw(t):
-            msg = "%d|%s|%d" % (self.seed, key, t)
-            return int.from_bytes(sha256(msg.encode()).digest()[:4],
-                                  "big") % 19 - 9
-        if isinstance(self.ring, FunctionRing):
-            return FunctionElement(GAUSS.scalar(draw(t))
-                                   for t in range(self.ring.npoints))
-        return self.ring.scalar(draw(0))
+    seed_role = "local seed"
 
     def query(self, x):
         require_skew_adjoint(x, "query argument")
-        value = bracket(self.a0, x)
-        if self.gauge == "none":
-            return value, self.a0
-        key = x.cache_key()
-        w = self._witnesses.get(key)
-        if w is None:
-            w = self.a0 + centralizer_gauge(self._scale(key), self.n,
-                                            self.ring)
-            self._witnesses[key] = w
-        return value, w
+        return bracket(self.a0, x), self._witness(x)
 
 
 class TamperedLocalOracle:
@@ -233,29 +201,6 @@ def check_eq_5_1(lmap):
     return rep
 
 
-_block_solvers = {}
-
-
-def _block_solver(m):
-    """Bracket equations of K_m probed on its whole canonical basis,
-    reduced once per size. The kernel is the central line."""
-    solver = _block_solvers.get(m)
-    if solver is None:
-        basis = canonical_basis(m)
-        rows = []
-        for probe in basis:
-            cols = [decompose(bracket(b, probe)) for b in basis]
-            for coord in range(m * m):
-                rows.append({k: cols[k][coord] for k in range(m * m)
-                             if cols[k][coord]})
-        solver = ReducedSystem(rows, m * m)
-        if solver.rank != m * m - 1:
-            raise AssertionError("block system rank %d, expected %d"
-                                 % (solver.rank, m * m - 1))
-        _block_solvers[m] = solver
-    return solver
-
-
 def _extract_block(x, S):
     return Matrix(x.ring, ((x.rows[p - 1][q - 1] for q in S) for p in S))
 
@@ -275,7 +220,10 @@ def corner_implementer(lmap, indices):
     Both sides of every bracket equation are compressed to the block, so
     the unknown is a block-supported skew-adjoint matrix; it exists for
     every restriction of a local derivation and is unique up to a central
-    summand of the block. Raises Infeasible when no such matrix exists,
+    summand of the block. It is solved by the same probe solver as the
+    brute-force implementers (PreparedBracketSolver of the block size),
+    on the block of the map's value at each embedded block basis element.
+    Raises Infeasible, naming the block, when no such matrix exists,
     which is how incoherent oracles surface here.
     """
     S = sorted(set(indices))
@@ -285,21 +233,14 @@ def corner_implementer(lmap, indices):
     for p in S:
         if not 1 <= p <= n:
             raise DimensionMismatch("block index %d outside 1..%d" % (p, n))
-    m = len(S)
-    ring = lmap.ring
-    system = _block_solver(m)
-    block_basis = canonical_basis(m, ring)
-    rhs = []
-    targets = []
-    for b_local in block_basis:
-        target = _extract_block(lmap.nabla(_embed_block(b_local, S, n)), S)
-        targets.append(target)
-        rhs.extend(decompose(target))
-    coeffs = system.solve(rhs, ring=ring)
-    w_local = recompose(coeffs, m, ring)
-    for b_local, target in zip(block_basis, targets):
-        if bracket(w_local, b_local) != target:
-            raise Infeasible("no block implementer on indices %r" % (S,))
+    solver = PreparedBracketSolver.for_size(len(S))
+    try:
+        w_local = solver.solve_values(
+            lambda b: _extract_block(lmap.nabla(_embed_block(b, S, n)), S),
+            lmap.ring)
+    except Infeasible as exc:
+        raise Infeasible("no block implementer on indices %r" % (S,)) \
+            from exc
     return _embed_block(w_local, S, n)
 
 
@@ -336,32 +277,6 @@ def assemble_abar(lmap, i, k, block_cache=None):
     grid[i - 1][i - 1] = w_ik.rows[i - 1][i - 1]
     grid[k - 1][k - 1] = w_ik.rows[k - 1][k - 1]
     return Matrix(ring, grid)
-
-
-def check_lemma_4_0(lmap, i):
-    """The witness of I*e_{i,i} carries correct row and column corners:
-    each matches the corresponding two-index block implementer."""
-    n = lmap.n
-    ring = lmap.ring
-    rep = VerificationReport("corner content of a diagonal witness",
-                             anchor="lemma 4.0",
-                             config={"n": n, "i": i, "ring": ring.name})
-    rep.note(FINITE_NOTE)
-    a_ii = lmap.witness(ie_diag(n, i, ring))
-    for k in range(1, n + 1):
-        if k == i:
-            continue
-        try:
-            w = corner_implementer(lmap, (i, k))
-        except Infeasible as exc:
-            rep.add("corners against block (%d,%d)" % (i, k), False,
-                    i=i, k=k, error=str(exc))
-            continue
-        col = corner(a_ii, k, i) == corner(w, k, i)
-        row = corner(a_ii, i, k) == corner(w, i, k)
-        rep.add("corners against block (%d,%d)" % (i, k), col and row,
-                i=i, k=k, column_read=col, row_read=row)
-    return rep
 
 
 def corner_coherence(lmap, anchor_index, indices):

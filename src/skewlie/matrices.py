@@ -384,17 +384,6 @@ def corner(x, i, j):
                             for c in range(x.n)) for r in range(x.n)))
 
 
-def block_compress(x, indices):
-    """Zero every entry outside the rows and columns named by indices."""
-    keep = set()
-    for i in indices:
-        _check_index(x.n, i)
-        keep.add(i - 1)
-    z = x.ring.zero
-    return Matrix(x.ring, ((x.rows[r][c] if r in keep and c in keep else z
-                            for c in range(x.n)) for r in range(x.n)))
-
-
 def at_point(x, k):
     """Values of a function-ring matrix at one point, as a Gaussian matrix."""
     if not isinstance(x.ring, FunctionRing):

@@ -77,9 +77,6 @@ class GaussianRational:
     def im(self):
         return Fraction(self.b, self.d)
 
-    def is_real(self):
-        return self.b == 0
-
     def conjugate(self):
         return self._raw(self.a, -self.b, self.d)
 
@@ -531,9 +528,6 @@ class PolyElement:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
 
     def __repr__(self):
         return "PolyElement(%s)" % self.ring.format(self)

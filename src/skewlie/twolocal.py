@@ -18,22 +18,19 @@ of K_n even though only O(n^2) pairs were ever queried.
 from __future__ import annotations
 
 import random
-from hashlib import sha256
 
 from .errors import (
     EqualIndices,
     Infeasible,
     NeedThreeIndices,
-    NotSkewAdjoint,
     UnsupportedRing,
 )
 from .lie import (
+    GaugedInnerOracle,
     basis_labels,
     bracket,
     canonical_basis,
-    centralizer_gauge,
     decompose,
-    ie_diag,
     random_skew,
     recompose,
     s_elem,
@@ -42,7 +39,7 @@ from .lie import (
 from .linsolve import ReducedSystem
 from .matrices import at_point, corner, require_skew_adjoint, zeros
 from .reporting import VerificationReport
-from .rings import GAUSS, FunctionElement, FunctionRing
+from .rings import GAUSS, FunctionRing
 
 
 def pair_key(x, y):
@@ -50,48 +47,19 @@ def pair_key(x, y):
     return tuple(sorted((x.cache_key(), y.cache_key())))
 
 
-class GaugedInnerTwoLocal:
+class GaugedInnerTwoLocal(GaugedInnerOracle):
     """A two-local derivation built from one inner derivation.
 
-    Every query answers with a0 plus a central summand lam * I * identity
-    whose scale is derived from the queried pair (and, over a function
-    ring, varies from point to point). The mapped values are those of
-    [a0, .]; the gauges exercise exactly the freedom reconstruction has
-    to cope with.
+    Every pair query answers with the gauged witness of lie's
+    GaugedInnerOracle, keyed on the unordered pair.
     """
 
-    def __init__(self, a0, seed=0, gauge="central"):
-        self.a0 = require_skew_adjoint(a0, "two-local seed")
-        self.ring = a0.ring
-        self.n = a0.n
-        self.seed = seed
-        if gauge not in ("central", "none"):
-            raise ValueError("gauge must be 'central' or 'none', got %r" % gauge)
-        self.gauge = gauge
-        self._witnesses = {}
-
-    def _scale(self, key):
-        def draw(t):
-            msg = "%d|%s|%s|%d" % (self.seed, key[0], key[1], t)
-            h = sha256(msg.encode()).digest()
-            return int.from_bytes(h[:4], "big") % 19 - 9
-        if isinstance(self.ring, FunctionRing):
-            return FunctionElement(GAUSS.scalar(draw(t))
-                                   for t in range(self.ring.npoints))
-        return self.ring.scalar(draw(0))
+    seed_role = "two-local seed"
 
     def query(self, x, y):
         require_skew_adjoint(x, "first query argument")
         require_skew_adjoint(y, "second query argument")
-        if self.gauge == "none":
-            return self.a0
-        key = pair_key(x, y)
-        w = self._witnesses.get(key)
-        if w is None:
-            w = self.a0 + centralizer_gauge(self._scale(key), self.n,
-                                            self.ring)
-            self._witnesses[key] = w
-        return w
+        return self._witness(x, y)
 
 
 class TamperedPairOracle:
@@ -248,13 +216,17 @@ def check_pair_lemmas(oracle, weights=None):
 
 
 class PreparedBracketSolver:
-    """Bracket equations against a fixed probe set, row-reduced once.
+    """Bracket equations [c, b] = nabla(b) against a fixed probe set,
+    row-reduced once per size.
 
-    The unknown is the coefficient vector of an implementer over the
-    canonical basis; probing with the staircase steps and I*e_{1,1}
-    already pins it down to the central line. The reduction is computed
-    over the Gaussian rationals and reused for every ring, since the
-    structure constants do not depend on the ring.
+    The unknown is the coefficient vector of c over the canonical basis;
+    the probes s[k,k+1] for k = 1..n-1 and Idiag[1] already pin it down
+    to the central line (rank n^2 - 1). This is the one place bracket
+    equations are set up: the brute-force two-local and local solvers and
+    localder.corner_implementer's block implementers all go through
+    solve_values. The reduction is computed over the Gaussian rationals
+    and reused for every ring, since the structure constants do not
+    depend on the ring.
     """
 
     _cache = {}
@@ -262,11 +234,13 @@ class PreparedBracketSolver:
     def __init__(self, n):
         self.n = n
         basis = canonical_basis(n)
-        self.probe_specs = [("s", k, k + 1) for k in range(1, n)] + [("Idiag", 1, 1)]
+        labels = basis_labels(n)
+        # the probes are basis members, kept as their basis indices
+        self.probes = [labels.index("s[%d,%d]" % (k, k + 1))
+                       for k in range(1, n)] + [labels.index("Idiag[1]")]
         rows = []
-        for spec in self.probe_specs:
-            probe = self._probe(spec, GAUSS)
-            cols = [decompose(bracket(b, probe)) for b in basis]
+        for p in self.probes:
+            cols = [decompose(bracket(b, basis[p])) for b in basis]
             for m in range(n * n):
                 rows.append({k: cols[k][m] for k in range(n * n)
                              if cols[k][m]})
@@ -274,11 +248,6 @@ class PreparedBracketSolver:
         if self.system.rank != n * n - 1:
             raise AssertionError("probe system rank %d, expected %d"
                                  % (self.system.rank, n * n - 1))
-
-    def _probe(self, spec, ring):
-        kind, i, j = spec
-        n = self.n
-        return s_elem(n, i, j, ring) if kind == "s" else ie_diag(n, i, ring)
 
     @classmethod
     def for_size(cls, n):
@@ -291,18 +260,22 @@ class PreparedBracketSolver:
     def solve_values(self, nabla, ring):
         """One matrix c with [c, .] == nabla on K_n, or Infeasible.
 
-        The candidate solves the probe equations exactly; it is then
-        checked against the mapped values on the whole canonical basis,
-        which is conclusive because any solution of the full system also
-        solves the probes and the probe kernel is central.
+        nabla is evaluated once on each canonical basis element. The
+        candidate solves the probe equations exactly, with the free
+        coordinate set to zero; it is then checked against the mapped
+        values on the whole basis, which is conclusive because any
+        solution of the full system also solves the probes and the probe
+        kernel is central.
         """
+        basis = canonical_basis(self.n, ring)
+        values = [nabla(b) for b in basis]
         rhs = []
-        for spec in self.probe_specs:
-            rhs.extend(decompose(nabla(self._probe(spec, ring))))
+        for p in self.probes:
+            rhs.extend(decompose(values[p]))
         coeffs = self.system.solve(rhs, ring=ring)
         cand = recompose(coeffs, self.n, ring)
-        for label, b in zip(basis_labels(self.n), canonical_basis(self.n, ring)):
-            if bracket(cand, b) != nabla(b):
+        for label, b, v in zip(basis_labels(self.n), basis, values):
+            if bracket(cand, b) != v:
                 raise Infeasible("no inner derivation matches the map at %s"
                                  % label)
         return cand

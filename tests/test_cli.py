@@ -69,8 +69,10 @@ class TestRun:
         assert cli.run(self.args(mode="axioms", n="2")).passed
 
     def test_unknown_lemma_is_config_error(self):
-        with pytest.raises(ConfigError):
-            cli.run(self.args(mode="symcheck", n="3", lemma="9.9"))
+        # rejected before any campaign runs, whatever the mode
+        for mode in ("symcheck", "local"):
+            with pytest.raises(ConfigError, match="no certificate builder"):
+                cli.run(self.args(mode=mode, n="3", lemma="9.9"))
 
     def test_symcheck_single_lemma_full_payload(self):
         rep = cli.run(self.args(mode="symcheck", n="3", lemma="3.41"))

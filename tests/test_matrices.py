@@ -11,7 +11,6 @@ import pytest
 from skewlie.errors import DimensionMismatch, IndexOutOfRange
 from skewlie.matrices import (
     Matrix,
-    block_compress,
     corner,
     from_json,
     identity,
@@ -159,14 +158,6 @@ class TestCornersAndBlocks:
             for j in (2, 4):
                 assert corner(a, i, j) == \
                     matrix_unit(4, i, i) * a * matrix_unit(4, j, j)
-
-    def test_block_compress(self):
-        a = gmat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert block_compress(a, (1, 3)) == gmat([[1, 0, 3],
-                                                  [0, 0, 0],
-                                                  [7, 0, 9]])
-        with pytest.raises(IndexOutOfRange):
-            block_compress(a, (0, 1))
 
 
 class TestJson:

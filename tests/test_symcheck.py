@@ -16,7 +16,6 @@ from skewlie.errors import (
 )
 from skewlie.lie import bracket, staircase
 from skewlie.matrices import Matrix, star_transpose
-from skewlie.rings import GaussianRational
 from skewlie.symcheck import (
     SkewSymbols,
     certify,

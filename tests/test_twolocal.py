@@ -20,7 +20,7 @@ from skewlie.lie import (
     s_elem,
     staircase,
 )
-from skewlie.matrices import at_point, corner, identity, matrix_unit, zeros
+from skewlie.matrices import at_point, corner, identity, zeros
 from skewlie.rings import GAUSS, FunctionRing
 from skewlie.twolocal import (
     GaugedInnerTwoLocal,
