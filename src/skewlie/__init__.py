@@ -7,6 +7,7 @@ from .errors import (
     EqualIndices,
     IndexOutOfRange,
     Infeasible,
+    MalformedInput,
     NeedThreeIndices,
     NonLinearHypothesis,
     NotSkewAdjoint,

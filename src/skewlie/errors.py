@@ -58,5 +58,9 @@ class WitnessContractError(SkewlieError):
     """An oracle returned a witness that violates its stated contract."""
 
 
+class MalformedInput(SkewlieError, ValueError):
+    """Serialized input (JSON text or an entry literal) cannot be read."""
+
+
 class ConfigError(SkewlieError):
     """A CLI invocation or config file asked for something inconsistent."""

@@ -19,7 +19,12 @@ import json
 from math import lcm
 from operator import mul
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    MalformedInput,
+    NotSkewAdjoint,
+)
 from .rings import (
     GAUSS,
     FunctionElement,
@@ -420,13 +425,33 @@ def to_json(x):
 
 
 def from_json(text, ring=GAUSS):
-    data = json.loads(text) if isinstance(text, str) else text
+    """Unreadable input raises MalformedInput, naming a bad entry's 0-based
+    (row, col); entries that are no n by n grid raise DimensionMismatch."""
+    try:
+        data = json.loads(text) if isinstance(text, str) else text
+    except json.JSONDecodeError as exc:
+        raise MalformedInput("matrix JSON does not parse: %s" % exc) from exc
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
-        raise ValueError("matrix JSON needs keys 'n' and 'entries'")
+        raise MalformedInput("matrix JSON needs keys 'n' and 'entries'")
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("matrix size must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise MalformedInput("matrix size must be a positive integer")
+    if not isinstance(entries, list) or \
+            not all(isinstance(r, list) for r in entries):
+        raise MalformedInput("entries must be a list of rows")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise DimensionMismatch("entries do not form an %d by %d grid" % (n, n))
-    return Matrix(ring, ((ring.parse(v) for v in r) for r in entries))
+    return Matrix(ring, ((_parse_entry(ring, i, j, v)
+                          for j, v in enumerate(row))
+                         for i, row in enumerate(entries)))
+
+
+def _parse_entry(ring, i, j, v):
+    if not isinstance(v, str):
+        raise MalformedInput("entry (%d, %d) is not a string" % (i, j))
+    try:
+        return ring.parse(v)
+    except (ValueError, ZeroDivisionError, DimensionMismatch) as exc:
+        raise MalformedInput("entry (%d, %d) does not parse: %s"
+                             % (i, j, exc)) from exc

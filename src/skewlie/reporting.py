@@ -10,9 +10,20 @@ JSON with stable key order and to a short text summary.
 from __future__ import annotations
 
 import json
+import random
 import time
 
 SCHEMA_VERSION = 1
+
+
+def seeded_trials(seed, trials):
+    """The campaigns' seed policy: yields (trial, trial_seed, rng), where
+    a master Random(seed) draws each trial_seed and the trial's inputs
+    come from rng = Random(trial_seed), which replays them."""
+    master = random.Random(seed)
+    for trial in range(trials):
+        trial_seed = master.randrange(2 ** 32)
+        yield trial, trial_seed, random.Random(trial_seed)
 
 
 class CheckRecord:
@@ -53,6 +64,12 @@ class VerificationReport:
         self.records.append(rec)
         self.duration = time.monotonic() - self._t0
         return rec.passed
+
+    def add_report(self, name, sub, anchor=None, **payload):
+        """Record a sub-report as one check, naming its first 5 failures."""
+        return self.add(name, sub.passed, anchor=anchor,
+                        failures=[r.name for r in sub.failures()][:5],
+                        **payload)
 
     def note(self, text):
         self.notes.append(text)

@@ -147,14 +147,6 @@ class GaussianRational:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = GaussianRational(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -261,10 +253,6 @@ class GaussianField:
 
     def random_real(self, rng):
         return GaussianRational(rng.randint(-9, 9), 0, rng.randint(1, 5))
-
-    def random_real_unit(self, rng):
-        a = rng.randint(1, 9) * rng.choice((1, -1))
-        return GaussianRational(a, 0, rng.randint(1, 5))
 
     def is_invertible(self, x):
         return bool(x)
@@ -413,10 +401,6 @@ class FunctionRing:
 
     def random_real(self, rng):
         return FunctionElement(GAUSS.random_real(rng)
-                               for _ in range(self.npoints))
-
-    def random_real_unit(self, rng):
-        return FunctionElement(GAUSS.random_real_unit(rng)
                                for _ in range(self.npoints))
 
     def is_invertible(self, x):
@@ -607,9 +591,6 @@ class PolynomialRing:
         x = self.random_element(rng)
         y = x + self.star(x)
         return y * GaussianRational(1, 0, 2)
-
-    def random_real_unit(self, rng):
-        return self.scalar(GAUSS.random_real_unit(rng))
 
     def is_invertible(self, x):
         return set(x.terms) <= {()} and bool(x.terms.get((), GAUSS.zero))

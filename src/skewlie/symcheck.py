@@ -625,15 +625,15 @@ def _build_58_59(n, indices, diag, which):
     return ring, hyps, concl, notes
 
 
-def _build_5_8(n, indices, diag, variant=None):
+def _build_5_8(n, indices, diag):
     return _build_58_59(n, indices, diag, "5.8")
 
 
-def _build_5_9(n, indices, diag, variant=None):
+def _build_5_9(n, indices, diag):
     return _build_58_59(n, indices, diag, "5.9")
 
 
-def _build_5_7(n, indices, diag, variant=None):
+def _build_5_7(n, indices, diag):
     i, k = indices
     sym = SkewSymbols(n).declare("A", diag).declare("a2", diag)
     for t in range(1, n):

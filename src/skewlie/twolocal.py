@@ -17,8 +17,6 @@ of K_n even though only O(n^2) pairs were ever queried.
 
 from __future__ import annotations
 
-import random
-
 from .errors import (
     EqualIndices,
     Infeasible,
@@ -31,6 +29,7 @@ from .lie import (
     bracket,
     canonical_basis,
     decompose,
+    is_central,
     random_skew,
     recompose,
     s_elem,
@@ -38,7 +37,7 @@ from .lie import (
 )
 from .linsolve import ReducedSystem
 from .matrices import at_point, corner, require_skew_adjoint, zeros
-from .reporting import VerificationReport
+from .reporting import VerificationReport, seeded_trials
 from .rings import GAUSS, FunctionRing
 
 
@@ -335,13 +334,8 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
         seed=seed)
     if n < 3:
         raise NeedThreeIndices("two-local reconstruction needs size at least 3")
-    master = random.Random(seed)
-    labels = basis_labels(n)
-    basis = list(zip(labels, canonical_basis(n, ring)))
-    zero = zeros(n, ring)
-    for trial in range(trials):
-        trial_seed = master.randrange(2 ** 32)
-        rng = random.Random(trial_seed)
+    basis = list(zip(basis_labels(n), canonical_basis(n, ring)))
+    for trial, trial_seed, rng in seeded_trials(seed, trials):
         a0 = random_skew(rng, n, ring)
         oracle = GaugedInnerTwoLocal(a0, seed=trial_seed, gauge=gauge)
         abar = reconstruct_implementer(oracle)
@@ -353,15 +347,11 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
         if bad:
             payload["failed_at"] = bad[:5]
         rep.add("reconstruct and verify #%d" % trial, not bad, **payload)
-        gauge_diff = abar - a0
         rep.add("difference from seed is central #%d" % trial,
-                all(bracket(gauge_diff, b) == zero for _, b in basis),
-                trial=trial)
+                is_central(abar - a0), trial=trial)
         if p_sweep:
-            sweep = check_pair_lemmas(oracle)
-            rep.add("extraction choice sweep #%d" % trial, sweep.passed,
-                    trial=trial,
-                    failures=[r.name for r in sweep.failures()][:5])
+            rep.add_report("extraction choice sweep #%d" % trial,
+                           check_pair_lemmas(oracle), trial=trial)
         if brute_check:
             try:
                 cand = brute_force_implementer(oracle)
@@ -371,7 +361,7 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
                 continue
             same = all(bracket(cand, b) == delta_eval(oracle, b)
                        for _, b in basis)
-            central = all(bracket(cand - abar, b) == zero for _, b in basis)
+            central = is_central(cand - abar)
             rep.add("bracket solver agrees #%d" % trial, same and central,
                     anchor="theorem 2.6", trial=trial,
                     same_map=same, central_difference=central)

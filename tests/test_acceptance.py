@@ -16,6 +16,7 @@ from skewlie.lie import (
     bracket,
     canonical_basis,
     ie_diag,
+    is_central,
     random_skew,
     s_elem,
 )
@@ -32,7 +33,8 @@ from skewlie.localder import (
     verify_full,
     verify_spanning_set,
 )
-from skewlie.matrices import at_point, zeros
+from skewlie.matrices import at_point
+from skewlie.reporting import seeded_trials
 from skewlie.rings import GAUSS, FunctionRing
 from skewlie.symcheck import VARIANT_LEMMAS, certify_lemma, known_lemmas
 from skewlie.twolocal import (
@@ -75,11 +77,8 @@ def _local_trials():
     if data is None:
         data = {}
         for n in (3, 4, 5):
-            master = random.Random(4000 + n)
             runs = []
-            for _ in range(100):
-                trial_seed = master.randrange(2 ** 32)
-                rng = random.Random(trial_seed)
+            for _, trial_seed, rng in seeded_trials(4000 + n, 100):
                 a0 = random_skew(rng, n)
                 lmap = make_gauged_local_map(a0, seed=trial_seed,
                                              gauge="central")
@@ -112,11 +111,8 @@ def test_twolocal_reconstruction_function_rings():
         for n in (3, 4):
             ring = FunctionRing(omega)
             basis = list(zip(basis_labels(n), canonical_basis(n, ring)))
-            zero = zeros(n, ring)
-            master = random.Random(2000 + 10 * omega + n)
-            for _ in range(100):
-                trial_seed = master.randrange(2 ** 32)
-                rng = random.Random(trial_seed)
+            for _, trial_seed, rng in seeded_trials(2000 + 10 * omega + n,
+                                                    100):
                 a0 = random_skew(rng, n, ring)
                 oracle = GaugedInnerTwoLocal(a0, seed=trial_seed,
                                              gauge="central")
@@ -127,8 +123,7 @@ def test_twolocal_reconstruction_function_rings():
                                      random_skew(rng, n, ring)))
                 bad = verify_implementer(oracle, abar, elements)
                 assert not bad, (omega, n, trial_seed, bad[:3])
-                diff = abar - a0
-                assert all(bracket(diff, b) == zero for _, b in basis)
+                assert is_central(abar - a0)
                 for t in range(omega):
                     point_abar = reconstruct_implementer(
                         omega_instantiate(oracle, t))
@@ -174,13 +169,10 @@ def test_diagonal_extraction_choice_free():
            "100 runs each (theorem 4.4)")
 def test_local_reconstruction_gauss():
     for n, runs in _local_trials().items():
-        basis = canonical_basis(n)
-        zero = zeros(n)
         for trial_seed, a0, lmap, d in runs:
             rep = verify_full(lmap, d, random_checks=50, seed=trial_seed)
             assert rep.passed, (n, trial_seed, rep.summary())
-            diff = d - a0
-            assert all(bracket(diff, b) == zero for b in basis)
+            assert is_central(d - a0)
 
 
 @criterion("6. witness display identities at every index pair, n=3..5, "
@@ -188,10 +180,7 @@ def test_local_reconstruction_gauss():
 def test_display_identities():
     for n in (3, 4, 5):
         pairs = n * (n - 1) // 2
-        master = random.Random(6000 + n)
-        for _ in range(50):
-            trial_seed = master.randrange(2 ** 32)
-            rng = random.Random(trial_seed)
+        for _, trial_seed, rng in seeded_trials(6000 + n, 50):
             lmap = make_gauged_local_map(random_skew(rng, n),
                                          seed=trial_seed, gauge="central")
             rows = check_eq_5_1(lmap)
@@ -247,14 +236,11 @@ def test_brute_solver_agreement():
             assert r.passed, (n, r.payload)
     for n, runs in _local_trials().items():
         basis = canonical_basis(n)
-        zero = zeros(n)
         for trial_seed, _, lmap, d in runs:
             cand = brute_force_local(lmap)
             assert all(bracket(cand, b) == lmap.nabla(b) for b in basis), \
                 (n, trial_seed)
-            diff = cand - d
-            assert all(bracket(diff, b) == zero for b in basis), \
-                (n, trial_seed)
+            assert is_central(cand - d), (n, trial_seed)
 
 
 @criterion("10. one flipped witness corner is detected and localized, "

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from skewlie.errors import DimensionMismatch, IndexOutOfRange
+from skewlie.errors import DimensionMismatch, IndexOutOfRange, MalformedInput
 from skewlie.matrices import (
     Matrix,
     corner,
@@ -181,3 +181,16 @@ class TestJson:
             from_json('{"entries": [["0"]]}')
         with pytest.raises(DimensionMismatch):
             from_json('{"n": 2, "entries": [["0", "0"]]}')
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"n": 2, "entries": 5}', None),
+        ('{"n": 1, "entries": [[3]]}', "(0, 0)"),
+        ('{"n": 2, "entries": [["0", "0"], ["0", "x"]]}', "(1, 1)"),
+        ('{"n": 1, "entries": [["0"]', None),
+        ('{"n": true, "entries": [["0"]]}', None),
+    ])
+    def test_malformed_input(self, text, where):
+        with pytest.raises(MalformedInput) as info:
+            from_json(text)
+        if where is not None:
+            assert where in str(info.value)
