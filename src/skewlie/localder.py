@@ -160,15 +160,18 @@ def build_d(lmap, weights=None):
         raise NeedThreeIndices("reconstruction needs size at least 3")
     ring = lmap.ring
     a2 = lmap.witness(staircase(n, weights, ring))
-    grid = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = a2.rows[i][i]
-    for i in range(1, n + 1):
-        a_ii = lmap.witness(ie_diag(n, i, ring))
-        for j in range(1, n + 1):
-            if j != i:
-                grid[i - 1][j - 1] = a_ii.rows[i - 1][j - 1]
-    return Matrix(ring, grid)
+    return assemble_d(a2, {i: lmap.witness(ie_diag(n, i, ring))
+                           for i in range(1, n + 1)})
+
+
+def assemble_d(diag_witness, row_witnesses):
+    """The diagonal of diag_witness and, off the diagonal, row i of
+    row_witnesses[i] (1-based)."""
+    n = diag_witness.n
+    return Matrix(diag_witness.ring,
+                  ((diag_witness.rows[i][j] if i == j
+                    else row_witnesses[i + 1].rows[i][j] for j in range(n))
+                   for i in range(n)))
 
 
 def check_eq_5_1(lmap):

@@ -2,15 +2,19 @@
 
 Matrices are immutable, carry their ring, and index entries 1-based to
 match the usual e_{i,j} conventions; the JSON exchange format is 0-based
-row-major (see to_json). Products pick one of three strategies:
+row-major (see to_json). The skew-adjoint matrices form a Lie ring under
+the bracket [a, b] = ab - ba but are not closed under the associative
+product, so commutator is the only matrix product. It dispatches to one
+of three kernels:
 
   * either factor is sparse: accumulate over its nonzero entries only
   * Gaussian rational entries: clear denominators once and multiply
     integer matrices (three real products per complex product)
-  * function ring entries: the integer strategy applied pointwise
+  * function ring entries: the Gaussian kernel applied pointwise
 
-so brackets against basis elements cost O(n^2) and dense products avoid
-per-entry fraction reduction in the inner loop.
+so brackets against basis elements cost O(n^2) and dense brackets avoid
+per-entry fraction reduction in the inner loop. Dense brackets over any
+other ring (polynomials) walk one factor's nonzeros.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def _check_index(n, i):
         raise IndexOutOfRange("index %d outside 1..%d" % (i, n))
 
 
-def _int_matmul(a, b):
+def _int_matprod(a, b):
     """Product of two integer matrices given as tuples of row tuples."""
     cols = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
@@ -169,20 +173,11 @@ class Matrix:
                                              for r in self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check_compatible(other)
-            return self._matmul(other)
         return self._scale(other)
 
     def __rmul__(self, other):
         # scalars commute, so scalar * matrix == matrix * scalar
         return self._scale(other)
-
-    def __matmul__(self, other):
-        o = self._check_compatible(other)
-        if o is None:
-            return NotImplemented
-        return self._matmul(o)
 
     def _scale(self, value):
         try:
@@ -190,52 +185,6 @@ class Matrix:
         except TypeError:
             return NotImplemented
         return Matrix(self.ring, ((s * v for v in r) for r in self.rows))
-
-    def _matmul(self, other):
-        n = self.n
-        if other._nnz() <= n:
-            return self._mul_sparse_right(other)
-        if self._nnz() <= n:
-            return self._mul_sparse_left(other)
-        ring = self.ring
-        if isinstance(ring, GaussianField):
-            return _gauss_dense_mul(self, other)
-        if isinstance(ring, FunctionRing):
-            return _fnring_dense_mul(self, other)
-        return self._mul_generic(other)
-
-    def _mul_sparse_right(self, other):
-        zero = self.ring.zero
-        n = self.n
-        out = [[zero] * n for _ in range(n)]
-        rows = self.rows
-        for p, j, v in other._nonzeros():
-            for i in range(n):
-                a = rows[i][p]
-                if a:
-                    out[i][j] = out[i][j] + a * v
-        return Matrix._make(self.ring, tuple(map(tuple, out)))
-
-    def _mul_sparse_left(self, other):
-        zero = self.ring.zero
-        n = self.n
-        out = [[zero] * n for _ in range(n)]
-        orows = other.rows
-        for i, p, v in self._nonzeros():
-            row = orows[p]
-            for j in range(n):
-                b = row[j]
-                if b:
-                    out[i][j] = out[i][j] + v * b
-        return Matrix._make(self.ring, tuple(map(tuple, out)))
-
-    def _mul_generic(self, other):
-        cols = tuple(zip(*other.rows))
-        zero = self.ring.zero
-        out = tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b),
-                              zero) for col in cols)
-                    for row in self.rows)
-        return Matrix._make(self.ring, out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -260,9 +209,9 @@ def _gauss_int_product(a, b):
     da, are, aim = a._int_form()
     db, bre, bim = b._int_form()
     # (P + iQ)(R + iS) with three integer products
-    p1 = _int_matmul(are, bre)
-    p2 = _int_matmul(aim, bim)
-    p3 = _int_matmul(_int_matadd(are, aim), _int_matadd(bre, bim))
+    p1 = _int_matprod(are, bre)
+    p2 = _int_matprod(aim, bim)
+    p3 = _int_matprod(_int_matadd(are, aim), _int_matadd(bre, bim))
     cre = _int_matsub(p1, p2)
     cim = _int_matsub(_int_matsub(p3, p1), p2)
     return cre, cim, da * db
@@ -279,24 +228,12 @@ def _gauss_of_ints(cre, cim, d):
                                      for rr, ri in zip(cre, cim)))
 
 
-def _gauss_dense_mul(a, b):
-    return _gauss_of_ints(*_gauss_int_product(a, b))
-
-
 def _gauss_dense_commutator(a, b):
     lre, lim, d = _gauss_int_product(a, b)
     rre, rim, d2 = _gauss_int_product(b, a)
     if d2 != d:
         raise AssertionError("commutator denominators diverged")
     return _gauss_of_ints(_int_matsub(lre, rre), _int_matsub(lim, rim), d)
-
-
-def _fnring_dense_mul(a, b):
-    ring = a.ring
-    pts = [a._at_point(k)._matmul(b._at_point(k)) for k in range(ring.npoints)]
-    n = a.n
-    return Matrix(ring, ((FunctionElement(m.rows[i][j] for m in pts)
-                          for j in range(n)) for i in range(n)))
 
 
 def _sparse_commutator(a, b):
@@ -321,8 +258,9 @@ def _sparse_commutator(a, b):
 
 
 def commutator(a, b):
-    """a*b - b*a, fusing the two products where the shapes allow it."""
-    if not isinstance(b, Matrix):
+    """The bracket ab - ba, fusing the two products where the shapes allow
+    it."""
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
     n = a.n
@@ -332,7 +270,11 @@ def commutator(a, b):
         return -_sparse_commutator(b, a)
     if a.ring is GAUSS:
         return _gauss_dense_commutator(a, b)
-    return a * b - b * a
+    if isinstance(a.ring, FunctionRing):
+        return from_points(_gauss_dense_commutator(a._at_point(k),
+                                                   b._at_point(k))
+                           for k in range(a.ring.npoints))
+    return _sparse_commutator(a, b)
 
 
 def zeros(n, ring=GAUSS):

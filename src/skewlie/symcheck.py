@@ -28,6 +28,7 @@ from .errors import (
 )
 from .lie import bracket, ie_bar, ie_diag, s_elem, staircase
 from .linsolve import ReducedSystem
+from .localder import assemble_d
 from .matrices import Matrix, matrix_unit
 from .rings import GAUSS, PolynomialRing, imaginary_unit
 
@@ -448,16 +449,6 @@ def _build_5_2(n, indices, diag):
                              "from the witness of I*e_%d,%d" % (i, k, i, i)]
 
 
-def _built_d(n, ring, diag_witness, row_witnesses):
-    grid = [[ring.zero] * n for _ in range(n)]
-    for t in range(1, n + 1):
-        grid[t - 1][t - 1] = diag_witness.entry(t, t)
-        for j in range(1, n + 1):
-            if j != t:
-                grid[t - 1][j - 1] = row_witnesses[t].entry(t, j)
-    return Matrix(ring, grid)
-
-
 def _declare_d_parts(sym, n):
     for t in range(1, n + 1):
         sym.declare("a%d%d" % (t, t))
@@ -480,7 +471,7 @@ def _build_5_3(n, indices, diag):
             hyps += _eq("pair(%d,%d)" % (p, q),
                         bracket(m["y%d%d" % (p, q)], e_p + e_q)
                         - bracket(rows[p], e_p) - bracket(rows[q], e_q))
-    d = _built_d(n, ring, m["a2"], rows)
+    d = assemble_d(m["a2"], rows)
     e_i = ie_diag(n, i, ring)
     concl = [("component %s" % pos, p) for pos, p in
              hypothesis_components(bracket(d, e_i), bracket(rows[i], e_i))]
@@ -591,7 +582,7 @@ def _build_58_59(n, indices, diag, which):
     sym.declare("a3", diag)
     ring, m = sym.build()
     rows = {t: m["a%d%d" % (t, t)] for t in range(1, n + 1)}
-    d = _built_d(n, ring, m["a2"], rows)
+    d = assemble_d(m["a2"], rows)
     s = s_elem(n, i, k, ring)
     ibar = ie_bar(n, i, k, ring)
     if which == "5.8":

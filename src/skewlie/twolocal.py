@@ -36,7 +36,13 @@ from .lie import (
     staircase,
 )
 from .linsolve import ReducedSystem
-from .matrices import at_point, corner, require_skew_adjoint, zeros
+from .matrices import (
+    at_point,
+    corner,
+    from_points,
+    require_skew_adjoint,
+    zeros,
+)
 from .reporting import VerificationReport, seeded_trials
 from .rings import GAUSS, FunctionRing
 
@@ -299,12 +305,9 @@ class PointProjectedOracle:
         self.point = point
         self.ring = GAUSS
         self.n = base.n
-        self._lift_ring = base.ring
 
     def _lift(self, x):
-        from .matrices import Matrix
-        r = self._lift_ring
-        return Matrix(r, ((r.scalar(v) for v in row) for row in x.rows))
+        return from_points([x] * self.base.ring.npoints)
 
     def query(self, x, y):
         w = self.base.query(self._lift(x), self._lift(y))

@@ -88,6 +88,22 @@ def _cli(*argv):
                      "--trials", "2"),
         "276a04f6c9ba23e9f325ef95625987eacaad12dce1e417ef058360254dc3515e",
         id="cli-local-fnring"),
+    pytest.param(
+        lambda: _cli("--mode", "local", "--ring", "poly", "--n", "3",
+                     "--trials", "2"),
+        "91a66a696d9b3b7a8985c0d1b686169b84b62e9fe67ea46d878c4d7041ab8b00",
+        id="cli-local-poly"),
+    pytest.param(
+        lambda: _cli("--mode", "twolocal", "--ring", "poly", "--n", "3",
+                     "--trials", "2", "--p-sweep"),
+        "ba67e24471efe0a507c1f5517de188d2d66e4f95d84ccbfbe492afbe652378fc",
+        id="cli-twolocal-poly-sweep"),
+    pytest.param(
+        # the staircase brackets of this certificate are dense polynomial
+        # brackets
+        lambda: _cli("--mode", "symcheck", "--n", "6", "--lemma", "5.7"),
+        "f99f724f77c24a765dab1f1d087ad1d457be2816e661b7e51b4cf8b5d889ef81",
+        id="cli-symcheck-5.7-n6"),
 ])
 def test_report_fingerprint(make, digest):
     """The sha256 of a report's to_dict() without duration_seconds, as
