@@ -15,7 +15,6 @@ from .errors import (
     UnknownLemma,
     UnsupportedRing,
     WitnessContractError,
-    ZeroWeight,
 )
 from .lie import (
     basis_labels,

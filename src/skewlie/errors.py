@@ -26,12 +26,8 @@ class EqualIndices(SkewlieError):
     """An operation that needs distinct indices received equal ones."""
 
 
-class ZeroWeight(SkewlieError):
-    """A staircase weight was zero; the element would degenerate."""
-
-
 class ComplexWeight(SkewlieError):
-    """A staircase weight had a nonzero imaginary part."""
+    """A scalar that must be star-fixed was not."""
 
 
 class NeedThreeIndices(SkewlieError):

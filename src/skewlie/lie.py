@@ -19,12 +19,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .errors import (
-    ComplexWeight,
-    DimensionMismatch,
-    EqualIndices,
-    ZeroWeight,
-)
+from .errors import ComplexWeight, DimensionMismatch, EqualIndices
 from .matrices import (
     Matrix,
     commutator,
@@ -111,35 +106,14 @@ def canonical_basis(n, ring=GAUSS):
     return list(_memoized("basis", n, ring, (), build))
 
 
-def staircase(n, weights=None, ring=GAUSS):
-    """The staircase element sum of weights[k] * s[k,k+1] for k = 1..n-1.
-
-    weights may be None or "Unit" for all ones, otherwise a sequence of
-    n-1 entries that must be star-fixed (ComplexWeight otherwise) and
-    invertible (ZeroWeight otherwise).
-    """
-    if weights is None or weights == "Unit":
-        def build():
-            out = zeros(n, ring)
-            for k in range(1, n):
-                out = out + s_elem(n, k, k + 1, ring)
-            return out
-        return _memoized("staircase", n, ring, (), build)
-    else:
-        ws = [ring.scalar(w) for w in weights]
-        if len(ws) != n - 1:
-            raise DimensionMismatch("need %d weights, got %d" % (n - 1, len(ws)))
-        for k, w in enumerate(ws):
-            if not ring.is_invertible(w):
-                raise ZeroWeight("weight %d of the staircase is not invertible"
-                                 % (k + 1))
-            if ring.star(w) != w:
-                raise ComplexWeight("weight %d of the staircase is not star-fixed"
-                                    % (k + 1))
-    out = zeros(n, ring)
-    for k in range(1, n):
-        out = out + ws[k - 1] * s_elem(n, k, k + 1, ring)
-    return out
+def staircase(n, ring=GAUSS):
+    """The unit staircase, the sum of s[k,k+1] for k = 1..n-1."""
+    def build():
+        out = zeros(n, ring)
+        for k in range(1, n):
+            out = out + s_elem(n, k, k + 1, ring)
+        return out
+    return _memoized("staircase", n, ring, (), build)
 
 
 def bracket(a, b):

@@ -131,13 +131,13 @@ class ReducedSystem:
     def nullspace(self):
         return [self.nullvector(c) for c in self.free_cols]
 
-    def solve(self, rhs, ring=GAUSS, free_value=None):
+    def solve(self, rhs, ring=GAUSS):
         """Solve A x = rhs for the matrix this system was built from.
 
         rhs is a sequence of ring elements, one per original row. Free
-        variables take free_value (default ring.zero). Raises Infeasible
-        when a dependency among the rows is not matched by the right
-        hand side.
+        variables are zero, so each pivot variable is its row's
+        provenance applied to rhs. Raises Infeasible when a dependency
+        among the rows is not matched by the right hand side.
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatch("expected %d right hand side entries, got %d"
@@ -153,14 +153,7 @@ class ReducedSystem:
         for prov in self._null:
             if combine(prov) != zero:
                 raise Infeasible("right hand side breaks a row dependency")
-        if free_value is None:
-            free_value = zero
-        x = [free_value] * self.ncols
-        for pc, (prow, pprov) in self._pivots.items():
-            acc = combine(pprov)
-            if free_value != zero:
-                for c, v in prow.items():
-                    if c != pc:
-                        acc = acc - v * free_value
-            x[pc] = acc
+        x = [zero] * self.ncols
+        for pc, (_, pprov) in self._pivots.items():
+            x[pc] = combine(pprov)
         return x

@@ -147,7 +147,7 @@ def make_gauged_local_map(a0, seed=0, gauge="central"):
     return WitnessedLocalMap(GaugedInnerLocal(a0, seed=seed, gauge=gauge))
 
 
-def build_d(lmap, weights=None):
+def build_d(lmap):
     """Assemble the candidate implementer d.
 
     Diagonal entries come from the staircase witness; the off-diagonal
@@ -159,7 +159,7 @@ def build_d(lmap, weights=None):
     if n < 3:
         raise NeedThreeIndices("reconstruction needs size at least 3")
     ring = lmap.ring
-    a2 = lmap.witness(staircase(n, weights, ring))
+    a2 = lmap.witness(staircase(n, ring))
     return assemble_d(a2, {i: lmap.witness(ie_diag(n, i, ring))
                            for i in range(1, n + 1)})
 
@@ -323,7 +323,7 @@ def corner_coherence(lmap, anchor_index, indices):
     return rep
 
 
-def check_display_identities(lmap, d=None, weights=None):
+def check_display_identities(lmap, d=None):
     """The displayed run-time identities, one record each.
 
     5.3: d implements the map on every I*e_{i,i}.
@@ -337,12 +337,12 @@ def check_display_identities(lmap, d=None, weights=None):
     n = lmap.n
     ring = lmap.ring
     if d is None:
-        d = build_d(lmap, weights)
+        d = build_d(lmap)
     rep = VerificationReport("displayed identities on witnesses",
                              anchor="eqs 5.3-5.7",
                              config={"n": n, "ring": ring.name})
     rep.note(FINITE_NOTE)
-    a2 = lmap.witness(staircase(n, weights, ring))
+    a2 = lmap.witness(staircase(n, ring))
     zero = zeros(n, ring)
     blocks = {}
     for i in range(1, n + 1):
@@ -379,12 +379,12 @@ def check_display_identities(lmap, d=None, weights=None):
     return rep
 
 
-def verify_spanning_set(lmap, d=None, weights=None):
+def verify_spanning_set(lmap, d=None):
     """d implements the map on the whole canonical basis, and the
     witness-level identities behind that claim hold. Failing records
     carry the indices that exposed them."""
     if d is None:
-        d = build_d(lmap, weights)
+        d = build_d(lmap)
     rep = VerificationReport("implementer against the canonical basis",
                              anchor="theorem 4.4",
                              config={"n": lmap.n, "ring": lmap.ring.name})
@@ -393,15 +393,15 @@ def verify_spanning_set(lmap, d=None, weights=None):
                         canonical_basis(lmap.n, lmap.ring)):
         rep.add("spans %s" % label, bracket(d, b) == lmap.nabla(b),
                 basis=label)
-    rep.extend(check_display_identities(lmap, d, weights))
+    rep.extend(check_display_identities(lmap, d))
     return rep
 
 
-def verify_full(lmap, d=None, weights=None, random_checks=50, seed=0):
+def verify_full(lmap, d=None, random_checks=50, seed=0):
     """d implements the map on the basis and on random skew elements."""
     if d is None:
-        d = build_d(lmap, weights)
-    rep = verify_spanning_set(lmap, d, weights)
+        d = build_d(lmap)
+    rep = verify_spanning_set(lmap, d)
     rng = random.Random(seed)
     for t in range(random_checks):
         x = random_skew(rng, lmap.n, lmap.ring)

@@ -197,12 +197,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%s, n=%d)" % (self.ring.name, self.n)
 
-    def format(self):
-        fmt = self.ring.format
-        width = max((len(fmt(v)) for r in self.rows for v in r), default=1)
-        return "\n".join(" ".join(fmt(v).rjust(width) for v in r)
-                         for r in self.rows)
-
 
 def _gauss_int_product(a, b):
     """Integer real and imaginary parts of a*b and the joint denominator."""
@@ -282,12 +276,6 @@ def zeros(n, ring=GAUSS):
     return Matrix(ring, ((z,) * n for _ in range(n)))
 
 
-def identity(n, ring=GAUSS):
-    z, o = ring.zero, ring.one
-    return Matrix(ring, ((o if i == j else z for j in range(n))
-                         for i in range(n)))
-
-
 def matrix_unit(n, i, j, ring=GAUSS):
     """e_{i,j}: single one at 1-based position (i, j)."""
     _check_index(n, i)
@@ -341,6 +329,11 @@ def at_point(x, k):
     return x._at_point(k)
 
 
+# one ring per domain size: from_points runs once per dense function-ring
+# bracket, and each FunctionRing builds its three constant elements
+_fnrings = {}
+
+
 def from_points(mats):
     """Assemble a function-ring matrix from its per-point Gaussian values."""
     mats = list(mats)
@@ -352,7 +345,9 @@ def from_points(mats):
             raise DimensionMismatch("point matrices disagree on size")
         if not isinstance(m.ring, GaussianField):
             raise DimensionMismatch("point matrices must be Gaussian")
-    ring = FunctionRing(len(mats))
+    ring = _fnrings.get(len(mats))
+    if ring is None:
+        ring = _fnrings[len(mats)] = FunctionRing(len(mats))
     return Matrix(ring, ((FunctionElement(m.rows[i][j] for m in mats)
                           for j in range(n)) for i in range(n)))
 

@@ -254,9 +254,6 @@ class GaussianField:
     def random_real(self, rng):
         return GaussianRational(rng.randint(-9, 9), 0, rng.randint(1, 5))
 
-    def is_invertible(self, x):
-        return bool(x)
-
     def format(self, x):
         return _gauss_format(x)
 
@@ -350,7 +347,7 @@ class FunctionRing:
     """Gaussian-rational valued functions on a finite set of k points.
 
     Not a field once k > 1: an element is invertible only when it vanishes
-    nowhere. project and lift move between a function and its values.
+    nowhere.
     """
 
     def __init__(self, npoints):
@@ -389,12 +386,6 @@ class FunctionRing:
                                     % (self.npoints, len(vals)))
         return FunctionElement(vals)
 
-    def project(self, x, k):
-        if not 0 <= k < self.npoints:
-            raise DimensionMismatch("point index %d outside 0..%d"
-                                    % (k, self.npoints - 1))
-        return x.values[k]
-
     def random_element(self, rng):
         return FunctionElement(GAUSS.random_element(rng)
                                for _ in range(self.npoints))
@@ -402,9 +393,6 @@ class FunctionRing:
     def random_real(self, rng):
         return FunctionElement(GAUSS.random_real(rng)
                                for _ in range(self.npoints))
-
-    def is_invertible(self, x):
-        return all(x.values)
 
     def format(self, x):
         return "[%s]" % ",".join(GAUSS.format(v) for v in x.values)
@@ -591,9 +579,6 @@ class PolynomialRing:
         x = self.random_element(rng)
         y = x + self.star(x)
         return y * GaussianRational(1, 0, 2)
-
-    def is_invertible(self, x):
-        return set(x.terms) <= {()} and bool(x.terms.get((), GAUSS.zero))
 
     def _format_monomial(self, m):
         parts = []

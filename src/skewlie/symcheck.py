@@ -38,8 +38,8 @@ class SkewSymbols:
     polynomial ring.
 
     diagonal modes: "imag" puts I times a star-fixed variable at (i, i),
-    "zero" leaves the diagonal empty, "paired" puts z - star(z) there
-    with a free variable z. support restricts nonzero entries to the
+    the diagonal of every skew-adjoint unknown the paper reads; "zero"
+    leaves the diagonal empty. support restricts nonzero entries to the
     rows and columns of the given indices (used for block unknowns)."""
 
     def __init__(self, n):
@@ -47,7 +47,7 @@ class SkewSymbols:
         self._decls = []
 
     def declare(self, name, diagonal="imag", support=None):
-        if diagonal not in ("imag", "zero", "paired"):
+        if diagonal not in ("imag", "zero"):
             raise ValueError("unknown diagonal mode %r" % diagonal)
         sup = frozenset(support) if support is not None else None
         self._decls.append((name, diagonal, sup))
@@ -77,10 +77,6 @@ class SkewSymbols:
                     continue
                 if diagonal == "imag":
                     add_var("%s_d%d" % (name, i))
-                elif diagonal == "paired":
-                    v = add_var("%s_d%d" % (name, i))
-                    w = add_var("%sc_d%d" % (name, i))
-                    star_pairs.append((v, w))
         ring = PolynomialRing(names, star_pairs)
         i_unit = imaginary_unit(ring)
         mats = {}
@@ -100,10 +96,6 @@ class SkewSymbols:
                 if diagonal == "imag":
                     grid[i - 1][i - 1] = i_unit * \
                         ring.var(slots["%s_d%d" % (name, i)])
-                elif diagonal == "paired":
-                    z = ring.var(slots["%s_d%d" % (name, i)])
-                    zc = ring.var(slots["%sc_d%d" % (name, i)])
-                    grid[i - 1][i - 1] = z - zc
             mats[name] = Matrix(ring, grid)
         return ring, mats
 
@@ -299,14 +291,12 @@ def _counterexample(ring, hyps, label, poly):
 class LemmaCertificate:
     """Certification outcome for one registered statement."""
 
-    def __init__(self, lemma, n, indices, components, notes,
-                 general_diagonal=False, variant=None):
+    def __init__(self, lemma, n, indices, components, notes, variant=None):
         self.lemma = lemma
         self.n = n
         self.indices = tuple(indices)
         self.components = components
         self.notes = list(notes)
-        self.general_diagonal = general_diagonal
         self.variant = variant
 
     @property
@@ -321,7 +311,9 @@ class LemmaCertificate:
             "lemma": self.lemma,
             "n": self.n,
             "indices": list(self.indices),
-            "general_diagonal": self.general_diagonal,
+            # one diagonal model only; the key stays because certificate
+            # JSON is a published report format
+            "general_diagonal": False,
             "variant": self.variant,
             "all_implied": self.all_implied,
             "notes": self.notes,
@@ -342,9 +334,9 @@ def _check_indices(n, indices):
             raise IndexOutOfRange("index %d outside 1..%d" % (i, n))
 
 
-def _build_3_4_1(n, indices, diag):
+def _build_3_4_1(n, indices):
     i, j = indices
-    ring, m = SkewSymbols(n).declare("a", diag).declare("b", diag).build()
+    ring, m = SkewSymbols(n).declare("a").declare("b").build()
     a, b = m["a"], m["b"]
     hyps = _eq("commute", bracket(a - b, s_elem(n, i, j, ring)))
     concl = [
@@ -356,10 +348,10 @@ def _build_3_4_1(n, indices, diag):
     return ring, hyps, concl, []
 
 
-def _build_3_4_2(n, indices, diag):
+def _build_3_4_2(n, indices):
     i, j, p = indices
-    ring, m = SkewSymbols(n).declare("a", diag).declare("b", diag) \
-                            .declare("x", diag).build()
+    ring, m = SkewSymbols(n).declare("a").declare("b") \
+                            .declare("x").build()
     a, b, x = m["a"], m["b"], m["x"]
     hyps = _eq("eq1", bracket(a - x, s_elem(n, i, j, ring)))
     hyps += _eq("eq2", bracket(b - x, s_elem(n, i, p, ring)))
@@ -369,10 +361,10 @@ def _build_3_4_2(n, indices, diag):
     return ring, hyps, concl, []
 
 
-def _build_3_41(n, indices, diag):
+def _build_3_41(n, indices):
     i, j, p = indices
-    ring, m = SkewSymbols(n).declare("a", diag).declare("b", diag) \
-                            .declare("x", diag).build()
+    ring, m = SkewSymbols(n).declare("a").declare("b") \
+                            .declare("x").build()
     a, b, x = m["a"], m["b"], m["x"]
     hyps = _eq("eq1", bracket(a - x, s_elem(n, i, p, ring)))
     hyps += _eq("eq2", bracket(b - x, s_elem(n, p, j, ring)))
@@ -383,9 +375,9 @@ def _build_3_41(n, indices, diag):
     return ring, hyps, concl, []
 
 
-def _build_2_5(n, indices, diag):
+def _build_2_5(n, indices):
     i, j = indices
-    ring, m = SkewSymbols(n).declare("d", diag) \
+    ring, m = SkewSymbols(n).declare("d") \
                             .declare("a", "zero").build()
     d, a = m["d"], m["a"]
     hyps = []
@@ -409,9 +401,9 @@ def _build_2_5(n, indices, diag):
     return ring, hyps, concl, notes
 
 
-def _build_3_6(n, indices, diag):
+def _build_3_6(n, indices):
     k, l = indices
-    ring, m = SkewSymbols(n).declare("c", diag).declare("b", diag).build()
+    ring, m = SkewSymbols(n).declare("c").declare("b").build()
     c, b = m["c"], m["b"]
     hyps = _eq("commute", bracket(c - b, staircase(n, ring=ring)))
     concl = [("diagonal difference (%d,%d)" % (k, l),
@@ -424,10 +416,10 @@ def _build_3_6(n, indices, diag):
     return ring, hyps, concl, notes
 
 
-def _build_5_1(n, indices, diag):
+def _build_5_1(n, indices):
     i, k = indices
-    ring, m = SkewSymbols(n).declare("aii", diag).declare("akk", diag) \
-                            .declare("a1", diag).build()
+    ring, m = SkewSymbols(n).declare("aii").declare("akk") \
+                            .declare("a1").build()
     aii, akk, a1 = m["aii"], m["akk"], m["a1"]
     e_i, e_k = ie_diag(n, i, ring), ie_diag(n, k, ring)
     hyps = _eq("additive",
@@ -441,9 +433,9 @@ def _build_5_1(n, indices, diag):
     return ring, hyps, concl, notes
 
 
-def _build_5_2(n, indices, diag):
+def _build_5_2(n, indices):
     i, k = indices
-    ring, m = SkewSymbols(n).declare("aii", diag).build()
+    ring, m = SkewSymbols(n).declare("aii").build()
     concl = [("definition of d at (%d,%d)" % (i, k), ring.zero)]
     return ring, [], concl, ["definitional: d takes its (%d,%d) entry "
                              "from the witness of I*e_%d,%d" % (i, k, i, i)]
@@ -455,7 +447,7 @@ def _declare_d_parts(sym, n):
     sym.declare("a2")
 
 
-def _build_5_3(n, indices, diag):
+def _build_5_3(n, indices):
     i, = indices
     sym = SkewSymbols(n)
     _declare_d_parts(sym, n)
@@ -480,9 +472,9 @@ def _build_5_3(n, indices, diag):
     return ring, hyps, concl, []
 
 
-def _build_5_4(n, indices, diag):
+def _build_5_4(n, indices):
     i, k = indices
-    ring, m = SkewSymbols(n).declare("A", diag).declare("D", diag).build()
+    ring, m = SkewSymbols(n).declare("A").declare("D").build()
     a, d = m["A"], m["D"]
     hyps = []
     for j in range(1, n + 1):
@@ -524,16 +516,16 @@ def _hyps_58_59(n, i, k, ring, m, shared):
     return hyps
 
 
-def _build_55_56_510(n, indices, diag, variant):
+def _build_55_56_510(n, indices, variant):
     i, k = indices
     shared = variant != "independent"
-    sym = SkewSymbols(n).declare("A", diag).declare("aii", diag) \
-                        .declare("akk", diag)
+    sym = SkewSymbols(n).declare("A").declare("aii") \
+                        .declare("akk")
     if shared:
-        sym.declare("a3k", diag).declare("a3i", diag)
+        sym.declare("a3k").declare("a3i")
     else:
-        sym.declare("a3k1", diag).declare("a3k2", diag)
-        sym.declare("a3i1", diag).declare("a3i2", diag)
+        sym.declare("a3k1").declare("a3k2")
+        sym.declare("a3i1").declare("a3i2")
     ring, m = sym.build()
     hyps = _hyps_58_59(n, i, k, ring, m, shared)
     notes = ["each auxiliary witness serves both equations of its "
@@ -543,18 +535,18 @@ def _build_55_56_510(n, indices, diag, variant):
     return ring, m, hyps, notes
 
 
-def _build_5_5(n, indices, diag, variant=None):
+def _build_5_5(n, indices, variant=None):
     i, k = indices
-    ring, m, hyps, notes = _build_55_56_510(n, indices, diag, variant)
+    ring, m, hyps, notes = _build_55_56_510(n, indices, variant)
     concl = [("row entry (%d,%d)" % (k, j),
               m["A"].entry(k, j) - m["akk"].entry(k, j))
              for j in range(1, n + 1) if j != k]
     return ring, hyps, concl, notes
 
 
-def _build_5_6(n, indices, diag, variant=None):
+def _build_5_6(n, indices, variant=None):
     i, k = indices
-    ring, m, hyps, notes = _build_55_56_510(n, indices, diag, variant)
+    ring, m, hyps, notes = _build_55_56_510(n, indices, variant)
     concl = [("column entry (%d,%d)" % (j, i),
               m["A"].entry(j, i) - m["aii"].entry(j, i))
              for j in range(1, n + 1) if j != i]
@@ -564,9 +556,9 @@ def _build_5_6(n, indices, diag, variant=None):
     return ring, hyps, concl, notes
 
 
-def _build_5_10(n, indices, diag, variant=None):
+def _build_5_10(n, indices, variant=None):
     i, k = indices
-    ring, m, hyps, notes = _build_55_56_510(n, indices, diag, variant)
+    ring, m, hyps, notes = _build_55_56_510(n, indices, variant)
     a3k = m["a3k"] if variant != "independent" else m["a3k1"]
     concl = [
         ("entry (%d,%d)" % (i, k), a3k.entry(i, k) - m["A"].entry(i, k)),
@@ -575,11 +567,11 @@ def _build_5_10(n, indices, diag, variant=None):
     return ring, hyps, concl, notes
 
 
-def _build_58_59(n, indices, diag, which):
+def _build_58_59(n, indices, which):
     i, k = indices
-    sym = SkewSymbols(n).declare("A", diag)
+    sym = SkewSymbols(n).declare("A")
     _declare_d_parts(sym, n)
-    sym.declare("a3", diag)
+    sym.declare("a3")
     ring, m = sym.build()
     rows = {t: m["a%d%d" % (t, t)] for t in range(1, n + 1)}
     d = assemble_d(m["a2"], rows)
@@ -616,20 +608,20 @@ def _build_58_59(n, indices, diag, which):
     return ring, hyps, concl, notes
 
 
-def _build_5_8(n, indices, diag):
-    return _build_58_59(n, indices, diag, "5.8")
+def _build_5_8(n, indices):
+    return _build_58_59(n, indices, "5.8")
 
 
-def _build_5_9(n, indices, diag):
-    return _build_58_59(n, indices, diag, "5.9")
+def _build_5_9(n, indices):
+    return _build_58_59(n, indices, "5.9")
 
 
-def _build_5_7(n, indices, diag):
+def _build_5_7(n, indices):
     i, k = indices
-    sym = SkewSymbols(n).declare("A", diag).declare("a2", diag)
+    sym = SkewSymbols(n).declare("A").declare("a2")
     for t in range(1, n):
         sym.declare("w%d" % t, support=(t, t + 1))
-        sym.declare("b%d" % t, diag)
+        sym.declare("b%d" % t)
     ring, m = sym.build()
     x0 = staircase(n, ring=ring)
     hyps = []
@@ -684,14 +676,13 @@ def known_lemmas():
     return sorted(_BUILDERS)
 
 
-def certify_lemma(lemma, n, indices=None, general_diagonal=False,
-                  variant=None):
+def certify_lemma(lemma, n, indices=None, variant=None):
     """Certify one registered statement at the given size and indices.
 
+    Every unknown has I times a star-fixed variable on its diagonal.
     variant="independent" (where supported) replaces each shared
     auxiliary witness with per-equation copies, a deliberate probe whose
-    conclusions come back NotImplied. general_diagonal models diagonal
-    entries as z - star(z) instead of I times a star-fixed variable.
+    conclusions come back NotImplied.
     """
     entry = _BUILDERS.get(str(lemma))
     if entry is None:
@@ -702,17 +693,12 @@ def certify_lemma(lemma, n, indices=None, general_diagonal=False,
         raise IndexOutOfRange("certificates are stated for sizes >= 3")
     idx = tuple(indices) if indices is not None else default_idx(n)
     _check_indices(n, idx)
-    diag = "paired" if general_diagonal else "imag"
     if str(lemma) in VARIANT_LEMMAS:
-        ring, hyps, concl, notes = builder(n, idx, diag, variant=variant)
+        ring, hyps, concl, notes = builder(n, idx, variant=variant)
     else:
         if variant is not None:
             raise UnknownLemma("lemma %s has no variant %r" % (lemma, variant))
-        ring, hyps, concl, notes = builder(n, idx, diag)
-    if general_diagonal:
-        notes = notes + ["diagonal entries modeled as z - star(z); "
-                         "outcomes reported as computed"]
+        ring, hyps, concl, notes = builder(n, idx)
     components = certify(ring, hyps, concl)
     return LemmaCertificate(str(lemma), n, idx, components, notes,
-                            general_diagonal=general_diagonal,
                             variant=variant)

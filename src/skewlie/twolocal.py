@@ -122,7 +122,7 @@ def extract_offdiagonal(oracle, i, j, p=None):
     return corner(a, i, j) + corner(a, j, i)
 
 
-def extract_diagonal(oracle, i_o=1, j_o=2, weights=None):
+def extract_diagonal(oracle, i_o=1, j_o=2):
     """The diagonal of an implementer, up to one central shift.
 
     Reads it off the witness for the pair (s_{i_o,j_o}, staircase).
@@ -133,29 +133,28 @@ def extract_diagonal(oracle, i_o=1, j_o=2, weights=None):
     if i_o == j_o:
         raise EqualIndices("observation indices must differ")
     ring = oracle.ring
-    c = oracle.query(s_elem(n, i_o, j_o, ring), staircase(n, weights, ring))
+    c = oracle.query(s_elem(n, i_o, j_o, ring), staircase(n, ring))
     out = zeros(n, ring)
     for i in range(1, n + 1):
         out = out + corner(c, i, i)
     return out
 
 
-def reconstruct_implementer(oracle, i_o=1, j_o=2, p_choice=None, weights=None):
+def reconstruct_implementer(oracle):
     """Assemble one skew-adjoint matrix implementing the whole map.
 
-    p_choice may map an ordered pair (i, j) to the third index used for
-    that corner; by default the smallest available index is used. The
-    result can differ from any given implementer by a central summand
-    only, which no bracket sees.
+    The diagonal is read off the witness of (s[1,2], staircase) and each
+    corner (i, j) through the smallest free third index: n(n-1)/2 + 1
+    pair queries. The result can differ from any given implementer by a
+    central summand only, which no bracket sees.
     """
     n = oracle.n
     if n < 3:
         raise NeedThreeIndices("reconstruction needs size at least 3")
-    abar = extract_diagonal(oracle, i_o, j_o, weights)
+    abar = extract_diagonal(oracle)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            p = p_choice(i, j) if p_choice else None
-            abar = abar + extract_offdiagonal(oracle, i, j, p)
+            abar = abar + extract_offdiagonal(oracle, i, j)
     return require_skew_adjoint(abar, "reconstructed implementer")
 
 
@@ -171,7 +170,7 @@ def verify_implementer(oracle, abar, elements):
     return bad
 
 
-def check_pair_lemmas(oracle, weights=None):
+def check_pair_lemmas(oracle):
     """Consistency of the extraction readings across all free choices.
 
     For every ordered pair (i, j) the corner read through each admissible
@@ -205,7 +204,7 @@ def check_pair_lemmas(oracle, weights=None):
         for j_o in range(1, n + 1):
             if i_o == j_o:
                 continue
-            diag = extract_diagonal(oracle, i_o, j_o, weights)
+            diag = extract_diagonal(oracle, i_o, j_o)
             diffs = tuple(diag.entry(t, t) - diag.entry(t + 1, t + 1)
                           for t in range(1, n))
             if ref is None:
@@ -285,14 +284,11 @@ class PreparedBracketSolver:
                                  % label)
         return cand
 
-    def solve(self, oracle):
-        """One implementer of the oracle's map, or Infeasible."""
-        return self.solve_values(lambda z: delta_eval(oracle, z), oracle.ring)
-
 
 def brute_force_implementer(oracle):
     """Solve for an implementer directly from bracket equations."""
-    return PreparedBracketSolver.for_size(oracle.n).solve(oracle)
+    return PreparedBracketSolver.for_size(oracle.n).solve_values(
+        lambda z: delta_eval(oracle, z), oracle.ring)
 
 
 class PointProjectedOracle:

@@ -16,7 +16,7 @@ from skewlie.matrices import (
     commutator,
     corner,
     from_json,
-    identity,
+    from_points,
     is_skew_adjoint,
     matrix_unit,
     star_transpose,
@@ -63,10 +63,10 @@ class TestBasics:
 
     def test_ring_and_size_guards(self):
         with pytest.raises(DimensionMismatch):
-            gmat([[1, 2], [3, 4]]) + identity(3)
+            gmat([[1, 2], [3, 4]]) + matrix_unit(3, 1, 1)
         with pytest.raises(DimensionMismatch):
-            commutator(identity(1), Matrix(FunctionRing(1),
-                                           [[FunctionRing(1).one]]))
+            commutator(matrix_unit(1, 1, 1),
+                       Matrix(FunctionRing(1), [[FunctionRing(1).one]]))
         with pytest.raises(DimensionMismatch):
             Matrix(GAUSS, [[G(1), G(2)]])
 
@@ -89,7 +89,7 @@ def _shape_pairs(shape, rng, n, ring):
     if shape == "basis-basis":
         return [(e, f) for e in basis for f in basis]
     if shape == "staircase-dense":
-        return [(staircase(n, None, ring), random_matrix(rng, n, ring))]
+        return [(staircase(n, ring), random_matrix(rng, n, ring))]
     return [(random_matrix(rng, n, ring), random_matrix(rng, n, ring))
             for _ in range(3)]
 
@@ -110,7 +110,7 @@ class TestCommutator:
                 assert commutator(a, b) == entrywise_bracket(a, b)
 
     def test_non_matrix_arguments(self):
-        m = identity(2)
+        m = matrix_unit(2, 1, 1)
         with pytest.raises(DimensionMismatch):
             commutator(3, m)
         with pytest.raises(DimensionMismatch):
@@ -134,7 +134,7 @@ class TestStarTranspose:
         # (i 1; -1 i) satisfies x* = -x
         x = gmat([[(0, 1), 1], [-1, (0, 1)]])
         assert is_skew_adjoint(x)
-        assert not is_skew_adjoint(identity(2))
+        assert not is_skew_adjoint(matrix_unit(2, 1, 1))
 
     def test_antimultiplicative(self):
         rng = random.Random(9)
@@ -149,6 +149,16 @@ class TestCornersAndBlocks:
         a = gmat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert corner(a, 1, 3) == 3 * matrix_unit(3, 1, 3)
         assert corner(a, 2, 2) == 5 * matrix_unit(3, 2, 2)
+
+
+class TestPointValues:
+    def test_from_points_shares_one_ring_per_size(self):
+        a = gmat([[1, 2], [3, 4]])
+        first = from_points([a, a, a])
+        second = from_points([-a, a, a])
+        assert first.ring is second.ring
+        assert first.ring == FunctionRing(3)
+        assert from_points([a, a]).ring == FunctionRing(2)
 
 
 class TestJson:

@@ -44,12 +44,6 @@ class TestSkewSymbols:
         assert all(not a.entry(i, i) for i in range(1, 4))
         assert star_transpose(a) == -a
 
-    def test_paired_diagonal_mode(self):
-        ring, m = SkewSymbols(3).declare("a", "paired").build()
-        a = m["a"]
-        assert a.entry(1, 1)
-        assert star_transpose(a) == -a
-
     def test_support_restricts_entries(self):
         ring, m = SkewSymbols(4).declare("w", support=(2, 3)).build()
         w = m["w"]
@@ -229,15 +223,6 @@ class TestProbes:
     @pytest.mark.parametrize("lemma", ["5.5", "5.6", "5.10"])
     def test_shared_witnesses_certify(self, lemma):
         assert certify_lemma(lemma, 3).all_implied
-
-
-class TestGeneralDiagonal:
-    @pytest.mark.parametrize("lemma", ALL_LEMMAS)
-    def test_outcomes_with_free_diagonal(self, lemma):
-        cert = certify_lemma(lemma, 3, general_diagonal=True)
-        assert cert.general_diagonal
-        assert any("z - star(z)" in note for note in cert.notes)
-        assert cert.all_implied
 
 
 class TestLemmaInterface:

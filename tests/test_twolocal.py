@@ -20,7 +20,7 @@ from skewlie.lie import (
     s_elem,
     staircase,
 )
-from skewlie.matrices import at_point, corner, identity, zeros
+from skewlie.matrices import at_point, corner, matrix_unit, zeros
 from skewlie.rings import GAUSS, FunctionRing
 from skewlie.twolocal import (
     GaugedInnerTwoLocal,
@@ -90,7 +90,7 @@ class TestOracle:
     def test_rejects_non_skew_arguments(self):
         _, oracle = make_oracle(4, 3)
         with pytest.raises(NotSkewAdjoint):
-            oracle.query(identity(3), s_elem(3, 1, 2))
+            oracle.query(matrix_unit(3, 1, 1), s_elem(3, 1, 2))
 
     def test_delta_matches_seed_derivation(self):
         a0, oracle = make_oracle(5, 3)
@@ -164,13 +164,6 @@ class TestReconstruction:
         for k in range(3):
             proj = omega_instantiate(oracle, k)
             assert reconstruct_implementer(proj) == at_point(abar, k)
-
-    def test_custom_p_choice(self):
-        a0, oracle = make_oracle(21, 4)
-        abar = reconstruct_implementer(
-            oracle, p_choice=lambda i, j: max(k for k in range(1, 5)
-                                              if k not in (i, j)))
-        assert is_central(abar - a0)
 
 
 class TestConsistencySweep:
