@@ -4,11 +4,12 @@ A two-local derivation only promises: for every PAIR of elements there
 is some inner derivation [a, .] agreeing with the map at both. The
 witness a may change from pair to pair, and here it deliberately does
 (a hidden central gauge shifts it per pair), so no single query exposes
-the implementer. The reconstruction reads each off-diagonal corner and
-the diagonal differences from specially chosen pairs, assembles one
-matrix abar, and verification then checks [abar, .] against the map on
-the whole canonical basis plus random elements. A brute-force solver
-that knows nothing about the reading strategy lands on the same map.
+the implementer. The reconstruction reads each off-diagonal entry pair
+and the diagonal from specially chosen pair witnesses, assembles the
+entries into one matrix abar, and verification then checks [abar, .]
+against the map on the whole canonical basis plus random elements. A
+brute-force solver that knows nothing about the reading strategy lands
+on the same map.
 """
 
 import random
@@ -16,15 +17,16 @@ import random
 from skewlie import (
     GAUSS,
     GaugedInnerTwoLocal,
-    bracket,
+    basis_labels,
     brute_force_implementer,
     canonical_basis,
     is_central,
     random_skew,
     reconstruct_implementer,
     twolocal_campaign,
+    verify_implementer,
 )
-from skewlie.twolocal import delta_eval, extract_offdiagonal
+from skewlie.twolocal import extract_offdiagonal
 
 N = 4
 
@@ -41,14 +43,14 @@ def main():
     print("  both differ from a0 by a central matrix:",
           is_central(w1 - a0) and is_central(w2 - a0))
 
-    corner = extract_offdiagonal(oracle, 1, 3)
-    print("corner (1,3) read from one pair witness:")
-    print("  entry (1,3) =", GAUSS.format(corner.entry(1, 3)),
-          " matches a0:", corner.entry(1, 3) == a0.entry(1, 3))
+    a13, a31 = extract_offdiagonal(oracle, 1, 3)
+    print("entries (1,3) and (3,1) read from one pair witness:")
+    print("  ", GAUSS.format(a13), "and", GAUSS.format(a31),
+          " match a0:", (a13, a31) == (a0.entry(1, 3), a0.entry(3, 1)))
 
     abar = reconstruct_implementer(oracle)
-    mism = [b for b in canonical_basis(N)
-            if delta_eval(oracle, b) != bracket(abar, b)]
+    mism = verify_implementer(oracle, abar,
+                              zip(basis_labels(N), canonical_basis(N)))
     print("reconstructed abar implements the map on all %d basis elements: %s"
           % (N * N, not mism))
     print("abar - a0 is central:", is_central(abar - a0))

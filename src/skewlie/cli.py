@@ -18,24 +18,6 @@ from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
 from .symcheck import certify_lemma, known_lemmas
 from .twolocal import twolocal_campaign
 
-ANCHORS = {
-    "2.5": "lemma 2.5",
-    "3.4.1": "lemma 3.4 part 1",
-    "3.4.2": "lemma 3.4 part 2",
-    "3.41": "lemma 3.41",
-    "3.6": "lemma 3.6",
-    "5.1": "eq 5.1",
-    "5.2": "eq 5.2",
-    "5.3": "eq 5.3",
-    "5.4": "eq 5.4",
-    "5.5": "eq 5.5",
-    "5.6": "eq 5.6",
-    "5.7": "eq 5.7",
-    "5.8": "eq 5.8",
-    "5.9": "eq 5.9",
-    "5.10": "eq 5.10",
-}
-
 
 def parse_sizes(text):
     """A size argument: a single integer like "4" or a range like "3..5"."""
@@ -115,7 +97,7 @@ def _symcheck_records(rep, sizes, lemma):
                 "not_implied": [c.label for c in cert.counterexamples()],
             }
             rep.add("certificate %s at n=%d" % (lem, n), cert.all_implied,
-                    anchor=ANCHORS[lem], **payload)
+                    anchor=cert.anchor, **payload)
 
 
 def run(args):

@@ -283,15 +283,6 @@ class LinearLieMap:
                         grid[i][j] = grid[i][j] + c * v
         return Matrix(self.ring, grid)
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearLieMap):
-            return NotImplemented
-        return (self.ring, self.n) == (other.ring, other.n) \
-            and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.values)))
-
 
 def centralizer_gauge(lam, n, ring=GAUSS):
     """The central skew-adjoint element lam * I * identity.

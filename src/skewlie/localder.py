@@ -45,7 +45,6 @@ from .lie import (
 from .matrices import (
     Matrix,
     at_point,
-    corner,
     from_points,
     require_skew_adjoint,
     zeros,
@@ -309,7 +308,7 @@ def corner_coherence(lmap, anchor_index, indices):
             if key not in pair:
                 pair[key] = corner_implementer(lmap, key)
             rep.add("corner (%d,%d)" % (p, q),
-                    corner(w_s, p, q) == corner(pair[key], p, q), p=p, q=q)
+                    w_s.entry(p, q) == pair[key].entry(p, q), p=p, q=q)
     m = anchor_index
     for p in S:
         if p == m:

@@ -309,16 +309,6 @@ def require_skew_adjoint(x, what="matrix"):
     return x
 
 
-def corner(x, i, j):
-    """e_{i,i} x e_{j,j}: the (i, j) entry of x parked in its own matrix."""
-    _check_index(x.n, i)
-    _check_index(x.n, j)
-    z = x.ring.zero
-    v = x.rows[i - 1][j - 1]
-    return Matrix(x.ring, ((v if (r, c) == (i - 1, j - 1) else z
-                            for c in range(x.n)) for r in range(x.n)))
-
-
 def at_point(x, k):
     """Values of a function-ring matrix at one point, as a Gaussian matrix."""
     if not isinstance(x.ring, FunctionRing):

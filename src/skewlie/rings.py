@@ -704,8 +704,12 @@ def imaginary_unit(ring):
     return im
 
 
-def check_ring_axioms(ring, sample_count=25, seed=0):
-    """Spot-check the commutative involutive ring laws on random samples.
+AXIOM_SAMPLES = 25
+
+
+def check_ring_axioms(ring, seed=0):
+    """Spot-check the commutative involutive ring laws on AXIOM_SAMPLES
+    random samples.
 
     Returns a VerificationReport with one record per law; each record's
     payload counts the trials performed.
@@ -718,21 +722,21 @@ def check_ring_axioms(ring, sample_count=25, seed=0):
     rep = VerificationReport("ring axioms for %s" % ring.name,
                              anchor="ring axioms",
                              config={"ring": ring.name,
-                                     "sample_count": sample_count},
+                                     "sample_count": AXIOM_SAMPLES},
                              seed=seed)
-    samples = [ring.random_element(rng) for _ in range(sample_count)]
+    samples = [ring.random_element(rng) for _ in range(AXIOM_SAMPLES)]
     zero, one, i_unit = ring.zero, ring.one, imaginary_unit(ring)
 
     def law(name, pred3):
         ok = True
-        for k in range(sample_count):
+        for k in range(AXIOM_SAMPLES):
             x = samples[k]
-            y = samples[(k * 7 + 3) % sample_count]
-            z = samples[(k * 11 + 5) % sample_count]
+            y = samples[(k * 7 + 3) % AXIOM_SAMPLES]
+            z = samples[(k * 11 + 5) % AXIOM_SAMPLES]
             if not pred3(x, y, z):
                 ok = False
                 break
-        rep.add(name, ok, trials=sample_count)
+        rep.add(name, ok, trials=AXIOM_SAMPLES)
 
     law("addition commutes", lambda x, y, z: x + y == y + x)
     law("addition associates", lambda x, y, z: (x + y) + z == x + (y + z))

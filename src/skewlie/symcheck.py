@@ -21,6 +21,7 @@ imaginary coordinates of the variables.
 from __future__ import annotations
 
 from .errors import (
+    DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
     NonLinearHypothesis,
@@ -305,6 +306,11 @@ class LemmaCertificate:
 
     def counterexamples(self):
         return [c for c in self.components if not c.implied]
+
+    @property
+    def anchor(self):
+        """The identity-catalog anchor of the statement."""
+        return _BUILDERS[self.lemma][2]
 
     def to_dict(self):
         return {
@@ -651,22 +657,23 @@ def _build_5_7(n, indices):
     return ring, hyps, concl, notes
 
 
+# id: (builder, default indices at size n, catalog anchor)
 _BUILDERS = {
-    "3.4.1": (_build_3_4_1, lambda n: (1, 2)),
-    "3.4.2": (_build_3_4_2, lambda n: (1, 2, 3)),
-    "3.41": (_build_3_41, lambda n: (1, 2, 3)),
-    "2.5": (_build_2_5, lambda n: (1, 2)),
-    "3.6": (_build_3_6, lambda n: (1, n)),
-    "5.1": (_build_5_1, lambda n: (1, 2)),
-    "5.2": (_build_5_2, lambda n: (1, 2)),
-    "5.3": (_build_5_3, lambda n: (1,)),
-    "5.4": (_build_5_4, lambda n: (1, 2)),
-    "5.5": (_build_5_5, lambda n: (1, 2)),
-    "5.6": (_build_5_6, lambda n: (1, 2)),
-    "5.7": (_build_5_7, lambda n: (1, n)),
-    "5.8": (_build_5_8, lambda n: (1, 2)),
-    "5.9": (_build_5_9, lambda n: (1, 2)),
-    "5.10": (_build_5_10, lambda n: (1, 2)),
+    "3.4.1": (_build_3_4_1, lambda n: (1, 2), "lemma 3.4 part 1"),
+    "3.4.2": (_build_3_4_2, lambda n: (1, 2, 3), "lemma 3.4 part 2"),
+    "3.41": (_build_3_41, lambda n: (1, 2, 3), "lemma 3.41"),
+    "2.5": (_build_2_5, lambda n: (1, 2), "lemma 2.5"),
+    "3.6": (_build_3_6, lambda n: (1, n), "lemma 3.6"),
+    "5.1": (_build_5_1, lambda n: (1, 2), "eq 5.1"),
+    "5.2": (_build_5_2, lambda n: (1, 2), "eq 5.2"),
+    "5.3": (_build_5_3, lambda n: (1,), "eq 5.3"),
+    "5.4": (_build_5_4, lambda n: (1, 2), "eq 5.4"),
+    "5.5": (_build_5_5, lambda n: (1, 2), "eq 5.5"),
+    "5.6": (_build_5_6, lambda n: (1, 2), "eq 5.6"),
+    "5.7": (_build_5_7, lambda n: (1, n), "eq 5.7"),
+    "5.8": (_build_5_8, lambda n: (1, 2), "eq 5.8"),
+    "5.9": (_build_5_9, lambda n: (1, 2), "eq 5.9"),
+    "5.10": (_build_5_10, lambda n: (1, 2), "eq 5.10"),
 }
 
 VARIANT_LEMMAS = ("5.5", "5.6", "5.10")
@@ -680,19 +687,27 @@ def certify_lemma(lemma, n, indices=None, variant=None):
     """Certify one registered statement at the given size and indices.
 
     Every unknown has I times a star-fixed variable on its diagonal.
-    variant="independent" (where supported) replaces each shared
-    auxiliary witness with per-equation copies, a deliberate probe whose
-    conclusions come back NotImplied.
+    indices must be as many as the lemma's defaults (DimensionMismatch
+    otherwise). variant="independent" (where supported) replaces each
+    shared auxiliary witness with per-equation copies, a deliberate probe
+    whose conclusions come back NotImplied; any other variant raises
+    UnknownLemma.
     """
     entry = _BUILDERS.get(str(lemma))
     if entry is None:
         raise UnknownLemma("no certificate builder for %r (known: %s)"
                            % (lemma, ", ".join(known_lemmas())))
-    builder, default_idx = entry
+    builder, default_idx, _ = entry
     if n < 3:
         raise IndexOutOfRange("certificates are stated for sizes >= 3")
     idx = tuple(indices) if indices is not None else default_idx(n)
+    if len(idx) != len(default_idx(n)):
+        raise DimensionMismatch("lemma %s takes %d indices, got %d"
+                                % (lemma, len(default_idx(n)), len(idx)))
     _check_indices(n, idx)
+    if variant not in (None, "independent"):
+        raise UnknownLemma("no variant %r (the only one is 'independent')"
+                           % (variant,))
     if str(lemma) in VARIANT_LEMMAS:
         ring, hyps, concl, notes = builder(n, idx, variant=variant)
     else:

@@ -1,8 +1,9 @@
 """The README identity catalog against the code.
 
-Every anchor a CLI report emits must be a catalog row, and every code
-reference in the catalog must resolve, so neither side can drift when
-code is added or deleted.
+Every anchor a CLI report emits must be a catalog row, every code
+reference in the catalog must resolve, and each certificate named in a
+row must carry that row's anchor, so neither side can drift when code
+is added or deleted.
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import skewlie
 from skewlie import cli
-from skewlie.symcheck import known_lemmas
+from skewlie.symcheck import certify_lemma, known_lemmas
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,6 +76,13 @@ def test_code_references_resolve(anchor, code):
                         % (anchor, span))
     for lemma in re.findall(r'certify_lemma\("([^"]+)"\)', code):
         assert lemma in known_lemmas(), (anchor, lemma)
+
+
+@pytest.mark.parametrize("anchor,lemma", [
+    (a, lemma) for a, code in catalog_rows()
+    for lemma in re.findall(r'certify_lemma\("([^"]+)"\)', code)])
+def test_certificate_anchor_is_its_row(anchor, lemma):
+    assert certify_lemma(lemma, 3).anchor == anchor
 
 
 @pytest.mark.parametrize("argv", [

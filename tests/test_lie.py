@@ -31,7 +31,7 @@ from skewlie.lie import (
     staircase,
 )
 from skewlie.localder import GaugedInnerLocal
-from skewlie.matrices import Matrix, corner, is_skew_adjoint, matrix_unit, zeros
+from skewlie.matrices import Matrix, is_skew_adjoint, matrix_unit, zeros
 from skewlie.rings import GAUSS, FunctionRing, GaussianRational, PolynomialRing
 from skewlie.twolocal import GaugedInnerTwoLocal
 
@@ -55,7 +55,6 @@ class TestGenerators:
     def test_staircase_unit_weights(self):
         x0 = staircase(4)
         assert x0 == s_elem(4, 1, 2) + s_elem(4, 2, 3) + s_elem(4, 3, 4)
-        assert corner(x0, 3, 4) == matrix_unit(4, 3, 4)
 
 
 class TestBasis:

@@ -1,5 +1,5 @@
 """Matrix layer: the bracket against its entrywise definition on every
-kernel, star transpose, corners, JSON.
+kernel, star transpose, point values, JSON.
 
 Matrices have no associative product: commutator is the only one.
 """
@@ -14,7 +14,6 @@ from skewlie.lie import bracket, canonical_basis, staircase
 from skewlie.matrices import (
     Matrix,
     commutator,
-    corner,
     from_json,
     from_points,
     is_skew_adjoint,
@@ -142,13 +141,6 @@ class TestStarTranspose:
         b = random_matrix(rng, 3)
         assert star_transpose(bracket(a, b)) == \
             bracket(star_transpose(b), star_transpose(a))
-
-
-class TestCornersAndBlocks:
-    def test_corner_picks_single_entry(self):
-        a = gmat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert corner(a, 1, 3) == 3 * matrix_unit(3, 1, 3)
-        assert corner(a, 2, 2) == 5 * matrix_unit(3, 2, 2)
 
 
 class TestPointValues:

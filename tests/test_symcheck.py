@@ -9,6 +9,7 @@ import pytest
 
 from skewlie import GAUSS
 from skewlie.errors import (
+    DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
     NonLinearHypothesis,
@@ -245,6 +246,21 @@ class TestLemmaInterface:
     def test_variant_rejected_elsewhere(self):
         with pytest.raises(UnknownLemma):
             certify_lemma("5.1", 3, variant="independent")
+
+    @pytest.mark.parametrize("lemma,indices,expected", [
+        ("3.41", (1, 2), 3),
+        ("2.5", (1, 2, 3), 2),
+        ("5.3", (1, 2), 1),
+    ])
+    def test_wrong_index_count(self, lemma, indices, expected):
+        with pytest.raises(DimensionMismatch) as exc:
+            certify_lemma(lemma, 4, indices)
+        assert "%d indices, got %d" % (expected, len(indices)) \
+            in str(exc.value)
+
+    def test_unknown_variant(self):
+        with pytest.raises(UnknownLemma):
+            certify_lemma("5.5", 3, variant="foo")
 
     def test_json_shape(self):
         d = certify_lemma("3.4.1", 3).to_dict()
