@@ -282,46 +282,6 @@ def assemble_abar(lmap, i, k, block_cache=None):
     return Matrix(ring, grid)
 
 
-def corner_coherence(lmap, anchor_index, indices):
-    """Corners of a block implementer agree with two-index blocks.
-
-    For every ordered pair inside the block the off-diagonal corner must
-    match the pair's own implementer, and diagonal entries are compared
-    through their differences against the anchor index, which removes
-    the central ambiguity of each block.
-    """
-    S = sorted(set(indices))
-    if anchor_index not in S:
-        raise DimensionMismatch("anchor %d is not in the block %r"
-                                % (anchor_index, S))
-    rep = VerificationReport("block corner coherence",
-                             anchor="eq 5.10",
-                             config={"indices": S, "anchor": anchor_index,
-                                     "ring": lmap.ring.name})
-    w_s = corner_implementer(lmap, S)
-    pair = {}
-    for p in S:
-        for q in S:
-            if p == q:
-                continue
-            key = (min(p, q), max(p, q))
-            if key not in pair:
-                pair[key] = corner_implementer(lmap, key)
-            rep.add("corner (%d,%d)" % (p, q),
-                    w_s.entry(p, q) == pair[key].entry(p, q), p=p, q=q)
-    m = anchor_index
-    for p in S:
-        if p == m:
-            continue
-        key = (min(p, m), max(p, m))
-        w2 = pair.get(key) or corner_implementer(lmap, key)
-        lhs = w_s.entry(p, p) - w_s.entry(m, m)
-        rhs = w2.entry(p, p) - w2.entry(m, m)
-        rep.add("diagonal difference (%d,%d)" % (p, m), lhs == rhs,
-                p=p, anchor=m)
-    return rep
-
-
 def check_display_identities(lmap, d=None):
     """The displayed run-time identities, one record each.
 

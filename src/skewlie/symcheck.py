@@ -7,15 +7,17 @@ entry combinations vanish too. Here the unknowns become matrices of
 polynomial variables, the hypotheses become linear polynomials, and a
 conclusion is certified by exhibiting an exact linear combination of
 hypotheses (and their stars) that re-expands to it. When no combination
-exists the failure is made concrete: a rational assignment of all
-variables that satisfies every hypothesis while the conclusion is
-nonzero.
+exists the failure is made concrete: a Gaussian-rational assignment of
+all variables that satisfies every hypothesis while the conclusion is
+nonzero, and that respects the involution (paired variables take
+conjugate values, star-fixed ones real values), so it describes actual
+skew-adjoint matrices.
 
 Star closure matters: hypotheses are augmented with their images under
 the involution before solving. That is sound (a vanishing polynomial has
 vanishing star) and necessary, both for completeness of the certificates
-and for the counterexample search, which runs over the real and
-imaginary coordinates of the variables.
+and for the counterexample, which is read off a kernel vector of the
+same star-closed system.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class ComponentCertificate:
 
 
 class NotImplied:
-    """One conclusion with a verified rational counterexample."""
+    """One conclusion with a verified star-compatible counterexample."""
 
     def __init__(self, label, assignment, conclusion_value):
         self.label = label
@@ -182,7 +184,10 @@ def certify(ring, hypotheses, conclusions):
     hypotheses and conclusions are lists of (id, polynomial). Returns a
     list of ComponentCertificate and NotImplied objects, one per
     conclusion, in order. Certificates are re-expanded symbolically and
-    counterexamples re-evaluated before being returned.
+    counterexamples re-evaluated before being returned. One reduced
+    system of the star-closed hypotheses serves both: a conclusion
+    outside its span gets a star-compatible counterexample from the
+    kernel vector of its residual's lowest column.
     """
     hyps = list(hypotheses)
     hyps += [("star:%s" % hid, ring.star(h)) for hid, h in hypotheses]
@@ -203,89 +208,35 @@ def certify(ring, hypotheses, conclusions):
                                      % label)
             results.append(ComponentCertificate(label, combination))
         else:
-            results.append(_counterexample(ring, hyps, label, poly))
+            results.append(_counterexample(ring, sys, hyps, label, poly,
+                                           min(residual)))
     return results
 
 
-def _real_columns(ring):
-    """Real coordinates of the variables: one column per star-fixed
-    variable, two per conjugate pair (keyed by the smaller index)."""
-    cols = {}
-    kind = {}
-    for v, p in enumerate(ring.star_perm):
-        if p == v:
-            cols[("re", v)] = len(cols)
-            kind[v] = ("fixed", v)
-        else:
-            r = min(v, p)
-            if ("re", r) not in cols:
-                cols[("re", r)] = len(cols)
-                cols[("im", r)] = len(cols)
-            kind[v] = ("pair", r, 1 if v == r else -1)
-    return cols, kind
+def _counterexample(ring, sys, hyps, label, poly, free):
+    """A star-compatible solution of the hypotheses on which poly is
+    nonzero, built from the kernel vector x of one free column of poly's
+    residual.
 
-
-def _split_rows(vec, cols, kind):
-    """One complex linear row over the variables -> two rational rows
-    over the real coordinates."""
-    re_row = {}
-    im_row = {}
-
-    def bump(row, col, val):
-        if val:
-            row[cols[col]] = row.get(cols[col], GAUSS.zero) + val
-
-    for v, c in vec.items():
-        alpha = GAUSS.scalar(c.re)
-        beta = GAUSS.scalar(c.im)
-        k = kind[v]
-        if k[0] == "fixed":
-            bump(re_row, ("re", v), alpha)
-            bump(im_row, ("re", v), beta)
-        else:
-            _, r, s = k
-            # variable value is u + s*i*w
-            bump(re_row, ("re", r), alpha)
-            bump(re_row, ("im", r), -s * beta)
-            bump(im_row, ("re", r), beta)
-            bump(im_row, ("im", r), s * alpha)
-    return re_row, im_row
-
-
-def _counterexample(ring, hyps, label, poly):
-    cols, kind = _real_columns(ring)
-    real_sys = ReducedSystem([], len(cols))
-    for _, h in hyps:
-        re_row, im_row = _split_rows(_linear_vector(h), cols, kind)
-        real_sys.append(re_row)
-        real_sys.append(im_row)
-    c_re, c_im = _split_rows(_linear_vector(poly), cols, kind)
-    for target in (c_re, c_im):
-        residual, _ = real_sys.express(target)
-        if residual:
-            free = min(residual)
-            x = real_sys.nullvector(free)
+    The hypotheses are star-closed, so the mirror x'[v] =
+    conj(x[star v]) solves them too; x + x' and (x - x')/I then satisfy
+    value[star v] = conj(value[v]) and add up to 2x with weights 1 and
+    I, so poly is nonzero on at least one of them."""
+    kernel = sys.nullvector(free)
+    x = [kernel.get(v, GAUSS.zero) for v in range(len(ring.var_names))]
+    mirror = [x[p].conjugate() for p in ring.star_perm]
+    for values in ([u + w for u, w in zip(x, mirror)],
+                   [-GAUSS.imag * (u - w) for u, w in zip(x, mirror)]):
+        value = _eval_linear(poly, values)
+        if value:
             break
     else:
-        raise AssertionError("complex non-membership without a real "
-                             "counterexample for %r" % label)
-    coords = {col: x.get(idx, GAUSS.zero) for col, idx in cols.items()}
-    values = {}
-    for v in range(len(ring.var_names)):
-        k = kind[v]
-        if k[0] == "fixed":
-            values[v] = coords[("re", v)]
-        else:
-            _, r, s = k
-            values[v] = coords[("re", r)] + \
-                GAUSS.imag * (s * coords[("im", r)])
+        raise AssertionError("no star-compatible counterexample separates %r"
+                             % label)
     for hid, h in hyps:
         if _eval_linear(h, values):
             raise AssertionError("counterexample violates hypothesis %s" % hid)
-    value = _eval_linear(poly, values)
-    if not value:
-        raise AssertionError("counterexample does not separate %r" % label)
-    assignment = {ring.var_names[v]: val for v, val in values.items()}
+    assignment = {ring.var_names[v]: val for v, val in enumerate(values)}
     return NotImplied(label, assignment, value)
 
 
@@ -686,14 +637,15 @@ def known_lemmas():
 def certify_lemma(lemma, n, indices=None, variant=None):
     """Certify one registered statement at the given size and indices.
 
-    Every unknown has I times a star-fixed variable on its diagonal.
-    indices must be as many as the lemma's defaults (DimensionMismatch
-    otherwise). variant="independent" (where supported) replaces each
-    shared auxiliary witness with per-equation copies, a deliberate probe
-    whose conclusions come back NotImplied; any other variant raises
-    UnknownLemma.
+    lemma is a string id from known_lemmas(); anything else raises
+    UnknownLemma. Every unknown has I times a star-fixed variable on its
+    diagonal. indices must be as many as the lemma's defaults
+    (DimensionMismatch otherwise). variant="independent" (where
+    supported) replaces each shared auxiliary witness with per-equation
+    copies, a deliberate probe whose conclusions come back NotImplied;
+    any other variant raises UnknownLemma.
     """
-    entry = _BUILDERS.get(str(lemma))
+    entry = _BUILDERS.get(lemma)
     if entry is None:
         raise UnknownLemma("no certificate builder for %r (known: %s)"
                            % (lemma, ", ".join(known_lemmas())))
@@ -708,12 +660,12 @@ def certify_lemma(lemma, n, indices=None, variant=None):
     if variant not in (None, "independent"):
         raise UnknownLemma("no variant %r (the only one is 'independent')"
                            % (variant,))
-    if str(lemma) in VARIANT_LEMMAS:
+    if lemma in VARIANT_LEMMAS:
         ring, hyps, concl, notes = builder(n, idx, variant=variant)
     else:
         if variant is not None:
             raise UnknownLemma("lemma %s has no variant %r" % (lemma, variant))
         ring, hyps, concl, notes = builder(n, idx)
     components = certify(ring, hyps, concl)
-    return LemmaCertificate(str(lemma), n, idx, components, notes,
+    return LemmaCertificate(lemma, n, idx, components, notes,
                             variant=variant)

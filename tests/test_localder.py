@@ -29,7 +29,6 @@ from skewlie.localder import (
     build_d,
     check_display_identities,
     check_eq_5_1,
-    corner_coherence,
     corner_implementer,
     lift_campaign,
     localder_campaign,
@@ -180,12 +179,6 @@ class TestBlockImplementers:
         assert abar.entry(2, 3) == a0.entry(2, 3)
         assert abar.entry(1, 1) - abar.entry(3, 3) == \
             a0.entry(1, 1) - a0.entry(3, 3)
-
-    def test_corner_coherence_passes(self):
-        _, lmap = make_map(43, 4)
-        rep = corner_coherence(lmap, 2, (1, 2, 3))
-        assert rep.passed, rep.summary()
-        assert rep.anchor == "eq 5.10"
 
 
 class TestChecks:

@@ -5,6 +5,9 @@ component tables and cross-checked against the solver output; the suite
 fails if the certificates drift.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from skewlie import GAUSS
@@ -18,6 +21,7 @@ from skewlie.errors import (
 from skewlie.lie import bracket, staircase
 from skewlie.matrices import Matrix, star_transpose
 from skewlie.symcheck import (
+    VARIANT_LEMMAS,
     SkewSymbols,
     certify,
     certify_lemma,
@@ -31,6 +35,18 @@ ALL_LEMMAS = ("2.5", "3.4.1", "3.4.2", "3.41", "3.6", "5.1", "5.2", "5.3",
 
 def combo_dict(component):
     return {h: c for h, c in component.combination}
+
+
+def assert_star_compatible(ring, ce):
+    """Paired variables take conjugate values, star-fixed ones real
+    values, so the assignment describes skew-adjoint matrices."""
+    names = ring.var_names
+    for v, p in enumerate(ring.star_perm):
+        value = ce.assignment[names[v]]
+        if p == v:
+            assert value.im == 0, names[v]
+        else:
+            assert ce.assignment[names[p]] == value.conjugate(), names[v]
 
 
 class TestSkewSymbols:
@@ -108,6 +124,18 @@ class TestCertifyCore:
         assert not ce.implied
         assert ce.conclusion_value != GAUSS.zero
         assert ce.assignment["a_1_2"] == GAUSS.zero
+        assert_star_compatible(ring, ce)
+
+    def test_counterexample_from_the_imaginary_branch(self):
+        # a + a' vanishes on this conclusion, so only (x - x')/I separates
+        ring, m = SkewSymbols(3).declare("a").build()
+        a = m["a"]
+        ce, = certify(ring, [], [("sum", a.entry(1, 2) + a.entry(2, 1))])
+        assert not ce.implied
+        assert ce.assignment["a_1_2"] == -GAUSS.imag
+        assert ce.assignment["ac_1_2"] == GAUSS.imag
+        assert ce.conclusion_value == -2 * GAUSS.imag
+        assert_star_compatible(ring, ce)
 
     def test_empty_conclusion_certifies_empty(self):
         ring, m = SkewSymbols(3).declare("a").build()
@@ -200,6 +228,7 @@ class TestProbes:
             return Matrix(GAUSS, grid)
 
         c, b = concrete("c"), concrete("b")
+        assert star_transpose(c) == -c and star_transpose(b) == -b
         x0 = staircase(4)
         diff = c - b
         assert bracket(diff, x0) == bracket(diff, x0) * 0
@@ -230,6 +259,11 @@ class TestLemmaInterface:
     def test_unknown_lemma(self):
         with pytest.raises(UnknownLemma):
             certify_lemma("9.9", 3)
+
+    def test_numeric_id_rejected(self):
+        # str(5.10) is "5.1": a float must not certify another statement
+        with pytest.raises(UnknownLemma):
+            certify_lemma(5.10, 3)
 
     def test_equal_indices(self):
         with pytest.raises(EqualIndices):
@@ -278,3 +312,15 @@ class TestLemmaInterface:
         ce = comp["counterexample"]
         assert ce["conclusion_value"] != "0"
         assert isinstance(ce["assignment"], dict)
+
+
+def test_refuting_probes_fingerprint():
+    """The sha256 of criterion 8's refuting probes at n = 4, as sorted-key
+    JSON, so a change to any counterexample assignment is seen. A
+    deliberate change updates the pin and is logged in CHANGES.md."""
+    probes = [(lemma, None, "independent") for lemma in VARIANT_LEMMAS]
+    probes += [("3.6", (1, 2), None), ("5.7", (1, 2), None)]
+    text = json.dumps([certify_lemma(lemma, 4, idx, variant=v).to_dict()
+                       for lemma, idx, v in probes], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "539462b9cac4f89cf0bba7bfe27638c5ae0cfa154f6e635814b82f1cb5c67e78"
