@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
+from .lie import GAUGES
 from .localder import lift_campaign, localder_campaign
 from .reporting import VerificationReport
 from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
@@ -71,7 +72,7 @@ def build_parser():
                    help="seeded trials per size (default: 10)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="master seed (default: 0)")
-    p.add_argument("--gauge", default="central", choices=("none", "central"),
+    p.add_argument("--gauge", default="central", choices=GAUGES,
                    help="witness gauge for the hidden oracles "
                         "(default: central)")
     p.add_argument("--p-sweep", action="store_true",

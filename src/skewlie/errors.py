@@ -59,4 +59,5 @@ class MalformedInput(SkewlieError, ValueError):
 
 
 class ConfigError(SkewlieError):
-    """A CLI invocation or config file asked for something inconsistent."""
+    """A CLI invocation, config file or campaign call asked for something
+    inconsistent (no trials, negative random checks, an unknown gauge)."""

@@ -19,7 +19,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .errors import ComplexWeight, DimensionMismatch, EqualIndices
+from .errors import ComplexWeight, ConfigError, DimensionMismatch, EqualIndices
 from .matrices import (
     Matrix,
     commutator,
@@ -293,24 +293,36 @@ def centralizer_gauge(lam, n, ring=GAUSS):
     lam = ring.scalar(lam)
     if ring.star(lam) != lam:
         raise ComplexWeight("gauge scale must be star-fixed")
-    i_unit = imaginary_unit(ring)
-    z = ring.zero
-    v = lam * i_unit
+    v, z = lam * imaginary_unit(ring), ring.zero
     return Matrix(ring, ((v if i == j else z for j in range(n))
                          for i in range(n)))
+
+
+# the witness gauges that the oracles, campaigns and CLI accept
+GAUGES = ("none", "central")
+
+
+def require_gauge(gauge):
+    if gauge not in GAUGES:
+        raise ConfigError("unknown gauge %r (known: %s)"
+                          % (gauge, ", ".join(GAUGES)))
+    return gauge
 
 
 class GaugedInnerOracle:
     """The witness-gauge model shared by the gauged inner-derivation oracles.
 
-    Every witness is a0 plus a central summand lam * I * identity. The
-    scale lam is drawn from sha256 of the seed, the order-free key of the
-    queried elements and, over a function ring, the point, so it varies
-    from query to query and from point to point. The mapped values are
-    those of [a0, .]; the gauges exercise exactly the freedom
+    Every witness is a0 plus a central summand lam * I * identity (the
+    value of centralizer_gauge), made by shifting a0's diagonal only: the
+    immutable off-diagonal entries are shared, not re-added to zeros. The
+    scale lam is an integer drawn from sha256 of the seed, the order-free
+    key of the queried elements and, over a function ring, the point, so
+    it varies from query to query and from point to point. The mapped
+    values are those of [a0, .]; the gauges exercise exactly the freedom
     reconstruction has to cope with. Witnesses are memoized per key, so
     a repeated query returns the same object. gauge="none" answers a0
-    itself. Subclasses define query and name their seed in seed_role.
+    itself; a gauge outside GAUGES raises ConfigError. Subclasses define
+    query and name their seed in seed_role.
     """
 
     seed_role = "oracle seed"
@@ -320,9 +332,7 @@ class GaugedInnerOracle:
         self.ring = a0.ring
         self.n = a0.n
         self.seed = seed
-        if gauge not in ("central", "none"):
-            raise ValueError("gauge must be 'central' or 'none', got %r" % gauge)
-        self.gauge = gauge
+        self.gauge = require_gauge(gauge)
         self._witnesses = {}
 
     def _scale(self, key):
@@ -342,16 +352,19 @@ class GaugedInnerOracle:
         key = tuple(sorted(z.cache_key() for z in elements))
         w = self._witnesses.get(key)
         if w is None:
-            w = self.a0 + centralizer_gauge(self._scale(key), self.n,
-                                            self.ring)
-            self._witnesses[key] = w
+            v = self._scale(key) * imaginary_unit(self.ring)
+            w = self._witnesses[key] = Matrix._make(self.ring, tuple(
+                r[:i] + (r[i] + v,) + r[i + 1:]
+                for i, r in enumerate(self.a0.rows)))
         return w
 
 
 def is_central(x):
-    """Whether x commutes with the whole Lie ring (checked on the basis)."""
-    z = zeros(x.n, x.ring)
-    return all(bracket(x, b) == z for b in canonical_basis(x.n, x.ring))
+    """Whether x commutes with K_n. With 1/2 and I in the ring, K_n + I*K_n
+    = M_n (e_ij = (s[i,j] - I*Ibar[i,j])/2, e_ii = -I*Idiag[i]), so that is
+    [x, e_ij] == 0 for all i, j: x is scalar, read off its entries."""
+    return all(v == x.rows[0][0] if i == j else not v
+               for i, r in enumerate(x.rows) for j, v in enumerate(r))
 
 
 def random_skew(rng, n, ring=GAUSS):

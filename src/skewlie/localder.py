@@ -39,6 +39,7 @@ from .lie import (
     ie_diag,
     is_central,
     random_skew,
+    require_gauge,
     s_elem,
     staircase,
 )
@@ -49,7 +50,7 @@ from .matrices import (
     require_skew_adjoint,
     zeros,
 )
-from .reporting import VerificationReport, seeded_trials
+from .reporting import VerificationReport, require_campaign_args, seeded_trials
 from .rings import FunctionRing, GaussianField
 from .twolocal import PreparedBracketSolver
 
@@ -414,6 +415,8 @@ def localder_campaign(ring, n, trials, seed, gauge="central",
                       random_checks=50):
     """Seeded end-to-end runs: build d, verify it spans, compare with the
     hidden seed. One block of records per trial."""
+    require_campaign_args(trials, random_checks)
+    require_gauge(gauge)
     rep = VerificationReport(
         "local reconstruction campaign", anchor="theorem 4.4",
         config={"ring": ring.name, "n": n, "trials": trials, "gauge": gauge,
@@ -439,6 +442,7 @@ def localder_campaign(ring, n, trials, seed, gauge="central",
 
 def lift_campaign(n, omega, trials, seed, random_checks=50):
     """Pointwise lifting runs over a function ring with omega points."""
+    require_campaign_args(trials, random_checks)
     rep = VerificationReport(
         "pointwise lift campaign", anchor="theorem 5.1",
         config={"n": n, "omega": omega, "trials": trials,

@@ -13,7 +13,19 @@ import json
 import random
 import time
 
+from .errors import ConfigError
+
 SCHEMA_VERSION = 1
+
+
+def require_campaign_args(trials, random_checks):
+    """A campaign needs at least one trial and random_checks >= 0; anything
+    else raises ConfigError before a trial runs, not a vacuous pass."""
+    if trials < 1:
+        raise ConfigError("need at least one trial, got %d" % trials)
+    if random_checks < 0:
+        raise ConfigError("random_checks must be >= 0, got %d"
+                          % random_checks)
 
 
 def seeded_trials(seed, trials):

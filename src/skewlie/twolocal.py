@@ -33,6 +33,7 @@ from .lie import (
     is_central,
     random_skew,
     recompose,
+    require_gauge,
     s_elem,
     staircase,
 )
@@ -43,7 +44,7 @@ from .matrices import (
     from_points,
     require_skew_adjoint,
 )
-from .reporting import VerificationReport, seeded_trials
+from .reporting import VerificationReport, require_campaign_args, seeded_trials
 from .rings import GAUSS, FunctionRing
 
 
@@ -152,13 +153,13 @@ def reconstruct_implementer(oracle):
 
 
 def verify_implementer(oracle, abar, elements):
-    """Check mapped value == [abar, .] on labeled elements.
-
-    Returns the list of labels where the two sides differ.
-    """
+    """Labels of the elements z with [w - abar, z] != 0 for w the witness
+    of (z, z), i.e. mapped value != [abar, z]: one query and one bracket
+    per element, sparse whenever w - abar is central (n nonzeros)."""
     bad = []
     for label, z in elements:
-        if delta_eval(oracle, z) != bracket(abar, z):
+        w = oracle.query(require_skew_adjoint(z, "argument"), z)
+        if any(map(any, bracket(w - abar, z).rows)):
             bad.append(label)
     return bad
 
@@ -317,6 +318,8 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
     random skew-adjoint elements. With brute_check the bracket-equation
     solver must land on the same map, with a central difference.
     """
+    require_campaign_args(trials, random_checks)
+    require_gauge(gauge)
     rep = VerificationReport(
         "two-local reconstruction campaign", anchor="theorem 2.6",
         config={"ring": ring.name, "n": n, "trials": trials, "gauge": gauge,
@@ -330,10 +333,9 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
         a0 = random_skew(rng, n, ring)
         oracle = GaugedInnerTwoLocal(a0, seed=trial_seed, gauge=gauge)
         abar = reconstruct_implementer(oracle)
-        elements = list(basis)
-        for k in range(random_checks):
-            elements.append(("random#%d" % k, random_skew(rng, n, ring)))
-        bad = verify_implementer(oracle, abar, elements)
+        bad = verify_implementer(oracle, abar, basis + [
+            ("random#%d" % k, random_skew(rng, n, ring))
+            for k in range(random_checks)])
         payload = {"trial": trial, "trial_seed": trial_seed}
         if bad:
             payload["failed_at"] = bad[:5]

@@ -30,6 +30,7 @@ from skewlie.lie import (
     s_elem,
     staircase,
 )
+from skewlie.cli import make_ring
 from skewlie.localder import GaugedInnerLocal
 from skewlie.matrices import Matrix, is_skew_adjoint, matrix_unit, zeros
 from skewlie.rings import GAUSS, FunctionRing, GaussianRational, PolynomialRing
@@ -186,3 +187,37 @@ class TestGauge:
             assert w - a0 == centralizer_gauge(pair_lam, 3, ring)
             _, w = GaugedInnerLocal(a0, seed=7).query(ie_diag(3, 2, ring))
             assert w - a0 == centralizer_gauge(local_lam, 3, ring)
+
+
+def bracket_is_central(x):
+    """The bracket definition is_central replaced, kept as the reference:
+    x commutes with every canonical basis element."""
+    z = zeros(x.n, x.ring)
+    return all(bracket(x, b) == z for b in canonical_basis(x.n, x.ring))
+
+
+class TestIsCentral:
+    @pytest.mark.parametrize(
+        "ring", [GAUSS, FunctionRing(2), make_ring("poly", 0)],
+        ids=lambda r: r.name)
+    def test_entry_rule_matches_bracket_rule(self, ring):
+        rng = random.Random(61)
+        n = 3
+        lam = ring.random_real(rng)
+        centre = centralizer_gauge(lam, n, ring)
+        inputs = [random_skew(rng, n, ring) for _ in range(4)]
+        inputs += [centralizer_gauge(ring.random_real(rng), n, ring)
+                   for _ in range(3)]
+        inputs += [zeros(n, ring), centralizer_gauge(lam, n, ring)
+                   + ie_diag(n, 2, ring)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    inputs.append(centre + s_elem(n, i, j, ring))
+                    inputs.append(centre + ie_bar(n, i, j, ring))
+        verdicts = [is_central(x) for x in inputs]
+        assert verdicts == [bracket_is_central(x) for x in inputs]
+        # both outcomes occur: the random, shifted and perturbed inputs
+        # are not central, the gauges and zero are
+        assert verdicts[4:8] == [True] * 4
+        assert not any(verdicts[:4]) and not any(verdicts[8:])

@@ -10,7 +10,13 @@ import random
 
 import pytest
 
-from skewlie.errors import Infeasible, NeedThreeIndices, WitnessContractError
+from skewlie import localder
+from skewlie.errors import (
+    ConfigError,
+    Infeasible,
+    NeedThreeIndices,
+    WitnessContractError,
+)
 from skewlie.lie import (
     bracket,
     canonical_basis,
@@ -304,3 +310,26 @@ class TestCampaigns:
     def test_campaign_refuses_n2(self):
         with pytest.raises(NeedThreeIndices):
             localder_campaign(GAUSS, 2, trials=1, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=0), dict(trials=-1), dict(random_checks=-1),
+        dict(gauge="bogus"), dict(trials=0, gauge="bogus")])
+    def test_local_campaign_bad_arguments(self, kwargs, monkeypatch):
+        def no_trials(*_):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(localder, "seeded_trials", no_trials)
+        args = dict(trials=1, random_checks=1) | kwargs
+        with pytest.raises(ConfigError):
+            localder_campaign(GAUSS, 3, seed=1, **args)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=0), dict(trials=-1), dict(random_checks=-1)])
+    def test_lift_campaign_bad_arguments(self, kwargs, monkeypatch):
+        def no_trials(*_):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(localder, "seeded_trials", no_trials)
+        args = dict(trials=1, random_checks=1) | kwargs
+        with pytest.raises(ConfigError):
+            lift_campaign(3, 2, seed=1, **args)

@@ -1,4 +1,4 @@
-"""Two-local reconstruction: witnesses, entry reads, brute force.
+"""Two-local reconstruction: witnesses, entry reads, verification, brute force.
 
 The gauged oracle wraps a known inner seed a0, so every reconstruction
 claim can be checked against a0 itself: off-diagonal entries must match
@@ -9,7 +9,15 @@ import random
 
 import pytest
 
-from skewlie.errors import EqualIndices, Infeasible, NeedThreeIndices, NotSkewAdjoint
+from skewlie import twolocal
+from skewlie.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EqualIndices,
+    Infeasible,
+    NeedThreeIndices,
+    NotSkewAdjoint,
+)
 from skewlie.lie import (
     basis_labels,
     bracket,
@@ -167,6 +175,69 @@ class TestReconstruction:
             assert reconstruct_implementer(proj) == at_point(abar, k)
 
 
+def old_verify_rule(oracle, abar, elements):
+    """The two-bracket rule verify_implementer replaced, kept as the
+    reference: the mapped value read off the witness against [abar, .]."""
+    return [label for label, z in elements
+            if delta_eval(oracle, z) != bracket(abar, z)]
+
+
+def checked_elements(n, ring, seed, count=6):
+    rng = random.Random(seed)
+    return (list(zip(basis_labels(n), canonical_basis(n, ring)))
+            + [("r%d" % k, random_skew(rng, n, ring)) for k in range(count)])
+
+
+class TestVerifyImplementer:
+    RINGS = [GAUSS, FunctionRing(2)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_wrong_implementer_flags_what_the_old_rule_flags(self, ring):
+        n = 4
+        a0, oracle = make_oracle(50, n, ring)
+        wrong = reconstruct_implementer(oracle) + s_elem(n, 1, 2, ring)
+        elements = checked_elements(n, ring, 51)
+        bad = verify_implementer(oracle, wrong, elements)
+        assert bad == old_verify_rule(oracle, wrong, elements)
+        assert "s[1,2]" not in bad and "s[1,3]" in bad and "r0" in bad
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_tampered_diagonal_pair_flags_exactly_its_label(self, ring):
+        n = 4
+        _, base = make_oracle(52, n, ring)
+        abar = reconstruct_implementer(base)
+        z = s_elem(n, 2, 3, ring)
+        # s[1,2] is not central and does not commute with s[2,3]
+        bad = TamperedPairOracle(base, z, z, s_elem(n, 1, 2, ring))
+        elements = checked_elements(n, ring, 53)
+        assert verify_implementer(bad, abar, elements) == ["s[2,3]"]
+        assert old_verify_rule(bad, abar, elements) == ["s[2,3]"]
+
+    def test_wrong_size_implementer_is_refused(self):
+        _, oracle = make_oracle(54, 4)
+        with pytest.raises(DimensionMismatch):
+            verify_implementer(oracle, zeros(3),
+                               checked_elements(4, GAUSS, 55))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_one_query_and_one_bracket_per_element(self, ring, monkeypatch):
+        n = 4
+        _, base = make_oracle(56, n, ring)
+        abar = reconstruct_implementer(base)
+        oracle = CountingOracle(base)
+        brackets = []
+
+        def counting_bracket(a, b):
+            brackets.append(b)
+            return bracket(a, b)
+
+        monkeypatch.setattr(twolocal, "bracket", counting_bracket)
+        elements = checked_elements(n, ring, 57)
+        assert verify_implementer(oracle, abar, elements) == []
+        assert oracle.calls == len(elements)
+        assert len(brackets) == len(elements)
+
+
 class TestConsistencySweep:
     def test_clean_oracle_passes(self):
         _, oracle = make_oracle(30, 4)
@@ -245,3 +316,20 @@ class TestCampaign:
     def test_campaign_refuses_n2(self):
         with pytest.raises(NeedThreeIndices):
             twolocal_campaign(GAUSS, 2, trials=1, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=0), dict(trials=-1), dict(random_checks=-1),
+        dict(gauge="bogus"), dict(trials=0, gauge="bogus")])
+    def test_bad_arguments_fail_before_any_trial(self, kwargs, monkeypatch):
+        def no_trials(*_):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(twolocal, "seeded_trials", no_trials)
+        args = dict(trials=1, random_checks=1) | kwargs
+        with pytest.raises(ConfigError):
+            twolocal_campaign(GAUSS, 3, seed=1, **args)
+
+    def test_oracle_refuses_unknown_gauge(self):
+        with pytest.raises(ConfigError):
+            GaugedInnerTwoLocal(random_skew(random.Random(1), 3),
+                                gauge="bogus")
