@@ -4,17 +4,22 @@ Matrices are immutable, carry their ring, and index entries 1-based to
 match the usual e_{i,j} conventions; the JSON exchange format is 0-based
 row-major (see to_json). The skew-adjoint matrices form a Lie ring under
 the bracket [a, b] = ab - ba but are not closed under the associative
-product, so commutator is the only matrix product. It dispatches to one
-of three kernels:
+product, so commutator is the only matrix product. Its kernels work
+on integer grids wherever the ring has them:
 
-  * either factor is sparse: accumulate over its nonzero entries only
-  * Gaussian rational entries: clear denominators once and multiply
-    integer matrices (three real products per complex product)
-  * function ring entries: the Gaussian kernel applied pointwise
+  * Gaussian rational entries: clear denominators once (Matrix._int_form)
+    and accumulate integer real and imaginary parts. A sparse factor
+    (at most n nonzeros) is walked entry by entry, so brackets against
+    basis elements and central differences cost O(n^2); two dense
+    factors are multiplied as integer matrices (three real products per
+    complex product)
+  * function ring entries: the same Gaussian kernels applied pointwise
+  * any other ring (polynomials): the ring's own + and *, walking one
+    factor's nonzeros
 
-so brackets against basis elements cost O(n^2) and dense brackets avoid
-per-entry fraction reduction in the inner loop. Dense brackets over any
-other ring (polynomials) walk one factor's nonzeros.
+so no bracket over the Gaussian rationals or a function ring reduces a
+fraction in its inner loop. Gaussian differences and the skew-adjoint
+check read the same integer grids.
 """
 
 from __future__ import annotations
@@ -164,6 +169,8 @@ class Matrix:
         o = self._check_compatible(other)
         if o is None:
             return NotImplemented
+        if self.ring is GAUSS:
+            return _gauss_difference(self, o)
         return Matrix._make(self.ring,
                             tuple(tuple(a - b for a, b in zip(ra, rb))
                                   for ra, rb in zip(self.rows, o.rows)))
@@ -212,14 +219,33 @@ def _gauss_int_product(a, b):
 
 
 def _gauss_of_ints(cre, cim, d):
+    """The Gaussian matrix (cre + cim*i) / d with reduced entries; zero
+    entries share GAUSS.zero."""
+    zero = GAUSS.zero
     if d == 1:
         raw = GaussianRational._raw
-        return Matrix._make(GAUSS, tuple(tuple(raw(re_v, im_v, 1)
-                                               for re_v, im_v in zip(rr, ri))
-                                         for rr, ri in zip(cre, cim)))
-    return Matrix._make(GAUSS, tuple(tuple(GaussianRational(re_v, im_v, d)
-                                           for re_v, im_v in zip(rr, ri))
-                                     for rr, ri in zip(cre, cim)))
+        return Matrix._make(GAUSS, tuple(
+            tuple(raw(re_v, im_v, 1) if re_v or im_v else zero
+                  for re_v, im_v in zip(rr, ri))
+            for rr, ri in zip(cre, cim)))
+    return Matrix._make(GAUSS, tuple(
+        tuple(GaussianRational(re_v, im_v, d) if re_v or im_v else zero
+              for re_v, im_v in zip(rr, ri))
+        for rr, ri in zip(cre, cim)))
+
+
+def _gauss_difference(a, b):
+    """a - b on the integer grids, over lcm of the two denominators."""
+    da, are, aim = a._int_form()
+    db, bre, bim = b._int_form()
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return _gauss_of_ints(
+        [[x * fa - y * fb for x, y in zip(ra, rb)]
+         for ra, rb in zip(are, bre)],
+        [[x * fa - y * fb for x, y in zip(ra, rb)]
+         for ra, rb in zip(aim, bim)],
+        d)
 
 
 def _gauss_dense_commutator(a, b):
@@ -228,6 +254,42 @@ def _gauss_dense_commutator(a, b):
     if d2 != d:
         raise AssertionError("commutator denominators diverged")
     return _gauss_of_ints(_int_matsub(lre, rre), _int_matsub(lim, rim), d)
+
+
+def _gauss_sparse_ints(a, b, sign):
+    """sign * (a*b - b*a) for Gaussian a and b on integer grids, walking
+    only b's nonzeros; the sign is folded into b's entries."""
+    da, are, aim = a._int_form()
+    db, bre, bim = b._int_form()
+    n = a.n
+    nz = [(p, q, sign * r, sign * s)
+          for p, (rr, ri) in enumerate(zip(bre, bim))
+          for q, (r, s) in enumerate(zip(rr, ri)) if r or s]
+    cre = [[0] * n for _ in range(n)]
+    cim = [[0] * n for _ in range(n)]
+    for p, j, r, s in nz:
+        # column j of a*b gains column p of a times b^{pj}
+        for i in range(n):
+            x = are[i][p]
+            y = aim[i][p]
+            cre[i][j] += x * r - y * s
+            cim[i][j] += x * s + y * r
+    for i, p, r, s in nz:
+        # row i of b*a gains b^{ip} times row p of a
+        ore, oim = cre[i], cim[i]
+        for j, (x, y) in enumerate(zip(are[p], aim[p])):
+            ore[j] -= r * x - s * y
+            oim[j] -= r * y + s * x
+    return _gauss_of_ints(cre, cim, da * db)
+
+
+def _gauss_commutator(a, b):
+    n = a.n
+    if b._nnz() <= n:
+        return _gauss_sparse_ints(a, b, 1)
+    if a._nnz() <= n:
+        return _gauss_sparse_ints(b, a, -1)
+    return _gauss_dense_commutator(a, b)
 
 
 def _sparse_commutator(a, b):
@@ -257,17 +319,14 @@ def commutator(a, b):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
-    n = a.n
-    if b._nnz() <= n:
-        return _sparse_commutator(a, b)
-    if a._nnz() <= n:
+    ring = a.ring
+    if ring is GAUSS:
+        return _gauss_commutator(a, b)
+    if isinstance(ring, FunctionRing):
+        return from_points(_gauss_commutator(a._at_point(k), b._at_point(k))
+                           for k in range(ring.npoints))
+    if b._nnz() > a.n and a._nnz() <= a.n:
         return -_sparse_commutator(b, a)
-    if a.ring is GAUSS:
-        return _gauss_dense_commutator(a, b)
-    if isinstance(a.ring, FunctionRing):
-        return from_points(_gauss_dense_commutator(a._at_point(k),
-                                                   b._at_point(k))
-                           for k in range(a.ring.npoints))
     return _sparse_commutator(a, b)
 
 
@@ -295,10 +354,17 @@ def star_transpose(x):
 def is_skew_adjoint(x):
     ok = x._cache.get("skew")
     if ok is None:
-        star = x.ring.star
-        rows = x.rows
-        ok = all(star(rows[j][i]) == -rows[i][j]
-                 for i in range(x.n) for j in range(i, x.n))
+        n = x.n
+        if x.ring is GAUSS:
+            # x^{ji} = -conj(x^{ij}) on the grids over one denominator
+            _, re, im = x._int_form()
+            ok = all(re[j][i] == -re[i][j] and im[j][i] == im[i][j]
+                     for i in range(n) for j in range(i, n))
+        else:
+            star = x.ring.star
+            rows = x.rows
+            ok = all(star(rows[j][i]) == -rows[i][j]
+                     for i in range(n) for j in range(i, n))
         x._cache["skew"] = ok
     return ok
 

@@ -1,16 +1,21 @@
 """Matrix layer: the bracket against its entrywise definition on every
-kernel, star transpose, point values, JSON.
+kernel, reduced entries out of the integer-grid kernels, which kernel
+each ring takes, star transpose and the skew-adjoint check, point
+values, JSON.
 
 Matrices have no associative product: commutator is the only one.
 """
 
 import json
 import random
+from math import gcd
 
 import pytest
 
+from skewlie import matrices
 from skewlie.errors import DimensionMismatch, IndexOutOfRange, MalformedInput
-from skewlie.lie import bracket, canonical_basis, staircase
+from skewlie.lie import bracket, canonical_basis, random_skew, staircase
+from skewlie.localder import localder_campaign
 from skewlie.matrices import (
     Matrix,
     commutator,
@@ -22,6 +27,12 @@ from skewlie.matrices import (
     to_json,
 )
 from skewlie.rings import GAUSS, FunctionRing, GaussianRational, PolynomialRing
+from skewlie.twolocal import twolocal_campaign
+
+RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z", "zc"), ((0, 1),))]
+RING_IDS = ["gauss", "fnring", "poly"]
+SHAPES = ["basis-right", "basis-left", "basis-basis", "staircase-dense",
+          "dense-dense", "central-difference", "mixed-denominators"]
 
 
 def G(a, b=0, d=1):
@@ -79,8 +90,46 @@ def entrywise_bracket(a, b):
                             for j in range(n)) for i in range(n)))
 
 
+def _nonzero_element(rng, ring):
+    while True:
+        v = ring.random_element(rng)
+        if v:
+            return v
+
+
+def _diagonal(ring, values):
+    n = len(values)
+    return Matrix(ring, ((values[i] if i == j else ring.zero
+                          for j in range(n)) for i in range(n)))
+
+
+def _scaled(ring, m, k):
+    """m with every entry divided by the integer k."""
+    return m * (ring.one / k)
+
+
 def _shape_pairs(shape, rng, n, ring):
     basis = canonical_basis(n, ring)
+    if shape == "central-difference":
+        # a dense matrix minus a gauged copy of itself: n nonzeros, all on
+        # the diagonal, as in the two-local verification bracket
+        pairs = []
+        for _ in range(3):
+            x = random_matrix(rng, n, ring)
+            c = _nonzero_element(rng, ring)
+            diff = x - (x + _diagonal(ring, [c] * n))
+            pairs.append((diff, random_matrix(rng, n, ring)))
+        return pairs
+    if shape == "mixed-denominators":
+        # denominators that share no factor, and integer against fractional
+        x = _scaled(ring, random_matrix(rng, n, ring), 7)
+        y = _scaled(ring, random_matrix(rng, n, ring), 6)
+        ints = Matrix(ring, ((ring.scalar(rng.randint(-9, 9))
+                              for _ in range(n)) for _ in range(n)))
+        sparse = _diagonal(ring, [_nonzero_element(rng, ring) / 3]
+                           + [ring.zero] * (n - 1))
+        return [(x, y), (x, sparse), (ints, y),
+                (ints, _scaled(ring, sparse, 5))]
     if shape == "basis-right":
         return [(random_matrix(rng, n, ring), e) for e in basis]
     if shape == "basis-left":
@@ -93,20 +142,39 @@ def _shape_pairs(shape, rng, n, ring):
             for _ in range(3)]
 
 
+def _reduced(v):
+    """A Gaussian entry in lowest terms; zero as (0, 0, 1)."""
+    return v.d > 0 and gcd(v.a, v.b, v.d) == 1 and (v or v.d == 1)
+
+
+def _entries_reduced(m):
+    if m.ring is GAUSS:
+        return all(_reduced(v) for r in m.rows for v in r)
+    return all(_reduced(p) for r in m.rows for v in r for p in v.values)
+
+
 class TestCommutator:
-    @pytest.mark.parametrize("ring", [
-        GAUSS,
-        FunctionRing(2),
-        PolynomialRing(("z", "zc"), ((0, 1),)),
-    ], ids=["gauss", "fnring", "poly"])
-    @pytest.mark.parametrize("shape", ["basis-right", "basis-left",
-                                       "basis-basis", "staircase-dense",
-                                       "dense-dense"])
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_entrywise_definition(self, ring, shape):
+        # both argument orders: the kernel folds the sign of [b, a] = -[a, b]
+        # into whichever factor it walks
         rng = random.Random(11)
         for n in (3, 4):
             for a, b in _shape_pairs(shape, rng, n, ring):
                 assert commutator(a, b) == entrywise_bracket(a, b)
+                assert commutator(b, a) == entrywise_bracket(b, a)
+
+    @pytest.mark.parametrize("ring", RINGS[:2], ids=RING_IDS[:2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_integer_grid_results_are_reduced(self, ring, shape):
+        # cache_key() renders a, b, d, so an unreduced entry would give an
+        # equal matrix a second key
+        rng = random.Random(12)
+        for n in (3, 4):
+            for a, b in _shape_pairs(shape, rng, n, ring):
+                for m in (commutator(a, b), commutator(b, a), a - b, b - a):
+                    assert _entries_reduced(m)
 
     def test_non_matrix_arguments(self):
         m = matrix_unit(2, 1, 1)
@@ -115,6 +183,16 @@ class TestCommutator:
         with pytest.raises(DimensionMismatch):
             commutator(m, 3)
 
+    def test_gaussian_difference_over_mixed_denominators(self):
+        a = gmat([[(1, 1, 2), (1, 0, 3)], [(0, 2, 5), 4]])
+        b = gmat([[(1, 1, 2), (1, 0, 6)], [(0, 1, 5), (1, 0, 7)]])
+        diff = a - b
+        assert diff == Matrix(GAUSS, ((x - y for x, y in zip(ra, rb))
+                                      for ra, rb in zip(a.rows, b.rows)))
+        assert diff.rows[0][0] is GAUSS.zero
+        assert (diff.rows[0][1].a, diff.rows[0][1].b, diff.rows[0][1].d) \
+            == (1, 0, 6)
+
     def test_no_associative_product(self):
         a = gmat([[1, 2], [3, 4]])
         with pytest.raises(TypeError):
@@ -122,6 +200,79 @@ class TestCommutator:
         with pytest.raises(TypeError):
             a @ a
 
+
+class TestKernelRouting:
+    """Gaussian and function-ring brackets run on integer grids; only
+    polynomial rings take the ring-generic sparse loop."""
+
+    @pytest.fixture
+    def generic_calls(self, monkeypatch):
+        calls = []
+        original = matrices._sparse_commutator
+
+        def counting(a, b):
+            calls.append(a.ring)
+            return original(a, b)
+
+        monkeypatch.setattr(matrices, "_sparse_commutator", counting)
+        return calls
+
+    @pytest.mark.parametrize("ring", RINGS[:2], ids=RING_IDS[:2])
+    def test_campaign_trials_never_take_the_generic_loop(self, ring,
+                                                         generic_calls):
+        assert twolocal_campaign(ring, 3, 1, 5, random_checks=5).passed
+        assert localder_campaign(ring, 3, 1, 5, random_checks=5).passed
+        assert generic_calls == []
+
+    def test_polynomial_brackets_take_the_generic_loop(self, generic_calls):
+        ring = RINGS[2]
+        rng = random.Random(3)
+        a = random_matrix(rng, 3, ring)
+        e = canonical_basis(3, ring)[0]
+        for x, y in ((a, e), (e, a), (a, random_matrix(rng, 3, ring))):
+            assert commutator(x, y) == entrywise_bracket(x, y)
+        assert len(generic_calls) == 3
+
+
+def _star_rule(x):
+    """x* == -x checked entry by entry with the ring's star."""
+    star, rows = x.ring.star, x.rows
+    return all(star(rows[j][i]) == -rows[i][j]
+               for i in range(x.n) for j in range(i, x.n))
+
+
+def _perturbed(x, i, j, delta):
+    rows = [list(r) for r in x.rows]
+    rows[i][j] = rows[i][j] + delta
+    return Matrix(x.ring, rows)
+
+
+class TestSkewAdjointCheck:
+    def _inputs(self):
+        rng = random.Random(21)
+        skew = [random_skew(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
+        # one denominator per entry: 1, 2, 3, 5, 7 over the upper triangle
+        mixed = Matrix(GAUSS, [[G(0, 1, 2), G(1, 2, 3), G(3, 0, 5)],
+                               [G(-1, 2, 3), G(0, 0), G(2, -1, 7)],
+                               [G(-3, 0, 5), G(-2, -1, 7), G(0, -4, 9)]])
+        skew.append(mixed)
+        broken = []
+        for x in skew[3:]:
+            n = x.n
+            i, j = rng.sample(range(n), 2)
+            broken += [
+                _perturbed(x, i, j, G(1, 0, rng.randint(1, 4))),
+                _perturbed(x, i, j, G(0, 1, rng.randint(1, 4))),
+                _perturbed(x, i, i, G(1, 0, rng.randint(1, 4))),
+            ]
+        return skew, broken
+
+    def test_integer_grids_agree_with_the_star_rule(self):
+        skew, broken = self._inputs()
+        for x in skew:
+            assert is_skew_adjoint(x) and _star_rule(x)
+        for x in broken:
+            assert not is_skew_adjoint(x) and not _star_rule(x)
 
 class TestStarTranspose:
     def test_conjugates_and_flips(self):
