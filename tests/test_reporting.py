@@ -68,6 +68,11 @@ def _cli(*argv):
         "86873a52758e9f8c1b424b7e0af59f03a41dbfa6dbdab6400ab3b16b77702c85",
         id="twolocal-fnring-nogauge"),
     pytest.param(
+        # the central gauge's witness shift on per-point diagonals
+        lambda: twolocal_campaign(FunctionRing(3), 3, 2, 16, p_sweep=True),
+        "d3cac24cc3039f55975b1725c175b88ed9683620dddc26e7e51367da4e6e19ff",
+        id="twolocal-fnring-gauged-sweep"),
+    pytest.param(
         lambda: localder_campaign(GAUSS, 4, 3, 13),
         "0f0610e0850fd2e1745b22657545f21f09e717528f0e1bf24b68d65ec23b160c",
         id="local-gauss"),
