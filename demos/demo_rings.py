@@ -7,12 +7,20 @@ function rings with pointwise conjugation, and sparse polynomial rings
 where star swaps designated variable pairs.
 """
 
-from skewlie import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
+from fractions import Fraction
+
+from skewlie import (
+    GAUSS,
+    FunctionRing,
+    GaussianRational,
+    PolynomialRing,
+    check_ring_axioms,
+)
 
 
 def main():
-    x = GAUSS.parse("3/4+2i")
-    y = GAUSS.parse("-1/2i")
+    x = GaussianRational(3, 8, 4)
+    y = GaussianRational(0, -1, 2)
     print("gaussian rationals")
     print("  x          =", GAUSS.format(x))
     print("  y          =", GAUSS.format(y))
@@ -21,8 +29,8 @@ def main():
     print("  x*star(x)  =", GAUSS.format(x * GAUSS.star(x)), "(real, as it must be)")
 
     fn = FunctionRing(3)
-    f = fn.parse("[1+1i, 0, -2]")
-    g = fn.parse("[1/2, 1i, 1]")
+    f = fn.lift([GaussianRational(1, 1), 0, -2])
+    g = fn.lift([Fraction(1, 2), GAUSS.imag, 1])
     print("functions on a 3-point domain (pointwise operations)")
     print("  f        =", fn.format(f))
     print("  f*g      =", fn.format(f * g))

@@ -7,7 +7,6 @@ from .errors import (
     EqualIndices,
     IndexOutOfRange,
     Infeasible,
-    MalformedInput,
     NeedThreeIndices,
     NonLinearHypothesis,
     NotSkewAdjoint,

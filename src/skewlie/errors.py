@@ -54,10 +54,6 @@ class WitnessContractError(SkewlieError):
     """An oracle returned a witness that violates its stated contract."""
 
 
-class MalformedInput(SkewlieError, ValueError):
-    """Serialized input (JSON text or an entry literal) cannot be read."""
-
-
 class ConfigError(SkewlieError):
     """A CLI invocation, config file or campaign call asked for something
     inconsistent (no trials, negative random checks, an unknown gauge)."""

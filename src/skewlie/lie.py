@@ -29,7 +29,6 @@ from .matrices import (
 )
 from .rings import (
     GAUSS,
-    FunctionElement,
     FunctionRing,
     GaussianField,
     GaussianRational,
@@ -126,9 +125,9 @@ def _gauss_coeff_ints(x):
     denominator: returns (den, numerators) in basis order.
 
     Skew-adjointness makes the coefficients Re x^{ij} and Im x^{ij} for
-    i < j and Im x^{ii}, so they are read straight off x._int_form().
+    i < j and Im x^{ii}, so they are read straight off x.grid.
     """
-    den, re, im = x._int_form()
+    den, re, im = x.grid
     n = x.n
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return den, ([re[i][j] for i, j in upper] + [im[i][j] for i, j in upper]
@@ -196,7 +195,7 @@ def _gauss_table(values):
     holds the (p, q) entry of every image. Both layouts are kept so that
     apply can walk whichever is shorter for its argument.
     """
-    forms = [v._int_form() for v in values]
+    forms = [v.grid for v in values]
     den = lcm(*(d for d, _, _ in forms))
     re_cols = tuple(tuple(den // d * v for r in re for v in r)
                     for d, re, _ in forms)
@@ -217,9 +216,9 @@ class LinearLieMap:
     D and, for each of the n^2 output entries, a row of n^2 integer
     numerators for its real part and one for its imaginary part (2n^2 by
     n^2 in all). apply(x) reads the integer coefficients of x off its
-    integer form, over its denominator den_x, and builds each output
-    entry from two integer dot products over D*den_x: 2n^4 integer
-    multiply-adds and n^2 fraction reductions per call, where the
+    grid, over its denominator den_x, and builds each output entry from
+    two integer dot products over D*den_x: 2n^4 integer multiply-adds
+    and one gcd reduction of the result grid per call, where the
     entry-by-entry recombination pays a reduction per multiply-add. An
     argument with fewer than n^2/2 nonzero coefficients sums the image
     columns it picks instead, 2n^2 multiply-adds per coefficient. Other
@@ -262,13 +261,11 @@ class LinearLieMap:
         else:
             re = [sum(map(mul, c, row)) for row in re_rows]
             im = [sum(map(mul, c, row)) for row in im_rows]
-        d = den * den_x
-        zero = self.ring.zero
-        flat = [GaussianRational(a, b, d) if a or b else zero
-                for a, b in zip(re, im)]
+        re, im = list(re), list(im)
         n = self.n
-        return Matrix._make(self.ring, tuple(tuple(flat[p * n:(p + 1) * n])
-                                             for p in range(n)))
+        return Matrix._of_grid(self.ring, den * den_x,
+                               [re[p * n:(p + 1) * n] for p in range(n)],
+                               [im[p * n:(p + 1) * n] for p in range(n)])
 
     def _apply_generic(self, x):
         # the ring-generic recombination; the reference for the table
@@ -313,8 +310,9 @@ class GaugedInnerOracle:
     """The witness-gauge model shared by the gauged inner-derivation oracles.
 
     Every witness is a0 plus a central summand lam * I * identity (the
-    value of centralizer_gauge), made by shifting a0's diagonal only: the
-    immutable off-diagonal entries are shared, not re-added to zeros. The
+    value of centralizer_gauge), made by shifting a0's diagonal only:
+    lam*den is added to the imaginary diagonal of a0's grid (of each
+    point's grid over a function ring), and the other rows are shared. The
     scale lam is an integer drawn from sha256 of the seed, the order-free
     key of the queried elements and, over a function ring, the point, so
     it varies from query to query and from point to point. The mapped
@@ -335,15 +333,11 @@ class GaugedInnerOracle:
         self.gauge = require_gauge(gauge)
         self._witnesses = {}
 
-    def _scale(self, key):
-        def draw(t):
-            msg = "|".join((str(self.seed),) + key + (str(t),))
-            h = sha256(msg.encode()).digest()
-            return int.from_bytes(h[:4], "big") % 19 - 9
-        if isinstance(self.ring, FunctionRing):
-            return FunctionElement(GAUSS.scalar(draw(t))
-                                   for t in range(self.ring.npoints))
-        return self.ring.scalar(draw(0))
+    def _draw(self, key, point):
+        """The integer scale lam for a query key at one point."""
+        msg = "|".join((str(self.seed),) + key + (str(point),))
+        h = sha256(msg.encode()).digest()
+        return int.from_bytes(h[:4], "big") % 19 - 9
 
     def _witness(self, *elements):
         """The witness answered for a query on elements."""
@@ -352,24 +346,60 @@ class GaugedInnerOracle:
         key = tuple(sorted(z.cache_key() for z in elements))
         w = self._witnesses.get(key)
         if w is None:
-            v = self._scale(key) * imaginary_unit(self.ring)
-            w = self._witnesses[key] = Matrix._make(self.ring, tuple(
-                r[:i] + (r[i] + v,) + r[i + 1:]
-                for i, r in enumerate(self.a0.rows)))
+            a0 = self.a0
+            if a0.grid is not None:
+                w = _shift_diagonal(a0, self._draw(key, 0))
+            elif a0.points is not None:
+                w = Matrix._of_points(self.ring, [
+                    _shift_diagonal(p, self._draw(key, t))
+                    for t, p in enumerate(a0.points)])
+            else:
+                v = self.ring.scalar(self._draw(key, 0)) \
+                    * imaginary_unit(self.ring)
+                w = Matrix(self.ring, (r[:i] + (r[i] + v,) + r[i + 1:]
+                                       for i, r in enumerate(a0.rows)))
+            self._witnesses[key] = w
         return w
+
+
+def _shift_diagonal(x, lam):
+    """x + lam * I * identity for a Gaussian x and an integer lam: lam*den
+    added to the imaginary diagonal of x's grid, which keeps it reduced."""
+    den, re, im = x.grid
+    return Matrix._of_grid(x.ring, den, re, [
+        r[:i] + (r[i] + lam * den,) + r[i + 1:] for i, r in enumerate(im)])
 
 
 def is_central(x):
     """Whether x commutes with K_n. With 1/2 and I in the ring, K_n + I*K_n
     = M_n (e_ij = (s[i,j] - I*Ibar[i,j])/2, e_ii = -I*Idiag[i]), so that is
-    [x, e_ij] == 0 for all i, j: x is scalar, read off its entries."""
+    [x, e_ij] == 0 for all i, j: x is scalar, read off its entries (its
+    grid over the Gaussian rationals, each point over a function ring)."""
+    if x.grid is not None:
+        _, re, im = x.grid
+        a0, b0 = re[0][0], im[0][0]
+        return all(a == a0 and b == b0 if i == j else not (a or b)
+                   for i, (ra, ia) in enumerate(zip(re, im))
+                   for j, (a, b) in enumerate(zip(ra, ia)))
+    if x.points is not None:
+        return all(map(is_central, x.points))
     return all(v == x.rows[0][0] if i == j else not v
                for i, r in enumerate(x.rows) for j, v in enumerate(r))
 
 
 def random_skew(rng, n, ring=GAUSS):
     """A random skew-adjoint matrix: free entries above the diagonal,
-    imaginary-unit multiples of star-fixed samples on it."""
+    imaginary-unit multiples of star-fixed samples on it.
+
+    Over the Gaussian rationals and function rings the draws go straight
+    into the integer grid of each point, in the order in which the
+    ring's random_real and random_element take them.
+    """
+    if isinstance(ring, GaussianField):
+        return _random_skew_grids(rng, n, ring, 1)[0]
+    if isinstance(ring, FunctionRing):
+        return Matrix._of_points(ring, _random_skew_grids(rng, n, GAUSS,
+                                                          ring.npoints))
     i_unit = imaginary_unit(ring)
     grid = [[ring.zero] * n for _ in range(n)]
     for i in range(n):
@@ -379,3 +409,26 @@ def random_skew(rng, n, ring=GAUSS):
             grid[i][j] = v
             grid[j][i] = -ring.star(v)
     return Matrix(ring, grid)
+
+
+def _random_skew_grids(rng, n, ring, npoints):
+    """One random skew-adjoint Gaussian matrix per point, drawn entry by
+    entry with all points of an entry in a row."""
+    parts = GAUSS.random_parts
+    cells = [[[None] * n for _ in range(n)] for _ in range(npoints)]
+    for i in range(n):
+        for cell in cells:
+            a, _, d = parts(rng, real=True)
+            cell[i][i] = (0, a, d)
+        for j in range(i + 1, n):
+            for cell in cells:
+                a, b, d = parts(rng)
+                cell[i][j] = (a, b, d)
+                cell[j][i] = (-a, b, d)
+    out = []
+    for cell in cells:
+        den = lcm(*(d for row in cell for _, _, d in row))
+        out.append(Matrix._of_grid(
+            ring, den, [[a * (den // d) for a, _, d in row] for row in cell],
+            [[b * (den // d) for _, b, d in row] for row in cell]))
+    return out

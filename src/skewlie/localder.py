@@ -169,9 +169,9 @@ def assemble_d(diag_witness, row_witnesses):
     row_witnesses[i] (1-based)."""
     n = diag_witness.n
     return Matrix(diag_witness.ring,
-                  ((diag_witness.rows[i][j] if i == j
-                    else row_witnesses[i + 1].rows[i][j] for j in range(n))
-                   for i in range(n)))
+                  ((diag_witness.entry(i, j) if i == j
+                    else row_witnesses[i].entry(i, j)
+                    for j in range(1, n + 1)) for i in range(1, n + 1)))
 
 
 def check_eq_5_1(lmap):
@@ -206,7 +206,7 @@ def check_eq_5_1(lmap):
 
 
 def _extract_block(x, S):
-    return Matrix(x.ring, ((x.rows[p - 1][q - 1] for q in S) for p in S))
+    return Matrix(x.ring, ((x.entry(p, q) for q in S) for p in S))
 
 
 def _embed_block(y, S, n):
@@ -276,10 +276,10 @@ def assemble_abar(lmap, i, k, block_cache=None):
         for q in range(1, n + 1):
             if p == q or (p not in (i, k) and q not in (i, k)):
                 continue
-            grid[p - 1][q - 1] = block(p, q).rows[p - 1][q - 1]
+            grid[p - 1][q - 1] = block(p, q).entry(p, q)
     w_ik = block(i, k)
-    grid[i - 1][i - 1] = w_ik.rows[i - 1][i - 1]
-    grid[k - 1][k - 1] = w_ik.rows[k - 1][k - 1]
+    grid[i - 1][i - 1] = w_ik.entry(i, i)
+    grid[k - 1][k - 1] = w_ik.entry(k, k)
     return Matrix(ring, grid)
 
 

@@ -1,39 +1,46 @@
 """Square matrices over a commutative involutive ring.
 
 Matrices are immutable, carry their ring, and index entries 1-based to
-match the usual e_{i,j} conventions; the JSON exchange format is 0-based
-row-major (see to_json). The skew-adjoint matrices form a Lie ring under
-the bracket [a, b] = ab - ba but are not closed under the associative
-product, so commutator is the only matrix product. Its kernels work
-on integer grids wherever the ring has them:
+match the usual e_{i,j} conventions. The skew-adjoint matrices form a
+Lie ring under the bracket [a, b] = ab - ba but are not closed under
+the associative product, so commutator is the only matrix product.
 
-  * Gaussian rational entries: clear denominators once (Matrix._int_form)
-    and accumulate integer real and imaginary parts. A sparse factor
-    (at most n nonzeros) is walked entry by entry, so brackets against
-    basis elements and central differences cost O(n^2); two dense
-    factors are multiplied as integer matrices (three real products per
-    complex product)
-  * function ring entries: the same Gaussian kernels applied pointwise
-  * any other ring (polynomials): the ring's own + and *, walking one
-    factor's nonzeros
+What a matrix stores depends on its ring:
+
+  * Gaussian rational entries: one integer grid, grid = (den, re, im)
+    with entry (i, j) equal to (re[i][j] + im[i][j]*i) / den. The
+    denominator den > 0 is the lcm of the entry denominators, so
+    gcd(den, every numerator) == 1 and equal matrices have equal grids
+  * function ring entries: points, one Gaussian matrix per point of the
+    domain
+  * any other ring (polynomials): the rows of ring elements
+
+For the first two, rows builds the entry objects (GaussianRational,
+FunctionElement) lazily, once; entry(i, j) before that builds only its
+own. Brackets, sums, differences, equality, hashing, the skew-adjoint
+check and cache keys read the stored form:
+
+  * Gaussian brackets accumulate integer real and imaginary parts. A
+    sparse factor (at most n nonzeros) is walked entry by entry, so
+    brackets against basis elements and central differences cost O(n^2);
+    two dense factors are multiplied as integer matrices (three real
+    products per complex product). Every result grid is reduced by one
+    common gcd
+  * function-ring operations run the Gaussian ones point by point
+  * polynomial brackets use the ring's own + and *, walking one factor's
+    nonzeros
 
 so no bracket over the Gaussian rationals or a function ring reduces a
-fraction in its inner loop. Gaussian differences and the skew-adjoint
-check read the same integer grids.
+fraction in its inner loop.
 """
 
 from __future__ import annotations
 
-import json
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    MalformedInput,
-    NotSkewAdjoint,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
 from .rings import (
     GAUSS,
     FunctionElement,
@@ -49,7 +56,7 @@ def _check_index(n, i):
 
 
 def _int_matprod(a, b):
-    """Product of two integer matrices given as tuples of row tuples."""
+    """Product of two integer matrices given as sequences of rows."""
     cols = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -62,8 +69,38 @@ def _int_matadd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _gauss_entries(grid):
+    """The GaussianRational rows of a grid; zero entries share GAUSS.zero."""
+    den, re, im = grid
+    zero = GAUSS.zero
+    # over den == 1 every nonzero entry is already reduced
+    make = GaussianRational._raw if den == 1 else GaussianRational
+    return tuple(tuple(make(a, b, den) if a or b else zero
+                       for a, b in zip(ra, ia))
+                 for ra, ia in zip(re, im))
+
+
+def _entry_keys(grid):
+    """GAUSS.element_key of every entry of a grid, as rows of strings."""
+    den, re, im = grid
+    out = []
+    for ra, ia in zip(re, im):
+        row = []
+        for a, b in zip(ra, ia):
+            g = gcd(a, b, den)
+            row.append("%d,%d,%d" % (a // g, b // g, den // g))
+        out.append(row)
+    return out
+
+
 class Matrix:
-    __slots__ = ("ring", "n", "rows", "_cache")
+    """An n x n matrix over ring, built from rows of ring elements.
+
+    Exactly one of grid (Gaussian rationals), points (function rings)
+    and rows (other rings) is the stored form; see the module docstring.
+    """
+
+    __slots__ = ("ring", "n", "grid", "points", "_rows", "_cache")
 
     def __init__(self, ring, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -72,34 +109,97 @@ class Matrix:
             if len(r) != n:
                 raise DimensionMismatch("expected %d entries per row, got %d"
                                         % (n, len(r)))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cache", {})
+        grid = points = None
+        if isinstance(ring, GaussianField):
+            den = lcm(*(v.d for r in rows for v in r))
+            grid = (den,
+                    tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
+                    tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
+        elif isinstance(ring, FunctionRing):
+            points = tuple(Matrix(GAUSS, ((v.values[k] for v in r)
+                                          for r in rows))
+                           for k in range(ring.npoints))
+        Matrix._init(self, ring, n, grid, points, rows)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def _make(ring, rows):
-        # internal: rows must already be a square tuple of tuples
-        out = object.__new__(Matrix)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "n", len(rows))
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "_cache", {})
+    def _init(out, ring, n, grid, points, rows):
+        put = object.__setattr__
+        put(out, "ring", ring)
+        put(out, "n", n)
+        put(out, "grid", grid)
+        put(out, "points", points)
+        put(out, "_rows", rows)
+        put(out, "_cache", {})
         return out
+
+    @staticmethod
+    def _of_rows(ring, rows):
+        # internal, other rings only: rows must be a square tuple of tuples
+        return Matrix._init(object.__new__(Matrix), ring, len(rows),
+                            None, None, rows)
+
+    @staticmethod
+    def _of_grid(ring, den, re, im):
+        """The Gaussian matrix (re + im*i) / den for den > 0, stored after
+        one common gcd reduction; re and im are sequences of rows."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+            if g > 1:
+                den //= g
+                re = [[v // g for v in r] for r in re]
+                im = [[v // g for v in r] for r in im]
+        grid = (den, tuple(map(tuple, re)), tuple(map(tuple, im)))
+        return Matrix._init(object.__new__(Matrix), ring, len(grid[1]),
+                            grid, None, None)
+
+    @staticmethod
+    def _of_points(ring, mats):
+        """The function-ring matrix with Gaussian point values mats."""
+        return Matrix._init(object.__new__(Matrix), ring, mats[0].n,
+                            None, tuple(mats), None)
+
+    @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            if self.grid is not None:
+                rows = _gauss_entries(self.grid)
+            else:
+                rows = tuple(tuple(map(FunctionElement, zip(*point_rows)))
+                             for point_rows in zip(*(p.rows
+                                                     for p in self.points)))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def entry(self, i, j):
         """1-based entry access."""
         _check_index(self.n, i)
         _check_index(self.n, j)
-        return self.rows[i - 1][j - 1]
+        if self._rows is not None:
+            return self._rows[i - 1][j - 1]
+        if self.grid is not None:
+            den, re, im = self.grid
+            a, b = re[i - 1][j - 1], im[i - 1][j - 1]
+            return GaussianRational(a, b, den) if a or b else GAUSS.zero
+        return FunctionElement(p.entry(i, j) for p in self.points)
 
     def _nnz(self):
         nnz = self._cache.get("nnz")
         if nnz is None:
-            nnz = sum(1 for r in self.rows for v in r if v)
+            if self.grid is not None:
+                _, re, im = self.grid
+                nnz = sum(1 for ra, ia in zip(re, im)
+                          for a, b in zip(ra, ia) if a or b)
+            elif self.points is not None:
+                # entries nonzero at some point
+                grids = [p.grid for p in self.points]
+                nnz = sum(1 for i in range(self.n) for j in range(self.n)
+                          if any(g[1][i][j] or g[2][i][j] for g in grids))
+            else:
+                nnz = sum(1 for r in self.rows for v in r if v)
             self._cache["nnz"] = nnz
         return nnz
 
@@ -111,39 +211,22 @@ class Matrix:
                     out.append((i, j, v))
         return out
 
-    # scaled integer form for Gaussian rational entries:
-    # entry[i][j] == (re[i][j] + im[i][j]*i) / den
-    def _int_form(self):
-        form = self._cache.get("ints")
-        if form is None:
-            den = 1
-            for r in self.rows:
-                for v in r:
-                    den = lcm(den, v.d)
-            re = tuple(tuple(v.a * (den // v.d) for v in r) for r in self.rows)
-            im = tuple(tuple(v.b * (den // v.d) for v in r) for r in self.rows)
-            form = (den, re, im)
-            self._cache["ints"] = form
-        return form
-
-    def _at_point(self, k):
-        """Gaussian matrix of values at one point of a function ring."""
-        pts = self._cache.get("points")
-        if pts is None:
-            pts = {}
-            self._cache["points"] = pts
-        m = pts.get(k)
-        if m is None:
-            m = Matrix(GAUSS, tuple(tuple(v.values[k] for v in r)
-                                    for r in self.rows))
-            pts[k] = m
-        return m
-
     def cache_key(self):
+        """The entries' ring.element_key texts, joined by "," within a row
+        and ";" between rows."""
         key = self._cache.get("key")
         if key is None:
-            ek = self.ring.element_key
-            key = ";".join(",".join(ek(v) for v in r) for r in self.rows)
+            if self.grid is not None:
+                rows = _entry_keys(self.grid)
+            elif self.points is not None:
+                # a function element's key joins its point keys with "|"
+                rows = [map("|".join, zip(*point_rows))
+                        for point_rows in zip(*(_entry_keys(p.grid)
+                                                for p in self.points))]
+            else:
+                ek = self.ring.element_key
+                rows = [map(ek, r) for r in self.rows]
+            key = ";".join(map(",".join, rows))
             self._cache["key"] = key
         return key
 
@@ -161,23 +244,24 @@ class Matrix:
         o = self._check_compatible(other)
         if o is None:
             return NotImplemented
-        return Matrix._make(self.ring,
-                            tuple(tuple(a + b for a, b in zip(ra, rb))
-                                  for ra, rb in zip(self.rows, o.rows)))
+        return _combine(self, o, 1)
 
     def __sub__(self, other):
         o = self._check_compatible(other)
         if o is None:
             return NotImplemented
-        if self.ring is GAUSS:
-            return _gauss_difference(self, o)
-        return Matrix._make(self.ring,
-                            tuple(tuple(a - b for a, b in zip(ra, rb))
-                                  for ra, rb in zip(self.rows, o.rows)))
+        return _combine(self, o, -1)
 
     def __neg__(self):
-        return Matrix._make(self.ring, tuple(tuple(-v for v in r)
-                                             for r in self.rows))
+        if self.grid is not None:
+            den, re, im = self.grid
+            return Matrix._of_grid(self.ring, den,
+                                   [[-v for v in r] for r in re],
+                                   [[-v for v in r] for r in im])
+        if self.points is not None:
+            return Matrix._of_points(self.ring, [-p for p in self.points])
+        return Matrix._of_rows(self.ring, tuple(tuple(-v for v in r)
+                                                for r in self.rows))
 
     def __mul__(self, other):
         return self._scale(other)
@@ -196,19 +280,50 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        if self.ring != other.ring:
+            return False
+        if self.grid is not None:
+            return self.grid == other.grid
+        if self.points is not None:
+            return self.points == other.points
+        return self.rows == other.rows
 
     def __hash__(self):
+        if self.grid is not None:
+            return hash(self.grid)
+        if self.points is not None:
+            return hash(self.points)
         return hash((self.n, self.rows))
 
     def __repr__(self):
         return "Matrix(%s, n=%d)" % (self.ring.name, self.n)
 
 
+def _combine(a, b, sign):
+    """a + sign*b for compatible a and b, sign = 1 or -1."""
+    if a.grid is not None:
+        da, are, aim = a.grid
+        db, bre, bim = b.grid
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return Matrix._of_grid(
+            a.ring, d,
+            [[x * fa + y * fb for x, y in zip(ra, rb)]
+             for ra, rb in zip(are, bre)],
+            [[x * fa + y * fb for x, y in zip(ra, rb)]
+             for ra, rb in zip(aim, bim)])
+    if a.points is not None:
+        return Matrix._of_points(a.ring, [_combine(p, q, sign) for p, q
+                                          in zip(a.points, b.points)])
+    op = add if sign > 0 else sub
+    return Matrix._of_rows(a.ring, tuple(tuple(map(op, ra, rb))
+                                         for ra, rb in zip(a.rows, b.rows)))
+
+
 def _gauss_int_product(a, b):
     """Integer real and imaginary parts of a*b and the joint denominator."""
-    da, are, aim = a._int_form()
-    db, bre, bim = b._int_form()
+    da, are, aim = a.grid
+    db, bre, bim = b.grid
     # (P + iQ)(R + iS) with three integer products
     p1 = _int_matprod(are, bre)
     p2 = _int_matprod(aim, bim)
@@ -218,49 +333,20 @@ def _gauss_int_product(a, b):
     return cre, cim, da * db
 
 
-def _gauss_of_ints(cre, cim, d):
-    """The Gaussian matrix (cre + cim*i) / d with reduced entries; zero
-    entries share GAUSS.zero."""
-    zero = GAUSS.zero
-    if d == 1:
-        raw = GaussianRational._raw
-        return Matrix._make(GAUSS, tuple(
-            tuple(raw(re_v, im_v, 1) if re_v or im_v else zero
-                  for re_v, im_v in zip(rr, ri))
-            for rr, ri in zip(cre, cim)))
-    return Matrix._make(GAUSS, tuple(
-        tuple(GaussianRational(re_v, im_v, d) if re_v or im_v else zero
-              for re_v, im_v in zip(rr, ri))
-        for rr, ri in zip(cre, cim)))
-
-
-def _gauss_difference(a, b):
-    """a - b on the integer grids, over lcm of the two denominators."""
-    da, are, aim = a._int_form()
-    db, bre, bim = b._int_form()
-    d = lcm(da, db)
-    fa, fb = d // da, d // db
-    return _gauss_of_ints(
-        [[x * fa - y * fb for x, y in zip(ra, rb)]
-         for ra, rb in zip(are, bre)],
-        [[x * fa - y * fb for x, y in zip(ra, rb)]
-         for ra, rb in zip(aim, bim)],
-        d)
-
-
 def _gauss_dense_commutator(a, b):
     lre, lim, d = _gauss_int_product(a, b)
     rre, rim, d2 = _gauss_int_product(b, a)
     if d2 != d:
         raise AssertionError("commutator denominators diverged")
-    return _gauss_of_ints(_int_matsub(lre, rre), _int_matsub(lim, rim), d)
+    return Matrix._of_grid(a.ring, d, _int_matsub(lre, rre),
+                           _int_matsub(lim, rim))
 
 
-def _gauss_sparse_ints(a, b, sign):
+def _gauss_sparse_commutator(a, b, sign):
     """sign * (a*b - b*a) for Gaussian a and b on integer grids, walking
     only b's nonzeros; the sign is folded into b's entries."""
-    da, are, aim = a._int_form()
-    db, bre, bim = b._int_form()
+    da, are, aim = a.grid
+    db, bre, bim = b.grid
     n = a.n
     nz = [(p, q, sign * r, sign * s)
           for p, (rr, ri) in enumerate(zip(bre, bim))
@@ -280,15 +366,15 @@ def _gauss_sparse_ints(a, b, sign):
         for j, (x, y) in enumerate(zip(are[p], aim[p])):
             ore[j] -= r * x - s * y
             oim[j] -= r * y + s * x
-    return _gauss_of_ints(cre, cim, da * db)
+    return Matrix._of_grid(a.ring, da * db, cre, cim)
 
 
 def _gauss_commutator(a, b):
     n = a.n
     if b._nnz() <= n:
-        return _gauss_sparse_ints(a, b, 1)
+        return _gauss_sparse_commutator(a, b, 1)
     if a._nnz() <= n:
-        return _gauss_sparse_ints(b, a, -1)
+        return _gauss_sparse_commutator(b, a, -1)
     return _gauss_dense_commutator(a, b)
 
 
@@ -310,7 +396,7 @@ def _sparse_commutator(a, b):
             y = row[j]
             if y:
                 out[i][j] = out[i][j] - v * y
-    return Matrix._make(a.ring, tuple(map(tuple, out)))
+    return Matrix._of_rows(a.ring, tuple(map(tuple, out)))
 
 
 def commutator(a, b):
@@ -319,12 +405,11 @@ def commutator(a, b):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
-    ring = a.ring
-    if ring is GAUSS:
+    if a.grid is not None:
         return _gauss_commutator(a, b)
-    if isinstance(ring, FunctionRing):
-        return from_points(_gauss_commutator(a._at_point(k), b._at_point(k))
-                           for k in range(ring.npoints))
+    if a.points is not None:
+        return Matrix._of_points(a.ring, [_gauss_commutator(p, q) for p, q
+                                          in zip(a.points, b.points)])
     if b._nnz() > a.n and a._nnz() <= a.n:
         return -_sparse_commutator(b, a)
     return _sparse_commutator(a, b)
@@ -355,11 +440,13 @@ def is_skew_adjoint(x):
     ok = x._cache.get("skew")
     if ok is None:
         n = x.n
-        if x.ring is GAUSS:
-            # x^{ji} = -conj(x^{ij}) on the grids over one denominator
-            _, re, im = x._int_form()
+        if x.grid is not None:
+            # x^{ji} = -conj(x^{ij}) on the grid over one denominator
+            _, re, im = x.grid
             ok = all(re[j][i] == -re[i][j] and im[j][i] == im[i][j]
                      for i in range(n) for j in range(i, n))
+        elif x.points is not None:
+            ok = all(map(is_skew_adjoint, x.points))
         else:
             star = x.ring.star
             rows = x.rows
@@ -382,17 +469,17 @@ def at_point(x, k):
     if not 0 <= k < x.ring.npoints:
         raise IndexOutOfRange("point index %d outside 0..%d"
                               % (k, x.ring.npoints - 1))
-    return x._at_point(k)
+    return x.points[k]
 
 
-# one ring per domain size: from_points runs once per dense function-ring
-# bracket, and each FunctionRing builds its three constant elements
+# one ring per domain size, so that matrices assembled by from_points
+# share their ring object
 _fnrings = {}
 
 
 def from_points(mats):
     """Assemble a function-ring matrix from its per-point Gaussian values."""
-    mats = list(mats)
+    mats = tuple(mats)
     if not mats:
         raise DimensionMismatch("need at least one point matrix")
     n = mats[0].n
@@ -404,47 +491,4 @@ def from_points(mats):
     ring = _fnrings.get(len(mats))
     if ring is None:
         ring = _fnrings[len(mats)] = FunctionRing(len(mats))
-    return Matrix(ring, ((FunctionElement(m.rows[i][j] for m in mats)
-                          for j in range(n)) for i in range(n)))
-
-
-def to_json(x):
-    """Serialize as {"n": ..., "entries": [[...]]} with 0-based row-major
-    entries rendered by the ring's text format."""
-    fmt = x.ring.format
-    return json.dumps({"n": x.n, "entries": [[fmt(v) for v in r]
-                                             for r in x.rows]},
-                      indent=2, sort_keys=True)
-
-
-def from_json(text, ring=GAUSS):
-    """Unreadable input raises MalformedInput, naming a bad entry's 0-based
-    (row, col); entries that are no n by n grid raise DimensionMismatch."""
-    try:
-        data = json.loads(text) if isinstance(text, str) else text
-    except json.JSONDecodeError as exc:
-        raise MalformedInput("matrix JSON does not parse: %s" % exc) from exc
-    if not isinstance(data, dict) or "n" not in data or "entries" not in data:
-        raise MalformedInput("matrix JSON needs keys 'n' and 'entries'")
-    n = data["n"]
-    entries = data["entries"]
-    if type(n) is not int or n < 1:
-        raise MalformedInput("matrix size must be a positive integer")
-    if not isinstance(entries, list) or \
-            not all(isinstance(r, list) for r in entries):
-        raise MalformedInput("entries must be a list of rows")
-    if len(entries) != n or any(len(r) != n for r in entries):
-        raise DimensionMismatch("entries do not form an %d by %d grid" % (n, n))
-    return Matrix(ring, ((_parse_entry(ring, i, j, v)
-                          for j, v in enumerate(row))
-                         for i, row in enumerate(entries)))
-
-
-def _parse_entry(ring, i, j, v):
-    if not isinstance(v, str):
-        raise MalformedInput("entry (%d, %d) is not a string" % (i, j))
-    try:
-        return ring.parse(v)
-    except (ValueError, ZeroDivisionError, DimensionMismatch) as exc:
-        raise MalformedInput("entry (%d, %d) does not parse: %s"
-                             % (i, j, exc)) from exc
+    return Matrix._of_points(ring, mats)

@@ -9,7 +9,7 @@ I*I == -1 and star(I) == -I, and all containing 1/2:
                          conjugates coefficients and permutes the variables
 
 Ring instances expose a uniform surface (zero, one, imag, star, scalar,
-random_element, parse, format, ...) so the matrix and Lie layers never care
+random_element, format, ...) so the matrix and Lie layers never care
 which ring they run over. Elements overload +, -, *, / and compare by value.
 """
 
@@ -60,14 +60,6 @@ class GaussianRational:
         object.__setattr__(out, "b", b)
         object.__setattr__(out, "d", d)
         return out
-
-    @staticmethod
-    def from_fractions(re, im=0):
-        re = Fraction(re)
-        im = Fraction(im)
-        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        return GaussianRational(re.numerator * (d // re.denominator),
-                                im.numerator * (d // im.denominator), d)
 
     @property
     def re(self):
@@ -185,40 +177,6 @@ def _gauss_format(x):
     return "%s+%s" % (_frac_str(re), itxt)
 
 
-def _gauss_parse(text):
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian rational literal")
-    # split into signed terms at +/- that are not leading and not inside a
-    # fraction (fractions contain only digits and one slash, so any +/- at
-    # position > 0 is a term boundary)
-    terms = []
-    start = 0
-    for k in range(1, len(s)):
-        if s[k] in "+-":
-            terms.append(s[start:k])
-            start = k
-    terms.append(s[start:])
-    total = GaussianRational()
-    for t in terms:
-        if not t or t in "+-":
-            raise ValueError("malformed Gaussian rational %r" % text)
-        if t.endswith("i"):
-            body = t[:-1]
-            if body.endswith("*"):
-                body = body[:-1]
-            if body in ("", "+"):
-                fr = Fraction(1)
-            elif body == "-":
-                fr = Fraction(-1)
-            else:
-                fr = Fraction(body)
-            total = total + GaussianRational.from_fractions(0, fr)
-        else:
-            total = total + GaussianRational.from_fractions(Fraction(t))
-    return total
-
-
 class GaussianField:
     """The rational complex numbers. Every nonzero element is invertible."""
 
@@ -247,18 +205,21 @@ class GaussianField:
             raise TypeError("cannot embed %r into the Gaussian rationals" % (value,))
         return out
 
+    def random_parts(self, rng, real=False):
+        """The integers (a, b, d) of one random draw (a + b*i)/d, not
+        reduced; a real draw takes no b from rng and has b = 0."""
+        a = rng.randint(-9, 9)
+        b = 0 if real else rng.randint(-9, 9)
+        return a, b, rng.randint(1, 5)
+
     def random_element(self, rng):
-        return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9),
-                                rng.randint(1, 5))
+        return GaussianRational(*self.random_parts(rng))
 
     def random_real(self, rng):
-        return GaussianRational(rng.randint(-9, 9), 0, rng.randint(1, 5))
+        return GaussianRational(*self.random_parts(rng, real=True))
 
     def format(self, x):
         return _gauss_format(x)
-
-    def parse(self, text):
-        return _gauss_parse(text)
 
     def element_key(self, x):
         return "%d,%d,%d" % (x.a, x.b, x.d)
@@ -396,17 +357,6 @@ class FunctionRing:
 
     def format(self, x):
         return "[%s]" % ",".join(GAUSS.format(v) for v in x.values)
-
-    def parse(self, text):
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError("function element must look like [v0,v1,...]")
-        parts = s[1:-1].split(",")
-        vals = tuple(GAUSS.parse(p) for p in parts)
-        if len(vals) != self.npoints:
-            raise DimensionMismatch("expected %d values, got %d"
-                                    % (self.npoints, len(vals)))
-        return FunctionElement(vals)
 
     def element_key(self, x):
         return "|".join(GAUSS.element_key(v) for v in x.values)
@@ -618,82 +568,8 @@ class PolynomialRing:
             text += " %s %s" % (sign, body)
         return text
 
-    def parse(self, text):
-        s = text.strip()
-        if s == "0":
-            return self.zero
-        total = self.zero
-        for sign, term in _split_signed_terms(s):
-            coeff = GAUSS.one if sign == "+" else -GAUSS.one
-            mono = []
-            for factor in _split_factors(term):
-                if factor.startswith("(") and factor.endswith(")"):
-                    coeff = coeff * _gauss_parse(factor[1:-1])
-                elif factor in self._index:
-                    mono.append(self._index[factor])
-                elif "^" in factor:
-                    nm, _, pw = factor.partition("^")
-                    if nm not in self._index:
-                        raise ValueError("unknown variable %r" % nm)
-                    mono.extend([self._index[nm]] * int(pw))
-                else:
-                    coeff = coeff * _gauss_parse(factor)
-            m = tuple(sorted(mono))
-            total = total + PolyElement(self, {m: coeff})
-        return total
-
     def element_key(self, x):
         return self.format(x)
-
-
-def _split_signed_terms(s):
-    """Break 'a + b - c' into [('+', 'a'), ('+', 'b'), ('-', 'c')],
-    ignoring signs inside parentheses. Mixed complex coefficients are
-    always parenthesized by format, so a bare top-level sign is a term
-    boundary."""
-    out = []
-    sign = "+"
-    start = 0
-    depth = 0
-    k = 0
-    if s.startswith(("+", "-")):
-        sign = s[0]
-        start = k = 1
-    while k < len(s):
-        ch = s[k]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            out.append((sign, s[start:k].strip()))
-            sign = ch
-            start = k + 1
-        k += 1
-    out.append((sign, s[start:].strip()))
-    return [(sg, t) for sg, t in out if t]
-
-
-def _split_factors(term):
-    out = []
-    start = 0
-    depth = 0
-    for k, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            nxt = term[k + 1] if k + 1 < len(term) else ""
-            prv = term[k - 1] if k else ""
-            # keep '*i' attached to its numeric coefficient
-            if nxt == "i" and (k + 2 == len(term) or term[k + 2] == "*") \
-                    and (prv.isdigit() or prv == ")"):
-                continue
-            out.append(term[start:k])
-            start = k + 1
-    out.append(term[start:])
-    return [f.strip() for f in out if f.strip()]
 
 
 def imaginary_unit(ring):

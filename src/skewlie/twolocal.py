@@ -155,11 +155,12 @@ def reconstruct_implementer(oracle):
 def verify_implementer(oracle, abar, elements):
     """Labels of the elements z with [w - abar, z] != 0 for w the witness
     of (z, z), i.e. mapped value != [abar, z]: one query and one bracket
-    per element, sparse whenever w - abar is central (n nonzeros)."""
+    per element, sparse whenever w - abar is central (n nonzeros). The
+    bracket's nonzeros are counted on its grids."""
     bad = []
     for label, z in elements:
         w = oracle.query(require_skew_adjoint(z, "argument"), z)
-        if any(map(any, bracket(w - abar, z).rows)):
+        if bracket(w - abar, z)._nnz():
             bad.append(label)
     return bad
 

@@ -1,33 +1,45 @@
 """Matrix layer: the bracket against its entrywise definition on every
 kernel, reduced entries out of the integer-grid kernels, which kernel
 each ring takes, star transpose and the skew-adjoint check, point
-values, JSON.
+values, and the stored forms: canonical Gaussian grids, per-point
+function-ring matrices, and entry objects built only when rows is read.
 
 Matrices have no associative product: commutator is the only one.
 """
 
-import json
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from skewlie import matrices
-from skewlie.errors import DimensionMismatch, IndexOutOfRange, MalformedInput
-from skewlie.lie import bracket, canonical_basis, random_skew, staircase
+from skewlie.errors import DimensionMismatch, IndexOutOfRange
+from skewlie.lie import (
+    LinearLieMap,
+    bracket,
+    canonical_basis,
+    is_central,
+    random_skew,
+    staircase,
+)
 from skewlie.localder import localder_campaign
 from skewlie.matrices import (
     Matrix,
     commutator,
-    from_json,
     from_points,
     is_skew_adjoint,
     matrix_unit,
     star_transpose,
-    to_json,
+    zeros,
 )
-from skewlie.rings import GAUSS, FunctionRing, GaussianRational, PolynomialRing
-from skewlie.twolocal import twolocal_campaign
+from skewlie.rings import (
+    GAUSS,
+    FunctionElement,
+    FunctionRing,
+    GaussianRational,
+    PolynomialRing,
+)
+from skewlie.twolocal import GaugedInnerTwoLocal, twolocal_campaign
 
 RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z", "zc"), ((0, 1),))]
 RING_IDS = ["gauss", "fnring", "poly"]
@@ -304,37 +316,182 @@ class TestPointValues:
         assert from_points([a, a]).ring == FunctionRing(2)
 
 
-class TestJson:
-    def test_round_trip_gauss(self):
-        x = gmat([[(1, 2, 2), 0], [(0, -1), (3,)]])
-        assert from_json(to_json(x)) == x
 
-    def test_layout_is_zero_based_row_major(self):
-        data = json.loads(to_json(matrix_unit(2, 1, 2)))
-        assert data["n"] == 2
-        assert data["entries"][0][1] == "1"
-        assert data["entries"][1][0] == "0"
+def _lcm_form(rows):
+    """(den, re, im) of Gaussian rows over the lcm of their denominators."""
+    den = lcm(*(v.d for r in rows for v in r))
+    return (den,
+            tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
+            tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
 
-    def test_round_trip_function_ring(self):
-        r = FunctionRing(2)
-        x = Matrix(r, [[r.lift([1, 2]), r.imag], [r.zero, r.one]])
-        assert from_json(to_json(x), ring=r) == x
 
-    def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            from_json('{"entries": [["0"]]}')
-        with pytest.raises(DimensionMismatch):
-            from_json('{"n": 2, "entries": [["0", "0"]]}')
+def _gauged_witness(a0, seed, *elements):
+    return GaugedInnerTwoLocal(a0, seed=seed, gauge="central").query(
+        *elements)
 
-    @pytest.mark.parametrize("text, where", [
-        ('{"n": 2, "entries": 5}', None),
-        ('{"n": 1, "entries": [[3]]}', "(0, 0)"),
-        ('{"n": 2, "entries": [["0", "0"], ["0", "x"]]}', "(1, 1)"),
-        ('{"n": 1, "entries": [["0"]', None),
-        ('{"n": true, "entries": [["0"]]}', None),
-    ])
-    def test_malformed_input(self, text, where):
-        with pytest.raises(MalformedInput) as info:
-            from_json(text)
-        if where is not None:
-            assert where in str(info.value)
+
+class TestStoredGrid:
+    """A Gaussian matrix stores (den, re, im) with den the lcm of its
+    entry denominators, however it was made."""
+
+    def _made_every_way(self):
+        rng = random.Random(31)
+        n = 4
+        a, b = random_skew(rng, n), random_skew(rng, n)
+        basis = canonical_basis(n)
+        table = LinearLieMap.tabulate(lambda x: bracket(a, x), n)
+        made = {
+            "constructor": gmat([[(1, 1, 2), (1, 0, 3)], [(0, 2, 5), 4]]),
+            "random_skew": a,
+            "sparse commutator": commutator(a, basis[0]),
+            "sparse commutator, sparse left": commutator(basis[3], a),
+            "dense commutator": commutator(a, b),
+            "difference": a - b,
+            "central difference": a - (a + 3 * zeros(n) + _diagonal(
+                GAUSS, [G(0, 5, 6)] * n)),
+            "apply": table.apply(b),
+            "sparse apply": table.apply(basis[2]),
+            "gauged witness": _gauged_witness(a, 7, basis[0], basis[1]),
+        }
+        # scaled inputs, so that the kernels meet common factors to cancel
+        half = a * G(1, 0, 2)
+        made["difference, cancelling"] = half - (half - a * G(1, 0, 6))
+        made["commutator, cancelling"] = commutator(half * 3, b * G(2, 0, 3))
+        return made
+
+    def test_grids_are_reduced_lcm_forms(self):
+        for how, m in self._made_every_way().items():
+            den, re, im = m.grid
+            assert den > 0, how
+            assert gcd(den, *(v for r in re + im for v in r)) == 1, how
+            assert m.grid == _lcm_form(m.rows), how
+
+    def test_equal_matrices_have_equal_grids_and_hashes(self):
+        rng = random.Random(32)
+        for n in (3, 4):
+            a = random_skew(rng, n)
+            same = Matrix(GAUSS, a.rows)
+            assert a - a == zeros(n)
+            assert (a - a).grid == zeros(n).grid == (1, ((0,) * n,) * n,
+                                                     ((0,) * n,) * n)
+            assert same == a and same.grid == a.grid
+            assert hash(same) == hash(a)
+            twice = a + a
+            assert twice - a == a and hash(twice - a) == hash(a)
+            assert (twice - a).cache_key() == a.cache_key()
+
+    def test_rows_are_built_once_on_first_read(self):
+        rng = random.Random(33)
+        a, b = random_skew(rng, 3), random_skew(rng, 3)
+        c = commutator(a, b)
+        assert c._rows is None
+        assert c.entry(1, 2) == entrywise_bracket(a, b).entry(1, 2)
+        assert c._rows is None
+        assert c.rows is c.rows
+        assert c.rows == entrywise_bracket(a, b).rows
+
+
+class TestPointStorage:
+    def test_function_ring_matrix_keeps_one_gaussian_matrix_per_point(self):
+        ring = FunctionRing(3)
+        rng = random.Random(34)
+        x = random_skew(rng, 3, ring)
+        assert len(x.points) == 3
+        assert all(p.ring is GAUSS and p.grid is not None for p in x.points)
+        assert x == from_points(x.points)
+        assert Matrix(ring, x.rows) == x
+        assert Matrix(ring, x.rows).points == x.points
+        assert x.cache_key() == ";".join(
+            ",".join(ring.element_key(v) for v in r) for r in x.rows)
+
+
+def _reference_skew(rng, n, ring):
+    """random_skew as drawn entry object by entry object."""
+    grid = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = ring.imag * ring.random_real(rng)
+        for j in range(i + 1, n):
+            v = ring.random_element(rng)
+            grid[i][j] = v
+            grid[j][i] = -ring.star(v)
+    return Matrix(ring, grid)
+
+
+class TestGridDraws:
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(2),
+                                      FunctionRing(3)],
+                             ids=["gauss", "fnring2", "fnring3"])
+    def test_same_values_and_same_rng_state(self, ring):
+        for seed in range(5):
+            for n in (1, 3, 4):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                x = random_skew(rng, n, ring)
+                ref = _reference_skew(ref_rng, n, ring)
+                assert rng.getstate() == ref_rng.getstate()
+                assert x == ref and x.rows == ref.rows
+                assert x.cache_key() == ref.cache_key()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of FunctionElement and GaussianRational constructions."""
+    counts = {"function": 0, "gauss": 0}
+    fe_init = FunctionElement.__init__
+    gr_init = GaussianRational.__init__
+    gr_raw = GaussianRational._raw
+
+    def fe_counting(self, values):
+        counts["function"] += 1
+        fe_init(self, values)
+
+    def gr_counting(self, a=0, b=0, d=1):
+        counts["gauss"] += 1
+        gr_init(self, a, b, d)
+
+    def raw_counting(a, b, d):
+        counts["gauss"] += 1
+        return gr_raw(a, b, d)
+
+    monkeypatch.setattr(FunctionElement, "__init__", fe_counting)
+    monkeypatch.setattr(GaussianRational, "__init__", gr_counting)
+    monkeypatch.setattr(GaussianRational, "_raw", staticmethod(raw_counting))
+    return counts
+
+
+class TestNoMaterialization:
+    """Kernels, checks and keys read the stored forms: no entry object is
+    built until rows is read."""
+
+    def test_function_ring_operations_build_no_function_elements(self,
+                                                                 built):
+        ring = FunctionRing(3)
+        rng = random.Random(35)
+        n = 4
+        a, b = random_skew(rng, n, ring), random_skew(rng, n, ring)
+        e = canonical_basis(n, ring)[0]
+        built["function"] = 0
+        dense, sparse, diff = commutator(a, b), commutator(a, e), a - b
+        assert is_skew_adjoint(dense) and is_skew_adjoint(diff)
+        assert not is_central(diff) and is_central(diff - diff)
+        assert dense != sparse and diff == a - b
+        assert len({dense.cache_key(), sparse.cache_key()}) == 2
+        w = _gauged_witness(a, 5, e, b)
+        assert is_central(w - a) and w.cache_key() != a.cache_key()
+        assert built["function"] == 0
+        assert dense.rows
+        assert built["function"] == n * n
+
+    def test_gaussian_kernels_build_no_entries_until_rows(self, built):
+        rng = random.Random(36)
+        n = 4
+        a, b = random_skew(rng, n), random_skew(rng, n)
+        e = canonical_basis(n)[n]
+        table = LinearLieMap.tabulate(lambda x: bracket(a, x), n)
+        built["gauss"] = 0
+        made = [commutator(a, b), commutator(a, e), commutator(e, a),
+                a - b, table.apply(b), table.apply(e)]
+        assert all(is_skew_adjoint(m) for m in made)
+        assert built["gauss"] == 0
+        for m in made:
+            assert m.rows
+        assert built["gauss"] > 0

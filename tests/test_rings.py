@@ -1,4 +1,4 @@
-"""Ring layer: exact arithmetic, involutions, text round trips.
+"""Ring layer: exact arithmetic, involutions, text formats.
 
 Expected values below were computed by hand from the defining formulas
 (Gaussian product (a+bi)(c+di) = (ac-bd) + (ad+bc)i and the gcd-reduced
@@ -73,19 +73,6 @@ class TestGaussFormatParse:
     def test_format_frozen(self, triple, text):
         assert GAUSS.format(GaussianRational(*triple)) == text
 
-    @pytest.mark.parametrize("text", [
-        "0", "3/2", "-3/2", "i", "-i", "-3*i", "1/2+3/2*i", "1/4-3/4*i",
-        "2-i", "  1 + 2*i ", "+5", "7i",
-    ])
-    def test_parse_round_trip(self, text):
-        x = GAUSS.parse(text)
-        assert GAUSS.parse(GAUSS.format(x)) == x
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "1//2", "i+", "one"):
-            with pytest.raises(ValueError):
-                GAUSS.parse(bad)
-
 
 class TestFunctionRing:
     def test_pointwise_product_frozen(self):
@@ -110,13 +97,6 @@ class TestFunctionRing:
         r = FunctionRing(3)
         assert r.scalar(2) == r.lift([2, 2, 2])
         assert 2 * r.one == r.scalar(2)
-
-    def test_parse_round_trip(self):
-        r = FunctionRing(3)
-        x = r.lift([GaussianRational(1, 2, 3), 0, GaussianRational(0, -1, 1)])
-        assert r.parse(r.format(x)) == x
-        with pytest.raises(DimensionMismatch):
-            r.parse("[1,2]")
 
 
 class TestPolynomialRing:
@@ -143,15 +123,6 @@ class TestPolynomialRing:
         i = imaginary_unit(r)
         x = 3 * z0 * z0 * w - i * w + r.scalar(GaussianRational(1, 2, 1)) * z0
         assert r.format(x) == "(1+2*i)*z0 - i*w + 3*z0^2*w"
-
-    def test_parse_round_trip(self):
-        r = self.make()
-        z0, z1, w = r.var(0), r.var(1), r.var(2)
-        i = imaginary_unit(r)
-        for x in (r.zero, r.one, -z0, i * z1 - w,
-                  (1 + i) * z0 * z1 + r.scalar(Fraction(1, 2)),
-                  3 * w * w * w - 2 * i * z0):
-            assert r.parse(r.format(x)) == x
 
     def test_real_samples_are_star_fixed(self):
         r = self.make()
