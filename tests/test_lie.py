@@ -5,6 +5,7 @@ delta_{j,k} e_{i,l} and frozen.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -175,18 +176,22 @@ class TestGauge:
 
     def test_gauge_draw_pinned(self):
         # the sha256 scale draw is invisible to every report, so its
-        # values for seed 7 are frozen here: w - a0 = lam * I * identity
+        # values for seed 7 are frozen here: w - a0 = lam * I * identity.
+        # The draw does not depend on a0; a0 over den = 6 checks that the
+        # shift is lam, not lam / den, on a grid over den
         rows = [[0, 1, 0], [-1, 0, 2], [0, -2, 0]]
         fn = FunctionRing(2)
-        for ring, pair_lam, local_lam in (
-                (GAUSS, 8, -4),
-                (fn, fn.lift((0, 7)), fn.lift((3, -5)))):
-            a0 = Matrix(ring, [[ring.scalar(v) for v in r] for r in rows])
-            two = GaugedInnerTwoLocal(a0, seed=7)
-            w = two.query(s_elem(3, 1, 2, ring), staircase(3, ring))
-            assert w - a0 == centralizer_gauge(pair_lam, 3, ring)
-            _, w = GaugedInnerLocal(a0, seed=7).query(ie_diag(3, 2, ring))
-            assert w - a0 == centralizer_gauge(local_lam, 3, ring)
+        cases = ((GAUSS, 8, -4), (fn, fn.lift((0, 7)), fn.lift((3, -5))))
+        for den in (1, 6):
+            for ring, pair_lam, local_lam in cases:
+                a0 = Matrix(ring, [[ring.scalar(Fraction(v, den)) for v in r]
+                                   for r in rows])
+                two = GaugedInnerTwoLocal(a0, seed=7)
+                w = two.query(s_elem(3, 1, 2, ring), staircase(3, ring))
+                assert w - a0 == centralizer_gauge(pair_lam, 3, ring)
+                _, w = GaugedInnerLocal(a0, seed=7).query(
+                    ie_diag(3, 2, ring))
+                assert w - a0 == centralizer_gauge(local_lam, 3, ring)
 
 
 def bracket_is_central(x):
