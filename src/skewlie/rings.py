@@ -15,6 +15,7 @@ which ring they run over. Elements overload +, -, *, / and compare by value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -177,6 +178,21 @@ def _gauss_format(x):
     return "%s+%s" % (_frac_str(re), itxt)
 
 
+def _gauss_parse(text):
+    # every +/- after the first character starts a new term: fractions
+    # hold only digits and one slash
+    total = GaussianRational()
+    for t in re.split(r"(?<=.)(?=[+-])", text.replace(" ", "")):
+        if t.endswith("i"):
+            body = t[:-1].removesuffix("*")
+            fr = Fraction(body + "1" if body in ("", "+", "-") else body)
+            total = total + GaussianRational(0, fr.numerator, fr.denominator)
+        else:
+            fr = Fraction(t)
+            total = total + GaussianRational(fr.numerator, 0, fr.denominator)
+    return total
+
+
 class GaussianField:
     """The rational complex numbers. Every nonzero element is invertible."""
 
@@ -220,6 +236,9 @@ class GaussianField:
 
     def format(self, x):
         return _gauss_format(x)
+
+    def parse(self, text):
+        return _gauss_parse(text)
 
     def element_key(self, x):
         return "%d,%d,%d" % (x.a, x.b, x.d)

@@ -1,4 +1,4 @@
-"""Ring layer: exact arithmetic, involutions, text formats.
+"""Ring layer: exact arithmetic, involutions, text round trips and formats.
 
 Expected values below were computed by hand from the defining formulas
 (Gaussian product (a+bi)(c+di) = (ac-bd) + (ad+bc)i and the gcd-reduced
@@ -72,6 +72,19 @@ class TestGaussFormatParse:
     ])
     def test_format_frozen(self, triple, text):
         assert GAUSS.format(GaussianRational(*triple)) == text
+
+    @pytest.mark.parametrize("text", [
+        "0", "3/2", "-3/2", "i", "-i", "-3*i", "1/2+3/2*i", "1/4-3/4*i",
+        "2-i", "  1 + 2*i ", "+5", "7i",
+    ])
+    def test_parse_round_trip(self, text):
+        x = GAUSS.parse(text)
+        assert GAUSS.parse(GAUSS.format(x)) == x
+
+    def test_parse_rejects_garbage(self):
+        for bad in ("", "1//2", "i+", "one"):
+            with pytest.raises(ValueError):
+                GAUSS.parse(bad)
 
 
 class TestFunctionRing:
