@@ -224,9 +224,9 @@ def corner_implementer(lmap, indices):
     Both sides of every bracket equation are compressed to the block, so
     the unknown is a block-supported skew-adjoint matrix; it exists for
     every restriction of a local derivation and is unique up to a central
-    summand of the block. It is solved by the same probe solver as the
-    brute-force implementers (PreparedBracketSolver of the block size),
-    on the block of the map's value at each embedded block basis element.
+    summand of the block. It is solved by PreparedBracketSolver of the
+    block size, as the brute-force implementers are, on the block of the
+    map's value at each embedded block basis element and probe.
     Raises Infeasible, naming the block, when no such matrix exists,
     which is how incoherent oracles surface here.
     """

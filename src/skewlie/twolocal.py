@@ -30,6 +30,7 @@ from .lie import (
     bracket,
     canonical_basis,
     decompose,
+    ie_diag,
     is_central,
     random_skew,
     recompose,
@@ -214,17 +215,16 @@ def check_pair_lemmas(oracle):
 
 
 class PreparedBracketSolver:
-    """Bracket equations [c, b] = nabla(b) against a fixed probe set,
-    row-reduced once per size.
+    """Bracket equations [c, p] = nabla(p) for the probe pair Idiag[1],
+    staircase, row-reduced once per size: 2n^2 rows of rank n^2 - 1.
 
-    The unknown is the coefficient vector of c over the canonical basis;
-    the probes s[k,k+1] for k = 1..n-1 and Idiag[1] already pin it down
-    to the central line (rank n^2 - 1). This is the one place bracket
-    equations are set up: the brute-force two-local and local solvers and
-    localder.corner_implementer's block implementers all go through
-    solve_values. The reduction is computed over the Gaussian rationals
-    and reused for every ring, since the structure constants do not
-    depend on the ring.
+    The unknown is c's coefficient vector over the canonical basis. A
+    matrix commuting with I*e_11 is block-diagonal, and commuting with
+    the staircase then makes row k + 1 equal to c^{kk} e_{k+1}, one index
+    at a time, so the probe kernel is the central line. This is the one
+    place bracket equations are set up, for the brute-force solvers and
+    localder.corner_implementer; the reduction is over the Gaussian
+    rationals and serves every ring: no structure constant depends on it.
     """
 
     _cache = {}
@@ -232,46 +232,51 @@ class PreparedBracketSolver:
     def __init__(self, n):
         self.n = n
         basis = canonical_basis(n)
-        labels = basis_labels(n)
-        # the probes are basis members, kept as their basis indices
-        self.probes = [labels.index("s[%d,%d]" % (k, k + 1))
-                       for k in range(1, n)] + [labels.index("Idiag[1]")]
         rows = []
-        for p in self.probes:
-            cols = [decompose(bracket(b, basis[p])) for b in basis]
-            for m in range(n * n):
-                rows.append({k: cols[k][m] for k in range(n * n)
-                             if cols[k][m]})
+        for p in self.probes(GAUSS):
+            cols = [decompose(bracket(b, p)) for b in basis]
+            rows += ({k: cols[k][m] for k in range(n * n) if cols[k][m]}
+                     for m in range(n * n))
         self.system = ReducedSystem(rows, n * n)
         if self.system.rank != n * n - 1:
             raise AssertionError("probe system rank %d, expected %d"
                                  % (self.system.rank, n * n - 1))
+        # the basis index of each probe, None for the staircase at n >= 3
+        self._in_basis = [basis.index(p) if p in basis else None
+                          for p in self.probes(GAUSS)]
 
     @classmethod
     def for_size(cls, n):
         solver = cls._cache.get(n)
         if solver is None:
-            solver = cls(n)
-            cls._cache[n] = solver
+            solver = cls._cache[n] = cls(n)
         return solver
+
+    def probes(self, ring):
+        return ie_diag(self.n, 1, ring), staircase(self.n, ring)
+
+    def candidate(self, values, ring):
+        """The c with [c, p] == value for both probes p, free coordinate
+        zero, or Infeasible; over a function ring, solved point by point."""
+        if isinstance(ring, FunctionRing):
+            return from_points(
+                self.candidate([at_point(v, k) for v in values], GAUSS)
+                for k in range(ring.npoints))
+        rhs = [c for v in values for c in decompose(v)]
+        return recompose(self.system.solve(rhs, ring=ring), self.n, ring)
 
     def solve_values(self, nabla, ring):
         """One matrix c with [c, .] == nabla on K_n, or Infeasible.
 
-        nabla is evaluated once on each canonical basis element. The
-        candidate solves the probe equations exactly, with the free
-        coordinate set to zero; it is then checked against the mapped
-        values on the whole basis, which is conclusive because any
-        solution of the full system also solves the probes and the probe
-        kernel is central.
+        nabla is evaluated once per distinct basis or probe element; the
+        candidate is checked on the whole basis, which is conclusive
+        because the probe kernel is central.
         """
         basis = canonical_basis(self.n, ring)
         values = [nabla(b) for b in basis]
-        rhs = []
-        for p in self.probes:
-            rhs.extend(decompose(values[p]))
-        coeffs = self.system.solve(rhs, ring=ring)
-        cand = recompose(coeffs, self.n, ring)
+        cand = self.candidate(
+            [nabla(p) if k is None else values[k]
+             for k, p in zip(self._in_basis, self.probes(ring))], ring)
         for label, b, v in zip(basis_labels(self.n), basis, values):
             if bracket(cand, b) != v:
                 raise Infeasible("no inner derivation matches the map at %s"
@@ -280,9 +285,17 @@ class PreparedBracketSolver:
 
 
 def brute_force_implementer(oracle):
-    """Solve for an implementer directly from bracket equations."""
-    return PreparedBracketSolver.for_size(oracle.n).solve_values(
-        lambda z: delta_eval(oracle, z), oracle.ring)
+    """The probe candidate from two pair queries, checked on the whole
+    basis by verify_implementer."""
+    n, ring = oracle.n, oracle.ring
+    solver = PreparedBracketSolver.for_size(n)
+    cand = solver.candidate([delta_eval(oracle, p)
+                             for p in solver.probes(ring)], ring)
+    bad = verify_implementer(oracle, cand,
+                             zip(basis_labels(n), canonical_basis(n, ring)))
+    if bad:
+        raise Infeasible("no inner derivation matches the map at %s" % bad[0])
+    return cand
 
 
 class PointProjectedOracle:
@@ -354,7 +367,6 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
                         anchor="theorem 2.6", trial=trial, error=str(exc))
                 continue
             central = is_central(cand - abar)
-            # solve_values has checked cand on every basis element already
             rep.add("bracket solver agrees #%d" % trial, central,
                     anchor="theorem 2.6", trial=trial,
                     same_map=True, central_difference=central)

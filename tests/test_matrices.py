@@ -34,7 +34,6 @@ from skewlie.matrices import (
 )
 from skewlie.rings import (
     GAUSS,
-    FunctionElement,
     FunctionRing,
     GaussianRational,
     PolynomialRing,
@@ -430,32 +429,6 @@ class TestGridDraws:
                 assert rng.getstate() == ref_rng.getstate()
                 assert x == ref and x.rows == ref.rows
                 assert x.cache_key() == ref.cache_key()
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """Counts of FunctionElement and GaussianRational constructions."""
-    counts = {"function": 0, "gauss": 0}
-    fe_init = FunctionElement.__init__
-    gr_init = GaussianRational.__init__
-    gr_raw = GaussianRational._raw
-
-    def fe_counting(self, values):
-        counts["function"] += 1
-        fe_init(self, values)
-
-    def gr_counting(self, a=0, b=0, d=1):
-        counts["gauss"] += 1
-        gr_init(self, a, b, d)
-
-    def raw_counting(a, b, d):
-        counts["gauss"] += 1
-        return gr_raw(a, b, d)
-
-    monkeypatch.setattr(FunctionElement, "__init__", fe_counting)
-    monkeypatch.setattr(GaussianRational, "__init__", gr_counting)
-    monkeypatch.setattr(GaussianRational, "_raw", staticmethod(raw_counting))
-    return counts
 
 
 class TestNoMaterialization:

@@ -269,10 +269,43 @@ class TestConsistencySweep:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_probe_system_rank(self, n):
         solver = PreparedBracketSolver.for_size(n)
+        assert solver.system.nrows == 2 * n * n
         assert solver.system.rank == n * n - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_solve_values_evaluates_each_element_once(self, n):
+        a0 = random_skew(random.Random(n), n)
+        seen = []
+
+        def nabla(z):
+            seen.append(z)
+            return bracket(a0, z)
+
+        cand = PreparedBracketSolver.for_size(n).solve_values(nabla, GAUSS)
+        assert is_central(cand - a0)
+        # at n = 2 both probes, Idiag[1] and s[1,2], are basis members
+        assert len(seen) == (4 if n == 2 else n * n + 1)
+
+    def test_function_ring_solve_builds_no_function_elements(self, built):
+        r = FunctionRing(3)
+        _, warm = make_oracle(42, 4, ring=r)
+        brute_force_implementer(warm)
+        a0, oracle = make_oracle(43, 4, ring=r)
+        built["function"] = 0
+        cand = brute_force_implementer(oracle)
+        assert built["function"] == 0
+        assert is_central(cand - a0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_check_names_the_tampered_element(self, n):
+        _, oracle = make_oracle(44, n)
+        z = s_elem(n, 1, 3)
+        bad = TamperedPairOracle(oracle, z, z, ie_diag(n, 1))
+        with pytest.raises(Infeasible, match=r"at s\[1,3\]$"):
+            brute_force_implementer(bad)
 
     def test_agrees_with_reconstruction(self):
         a0, oracle = make_oracle(40, 4)
