@@ -23,6 +23,7 @@ from .errors import ComplexWeight, ConfigError, DimensionMismatch, EqualIndices
 from .matrices import (
     Matrix,
     commutator,
+    from_points,
     matrix_unit,
     require_skew_adjoint,
     zeros,
@@ -204,6 +205,30 @@ def _gauss_table(values):
     return den, tuple(zip(*re_cols)), tuple(zip(*im_cols)), re_cols, im_cols
 
 
+def _apply_table(table, x):
+    """The image of a skew-adjoint Gaussian matrix x under the map that
+    _gauss_table tabulated."""
+    den, re_rows, im_rows, re_cols, im_cols = table
+    den_x, c = _gauss_coeff_ints(x)
+    picked = [k for k, ck in enumerate(c) if ck]
+    if 2 * len(picked) < len(c):
+        # a sparse argument (basis elements, staircases): summing the
+        # few image columns it picks beats n^2 full-length dot products
+        re = repeat(0, len(c))
+        im = repeat(0, len(c))
+        for k in picked:
+            re = map(add, re, map(mul, re_cols[k], repeat(c[k])))
+            im = map(add, im, map(mul, im_cols[k], repeat(c[k])))
+    else:
+        re = [sum(map(mul, c, row)) for row in re_rows]
+        im = [sum(map(mul, c, row)) for row in im_rows]
+    re, im = list(re), list(im)
+    n = x.n
+    return Matrix._of_grid(x.ring, den * den_x,
+                           [re[p * n:(p + 1) * n] for p in range(n)],
+                           [im[p * n:(p + 1) * n] for p in range(n)])
+
+
 class LinearLieMap:
     """A linear map tabulated on the canonical basis.
 
@@ -221,9 +246,12 @@ class LinearLieMap:
     and one gcd reduction of the result grid per call, where the
     entry-by-entry recombination pays a reduction per multiply-add. An
     argument with fewer than n^2/2 nonzero coefficients sums the image
-    columns it picks instead, 2n^2 multiply-adds per coefficient. Other
-    rings recombine entry by entry (_apply_generic), which is also the
-    reference the table is tested against.
+    columns it picks instead, 2n^2 multiply-adds per coefficient. Over a
+    function ring the map keeps one such table per point, built from the
+    images' point values, and applies each to the argument's value at
+    that point. Polynomial rings recombine entry by entry
+    (_apply_generic), which is also the reference the tables are tested
+    against.
     """
 
     def __init__(self, ring, n, values):
@@ -234,8 +262,13 @@ class LinearLieMap:
         self.ring = ring
         self.n = n
         self.values = values
-        self._table = _gauss_table(values) \
-            if isinstance(ring, GaussianField) else None
+        if isinstance(ring, GaussianField):
+            self._tables = (_gauss_table(values),)
+        elif isinstance(ring, FunctionRing):
+            self._tables = tuple(_gauss_table([v.points[k] for v in values])
+                                 for k in range(ring.npoints))
+        else:
+            self._tables = None
 
     @classmethod
     def tabulate(cls, fn, n, ring=GAUSS):
@@ -244,31 +277,16 @@ class LinearLieMap:
     def apply(self, x):
         if x.n != self.n or x.ring != self.ring:
             raise DimensionMismatch("map and argument disagree on shape")
-        if self._table is None:
+        if self._tables is None:
             return self._apply_generic(x)
         require_skew_adjoint(x)
-        den, re_rows, im_rows, re_cols, im_cols = self._table
-        den_x, c = _gauss_coeff_ints(x)
-        picked = [k for k, ck in enumerate(c) if ck]
-        if 2 * len(picked) < len(c):
-            # a sparse argument (basis elements, staircases): summing the
-            # few image columns it picks beats n^2 full-length dot products
-            re = repeat(0, len(c))
-            im = repeat(0, len(c))
-            for k in picked:
-                re = map(add, re, map(mul, re_cols[k], repeat(c[k])))
-                im = map(add, im, map(mul, im_cols[k], repeat(c[k])))
-        else:
-            re = [sum(map(mul, c, row)) for row in re_rows]
-            im = [sum(map(mul, c, row)) for row in im_rows]
-        re, im = list(re), list(im)
-        n = self.n
-        return Matrix._of_grid(self.ring, den * den_x,
-                               [re[p * n:(p + 1) * n] for p in range(n)],
-                               [im[p * n:(p + 1) * n] for p in range(n)])
+        if x.points is None:
+            return _apply_table(self._tables[0], x)
+        return from_points(_apply_table(t, p)
+                           for t, p in zip(self._tables, x.points))
 
     def _apply_generic(self, x):
-        # the ring-generic recombination; the reference for the table
+        # the ring-generic recombination; the reference for the tables
         n = self.n
         grid = [[self.ring.zero] * n for _ in range(n)]
         for c, img in zip(decompose(x), self.values):

@@ -5,86 +5,131 @@ for every surviving row, which combination of the original rows produced
 it. That provenance lets one reduction serve many right hand sides, and
 the right hand sides may live in a larger ring than the coefficients:
 solving only ever multiplies ring elements by Gaussian rational scalars.
+
+Rows are reduced on Gaussian integers. Each row and its provenance are
+stored together as sparse numerators (re, im) over one shared positive
+denominator, kept gcd-reduced as Matrix grids are, so a reduction step
+is the integer update r := r*den_p - (fa + fb*i)*p against a pivot row p
+with denominator den_p, and a new pivot is normalised by multiplying by
+conj(lead) over |lead|^2. GaussianRational scalars are built only where
+results leave the class: express, nullvector and solve.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, Infeasible
 from .rings import GAUSS, GaussianRational
 
 
-def _coerce_coeff(v):
-    g = GaussianRational._coerce(v)
-    if g is None:
-        raise TypeError("coefficient %r is not a Gaussian rational" % (v,))
-    return g
+def _int_row(row, ncols):
+    """A sparse row as (den, {col: (re, im)}), gcd-reduced; raises
+    DimensionMismatch on a column outside 0..ncols-1."""
+    parts = {}
+    for c, v in row.items():
+        if not 0 <= c < ncols:
+            raise DimensionMismatch("column %d outside 0..%d" % (c, ncols - 1))
+        g = GaussianRational._coerce(v)
+        if g is None:
+            raise TypeError("coefficient %r is not a Gaussian rational" % (v,))
+        if g:
+            parts[c] = g
+    den = lcm(*(g.d for g in parts.values()))
+    return den, {c: (g.a * (den // g.d), g.b * (den // g.d))
+                 for c, g in parts.items()}
 
 
-def _axpy(target, coeff, source):
-    """target += coeff * source on sparse dicts, dropping created zeros."""
-    for c, v in source.items():
-        w = target.get(c, GAUSS.zero) + coeff * v
-        if w:
-            target[c] = w
-        elif c in target:
+def _update(target, scale, fa, fb, source):
+    """target := scale*target - (fa + fb*i)*source on sparse numerator
+    dicts, dropping created zeros."""
+    if scale != 1:
+        _scale(target, scale, 0)
+    for c, (a, b) in source.items():
+        ta, tb = target.get(c, (0, 0))
+        re = ta - fa * a + fb * b
+        im = tb - fa * b - fb * a
+        if re or im:
+            target[c] = (re, im)
+        else:
             del target[c]
+
+
+def _scale(target, fa, fb):
+    """target := (fa + fb*i)*target on a sparse numerator dict, for a
+    nonzero factor."""
+    for c, (a, b) in target.items():
+        target[c] = (fa * a - fb * b, fa * b + fb * a)
+
+
+def _reduced(den, *parts):
+    """Divide den and every numerator of the sparse dicts by their gcd;
+    returns the new den."""
+    if den == 1:
+        return 1
+    g = gcd(den, *chain.from_iterable(chain.from_iterable(
+        p.values() for p in parts)))
+    if g > 1:
+        den //= g
+        for p in parts:
+            for c, (a, b) in p.items():
+                p[c] = (a // g, b // g)
+    return den
+
+
+def _gauss(nums, den):
+    return {c: GaussianRational(a, b, den) for c, (a, b) in nums.items()}
 
 
 class ReducedSystem:
     """Reduced row echelon form of a matrix, with provenance.
 
     rows: iterable of sparse rows, each a dict column -> coefficient
-    (ints and Fractions are accepted and coerced). Columns are 0-based
-    and must be below ncols.
+    (int, Fraction or GaussianRational). Columns are 0-based and must be
+    below ncols.
     """
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
         self.nrows = 0
-        self._pivots = {}   # pivot col -> (row dict, provenance dict)
-        self._null = []     # provenance of rows that reduced to zero
+        self._pivots = {}   # pivot col -> [den, row, provenance] (numerators)
+        self._null = []     # (den, provenance) of rows that reduced to zero
+        self._exits = None  # solve's GaussianRational provenance, lazily
         for row in rows:
             self.append(row)
 
     def append(self, row):
         """Feed one more original row into the reduction."""
-        idx = self.nrows
+        den, r = _int_row(row, self.ncols)
+        prov = {self.nrows: (den, 0)}
         self.nrows += 1
-        r = {}
-        for c, v in row.items():
-            if not 0 <= c < self.ncols:
-                raise DimensionMismatch("column %d outside 0..%d"
-                                        % (c, self.ncols - 1))
-            g = _coerce_coeff(v)
-            if g:
-                r[c] = g
-        prov = {idx: GAUSS.one}
-        self._reduce_in_place(r, prov)
+        self._exits = None
+        pivots = self._pivots
+        for pc in sorted(c for c in r if c in pivots):
+            fa, fb = r[pc]
+            pden, prow, pprov = pivots[pc]
+            _update(r, pden, fa, fb, prow)
+            _update(prov, pden, fa, fb, pprov)
+            den = _reduced(den * pden, r, prov)
         if not r:
-            self._null.append(prov)
+            self._null.append((den, prov))
             return
         pc = min(r)
-        lead = r[pc]
-        if lead != GAUSS.one:
-            inv = GAUSS.one / lead
-            r = {c: inv * v for c, v in r.items()}
-            prov = {j: inv * v for j, v in prov.items()}
+        la, lb = r[pc]
+        # r/den over its lead (la + lb*i)/den is r*conj(lead)/|lead|^2
+        if (la, lb) != (1, 0):
+            _scale(r, la, -lb)
+            _scale(prov, la, -lb)
+        den = _reduced(la * la + lb * lb, r, prov)
         # clear the new pivot column from the rows already in echelon form
-        for prow, pprov in self._pivots.values():
-            g = prow.get(pc)
+        for entry in pivots.values():
+            g = entry[1].get(pc)
             if g:
-                _axpy(prow, -g, r)
-                _axpy(pprov, -g, prov)
-        self._pivots[pc] = (r, prov)
-
-    def _reduce_in_place(self, r, prov):
-        for pc in sorted(c for c in r if c in self._pivots):
-            f = r.get(pc)
-            if not f:
-                continue
-            prow, pprov = self._pivots[pc]
-            _axpy(r, -f, prow)
-            _axpy(prov, -f, pprov)
+                _update(entry[1], den, g[0], g[1], r)
+                _update(entry[2], den, g[0], g[1], prov)
+                entry[0] = _reduced(entry[0] * den, entry[1], entry[2])
+        pivots[pc] = [den, r, prov]
 
     @property
     def rank(self):
@@ -102,30 +147,26 @@ class ReducedSystem:
         that row == sum(combination[j] * original_row_j) + residual.
         An empty residual certifies span membership.
         """
-        r = {}
-        for c, v in row.items():
-            g = _coerce_coeff(v)
-            if g:
-                r[c] = g
+        den, r = _int_row(row, self.ncols)
         comb = {}
-        for pc in sorted(c for c in r if c in self._pivots):
-            f = r.get(pc)
-            if not f:
-                continue
-            prow, pprov = self._pivots[pc]
-            _axpy(r, -f, prow)
-            _axpy(comb, f, pprov)
-        return r, comb
+        pivots = self._pivots
+        for pc in sorted(c for c in r if c in pivots):
+            fa, fb = r[pc]
+            pden, prow, pprov = pivots[pc]
+            _update(r, pden, fa, fb, prow)
+            _update(comb, pden, -fa, -fb, pprov)
+            den = _reduced(den * pden, r, comb)
+        return _gauss(r, den), _gauss(comb, den)
 
     def nullvector(self, free_col):
         """The kernel basis vector attached to one free column."""
         if free_col in self._pivots or not 0 <= free_col < self.ncols:
             raise DimensionMismatch("column %d is not free" % free_col)
         x = {free_col: GAUSS.one}
-        for pc, (prow, _) in self._pivots.items():
+        for pc, (pden, prow, _) in self._pivots.items():
             g = prow.get(free_col)
             if g:
-                x[pc] = -g
+                x[pc] = GaussianRational(-g[0], -g[1], pden)
         return x
 
     def nullspace(self):
@@ -142,18 +183,24 @@ class ReducedSystem:
         if len(rhs) != self.nrows:
             raise DimensionMismatch("expected %d right hand side entries, got %d"
                                     % (self.nrows, len(rhs)))
+        if self._exits is None:
+            self._exits = (
+                [list(_gauss(prov, den).items()) for den, prov in self._null],
+                [(pc, list(_gauss(pprov, pden).items()))
+                 for pc, (pden, _, pprov) in self._pivots.items()])
+        nulls, pivots = self._exits
         zero = ring.zero
 
         def combine(prov):
             acc = zero
-            for j, coeff in prov.items():
+            for j, coeff in prov:
                 acc = acc + coeff * rhs[j]
             return acc
 
-        for prov in self._null:
+        for prov in nulls:
             if combine(prov) != zero:
                 raise Infeasible("right hand side breaks a row dependency")
         x = [zero] * self.ncols
-        for pc, (_, pprov) in self._pivots.items():
+        for pc, pprov in pivots:
             x[pc] = combine(pprov)
         return x

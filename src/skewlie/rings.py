@@ -505,6 +505,10 @@ class PolynomialRing:
         self.imag = PolyElement(self, {(): GAUSS.imag})
 
     def __eq__(self, other):
+        # elements compare their rings on every operation, and symcheck
+        # shares one ring object per symbol table: skip the name walk
+        if other is self:
+            return True
         return isinstance(other, PolynomialRing) \
             and other.var_names == self.var_names \
             and other.star_perm == self.star_perm

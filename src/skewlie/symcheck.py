@@ -36,6 +36,12 @@ from .matrices import Matrix, matrix_unit
 from .rings import GAUSS, PolynomialRing, imaginary_unit
 
 
+# one ring per symbol table: the basis elements lie.py memoizes per ring
+# then carry the very ring of the unknowns, so mixing them compares rings
+# by identity instead of walking two equal name tuples
+_RINGS = {}
+
+
 class SkewSymbols:
     """Declares named generic skew-adjoint matrices over one shared
     polynomial ring.
@@ -80,7 +86,10 @@ class SkewSymbols:
                     continue
                 if diagonal == "imag":
                     add_var("%s_d%d" % (name, i))
-        ring = PolynomialRing(names, star_pairs)
+        key = (tuple(names), tuple(star_pairs))
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = _RINGS[key] = PolynomialRing(names, star_pairs)
         i_unit = imaginary_unit(ring)
         mats = {}
         for name, diagonal, sup in self._decls:

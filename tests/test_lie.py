@@ -151,6 +151,22 @@ class TestLinearMaps:
                 assert out == bracket(a, x)
                 assert out.rows == m._apply_generic(x).rows
 
+    def test_function_ring_tables_agree(self):
+        # one integer table per point must reproduce the ring-generic
+        # recombination, and the Gaussian map at every point
+        rng = random.Random(9)
+        for npts, n in ((2, 3), (3, 4)):
+            ring = FunctionRing(npts)
+            a = random_skew(rng, n, ring)
+            m = LinearLieMap.tabulate(lambda x: bracket(a, x), n, ring)
+            args = [random_skew(rng, n, ring) for _ in range(3)]
+            args += [canonical_basis(n, ring)[1], staircase(n, ring),
+                     zeros(n, ring)]
+            for x in args:
+                out = m.apply(x)
+                assert out == bracket(a, x)
+                assert out.rows == m._apply_generic(x).rows
+
     def test_linear_map_shape_guard(self):
         m = LinearLieMap(GAUSS, 2, canonical_basis(2))
         with pytest.raises(DimensionMismatch):

@@ -1,11 +1,15 @@
 """Reduction, provenance, kernels and ring-valued right hand sides.
 
-Small systems here were solved by hand and the answers frozen.
+Small systems here were solved by hand and the answers frozen; the
+invariant tests check random systems against the definitions.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from skewlie.errors import Infeasible
+from skewlie.errors import DimensionMismatch, Infeasible
 from skewlie.linsolve import ReducedSystem
 from skewlie.rings import GAUSS, FunctionRing, GaussianRational
 
@@ -63,6 +67,14 @@ class TestExpress:
         assert res == {2: G(1)}
         assert comb == {}
 
+    def test_column_outside_the_system(self):
+        sys = ReducedSystem([{0: 1}], ncols=1)
+        with pytest.raises(DimensionMismatch):
+            sys.express({5: 1})
+        with pytest.raises(DimensionMismatch):
+            sys.append({-1: 1})
+        assert sys.nrows == 1
+
 
 class TestNullspace:
     def test_kernel_vectors_annihilate_rows(self):
@@ -94,3 +106,112 @@ class TestRingValuedRhs:
         sys = ReducedSystem([{0: 1}, {0: 1}], ncols=1)
         with pytest.raises(Infeasible):
             sys.solve([r.lift([1, 2]), r.lift([1, 3])], ring=r)
+
+
+# coefficients with complex, non-unit and fractional values, so that
+# leads need the conj(lead) / |lead|^2 normalisation and rows carry
+# denominators
+POOL = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), G(2, 1), G(1, -2),
+        G(0, 1), G(3, 1, 2), G(-1, 4, 5))
+
+
+def random_rows(rng, nrows, ncols):
+    """Sparse random rows; about a third are combinations of earlier
+    rows, so that the system has dependencies."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            out = {}
+            for row in rng.sample(rows, 2):
+                f = G(1) * rng.choice(POOL)
+                for c, v in row.items():
+                    out[c] = out.get(c, GAUSS.zero) + f * v
+            rows.append({c: v for c, v in out.items() if v})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, ncols))
+            rows.append({c: rng.choice(POOL) for c in cols})
+    return rows
+
+
+def apply_rows(rows, x, zero=GAUSS.zero):
+    out = []
+    for row in rows:
+        acc = zero
+        for c, v in row.items():
+            acc = acc + G(1) * v * x[c]
+        out.append(acc)
+    return out
+
+
+SEEDS = range(12)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_express_recombines(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(1, 7), ncols)
+        sys = ReducedSystem(rows, ncols)
+        pivots = set(range(ncols)) - set(sys.free_cols)
+        assert len(pivots) == sys.rank
+        for target in random_rows(rng, 4, ncols) + rows:
+            res, comb = sys.express(target)
+            assert not pivots & set(res)
+            total = dict(res)
+            for j, coeff in comb.items():
+                for c, v in rows[j].items():
+                    total[c] = total.get(c, GAUSS.zero) + coeff * v
+            assert {c: v for c, v in total.items() if v} == \
+                {c: G(1) * v for c, v in target.items() if v}
+        for row in rows:
+            assert sys.express(row)[0] == {}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_kernel_annihilates_rows(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(1, 5), ncols)
+        sys = ReducedSystem(rows, ncols)
+        kernel = sys.nullspace()
+        assert len(kernel) == ncols - sys.rank
+        for v in kernel:
+            x = [v.get(c, GAUSS.zero) for c in range(ncols)]
+            assert apply_rows(rows, x) == [GAUSS.zero] * len(rows)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_solve_satisfies_the_system(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(1, 7), ncols)
+        sys = ReducedSystem(rows, ncols)
+        x0 = [GAUSS.random_element(rng) for _ in range(ncols)]
+        rhs = apply_rows(rows, x0)
+        assert apply_rows(rows, sys.solve(rhs)) == rhs
+        fn = FunctionRing(2)
+        x0 = [fn.random_element(rng) for _ in range(ncols)]
+        rhs = apply_rows(rows, x0, fn.zero)
+        assert apply_rows(rows, sys.solve(rhs, ring=fn), fn.zero) == rhs
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_broken_dependency_is_infeasible(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(1, 5), ncols)
+        a, b = rows[0], rows[-1]
+        f, g = G(1) * rng.choice(POOL), G(1) * rng.choice(POOL)
+        dep = {c: f * a.get(c, 0) + g * b.get(c, 0)
+               for c in set(a) | set(b)}
+        rows.append({c: v for c, v in dep.items() if v})
+        sys = ReducedSystem(rows, ncols)
+        x0 = [GAUSS.random_element(rng) for _ in range(ncols)]
+        rhs = apply_rows(rows, x0)
+        sys.solve(rhs)
+        rhs[-1] = rhs[-1] + G(1, 1)
+        with pytest.raises(Infeasible):
+            sys.solve(rhs)
+        fn = FunctionRing(2)
+        lifted = [fn.scalar(v) for v in rhs[:-1]]
+        lifted.append(fn.lift([rhs[-1] - G(1, 1), rhs[-1]]))
+        with pytest.raises(Infeasible):
+            sys.solve(lifted, ring=fn)

@@ -137,6 +137,21 @@ class TestPolynomialRing:
         x = 3 * z0 * z0 * w - i * w + r.scalar(GaussianRational(1, 2, 1)) * z0
         assert r.format(x) == "(1+2*i)*z0 - i*w + 3*z0^2*w"
 
+    def test_equality_is_structural(self):
+        # equal rings built apart mix freely; rings that differ in names
+        # or in star pairs do not, and mixing their elements is refused
+        r, twin = self.make(), self.make()
+        assert r is not twin and r == twin and hash(r) == hash(twin)
+        assert r.var(0) + twin.var(2) == r.var(0) + r.var(2)
+        renamed = PolynomialRing(("z0", "z1", "v"), star_pairs=((0, 1),))
+        unpaired = PolynomialRing(("z0", "z1", "w"))
+        for other in (renamed, unpaired):
+            assert other != r
+            with pytest.raises(DimensionMismatch):
+                r.var(0) + other.var(0)
+            with pytest.raises(DimensionMismatch):
+                r.var(0) == other.var(0)
+
     def test_real_samples_are_star_fixed(self):
         r = self.make()
         rng = random.Random(5)

@@ -75,6 +75,13 @@ class TestSkewSymbols:
         assert m["a"].ring is ring and m["b"].ring is ring
         assert m["a"] != m["b"]
 
+    def test_same_declarations_share_one_ring(self):
+        # memoized basis elements then carry the unknowns' own ring
+        ring, _ = SkewSymbols(3).declare("a").build()
+        again, _ = SkewSymbols(3).declare("a").build()
+        other, _ = SkewSymbols(3).declare("a", diagonal="zero").build()
+        assert again is ring and other != ring
+
     def test_bad_diagonal_mode(self):
         with pytest.raises(ValueError):
             SkewSymbols(3).declare("a", "funky")
@@ -324,3 +331,14 @@ def test_refuting_probes_fingerprint():
                        for lemma, idx, v in probes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "539462b9cac4f89cf0bba7bfe27638c5ae0cfa154f6e635814b82f1cb5c67e78"
+
+
+def test_catalog_fingerprint_n6():
+    """The sha256 of every registered certificate at n = 6, as sorted-key
+    JSON. It covers the largest systems the catalog builds (5.3 reduces
+    540 rows over 792 variables), so any change to a combination
+    coefficient or a counterexample is seen."""
+    text = json.dumps([certify_lemma(lemma, 6).to_dict()
+                       for lemma in known_lemmas()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "266dab85b45bbbc75eee0be2e62b64e437deb432c7661d4bbbc8a38af621b4d7"
