@@ -7,26 +7,29 @@ the associative product, so commutator is the only matrix product.
 
 What a matrix stores depends on its ring:
 
-  * Gaussian rational entries: one integer grid, grid = (den, re, im)
-    with entry (i, j) equal to (re[i][j] + im[i][j]*i) / den. The
-    denominator den > 0 is the lcm of the entry denominators, so
-    gcd(den, every numerator) == 1 and equal matrices have equal grids
-  * function ring entries: points, one Gaussian matrix per point of the
-    domain
+  * Gaussian rationals and function rings: grids, a tuple of integer
+    grids (den, re, im), one per point of the domain: one for the
+    Gaussian rationals, k for FunctionRing(k). At a point, entry (i, j)
+    is (re[i][j] + im[i][j]*i) / den. The denominator den > 0 is the
+    lcm of that point's entry denominators, so gcd(den, every
+    numerator) == 1 and equal matrices have equal grids
   * any other ring (polynomials): the rows of ring elements
 
-For the first two, rows builds the entry objects (GaussianRational,
+For the first, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
-own. Brackets, sums, differences, equality, hashing, the skew-adjoint
-check and cache keys read the stored form:
+own. The grid format is private to this module. Brackets, sums,
+differences, equality, hashing, the skew-adjoint and scalar checks,
+cache keys, the tables of linear maps, the witness diagonal shift and
+random draws read or write the grids here, each as one kernel on one
+grid mapped over the points:
 
-  * Gaussian brackets accumulate integer real and imaginary parts. A
-    sparse factor (at most n nonzeros) is walked entry by entry, so
-    brackets against basis elements and central differences cost O(n^2);
-    two dense factors are multiplied as integer matrices (three real
-    products per complex product). Every result grid is reduced by one
-    common gcd
-  * function-ring operations run the Gaussian ones point by point
+  * brackets accumulate integer real and imaginary parts. The kernel is
+    picked once per bracket from the support over all points: a sparse
+    factor (at most n entries nonzero at some point) is walked entry by
+    entry, so brackets against basis elements and central differences
+    cost O(n^2) per point; two dense factors are multiplied as integer
+    matrices (three real products per complex product). Every result
+    grid is reduced by one common gcd
   * polynomial brackets use the ring's own + and *, walking one factor's
     nonzeros
 
@@ -36,9 +39,9 @@ fraction in its inner loop.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
 from .rings import (
@@ -47,6 +50,7 @@ from .rings import (
     FunctionRing,
     GaussianField,
     GaussianRational,
+    imaginary_unit,
 )
 
 
@@ -69,6 +73,27 @@ def _int_matadd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _grid(den, re, im):
+    """The grid (re + im*i) / den for den > 0 after one common gcd
+    reduction; re and im are sequences of integer rows."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            den //= g
+            re = [[v // g for v in r] for r in re]
+            im = [[v // g for v in r] for r in im]
+    return den, tuple(map(tuple, re)), tuple(map(tuple, im))
+
+
+def _lcm_grid(rows):
+    """The grid of rows of GaussianRationals, over the lcm of their
+    denominators."""
+    den = lcm(*(v.d for r in rows for v in r))
+    return (den,
+            tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
+            tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
+
+
 def _gauss_entries(grid):
     """The GaussianRational rows of a grid; zero entries share GAUSS.zero."""
     den, re, im = grid
@@ -78,6 +103,12 @@ def _gauss_entries(grid):
     return tuple(tuple(make(a, b, den) if a or b else zero
                        for a, b in zip(ra, ia))
                  for ra, ia in zip(re, im))
+
+
+def _gauss_entry(grid, i, j):
+    den, re, im = grid
+    a, b = re[i][j], im[i][j]
+    return GaussianRational(a, b, den) if a or b else GAUSS.zero
 
 
 def _entry_keys(grid):
@@ -94,13 +125,15 @@ def _entry_keys(grid):
 
 
 class Matrix:
-    """An n x n matrix over ring, built from rows of ring elements.
+    """An n x n matrix over ring, built from rows of ring elements or of
+    values that ring.scalar lifts into it.
 
-    Exactly one of grid (Gaussian rationals), points (function rings)
-    and rows (other rings) is the stored form; see the module docstring.
+    grids (Gaussian rationals and function rings, one integer grid per
+    point) or rows (other rings) is the stored form; see the module
+    docstring.
     """
 
-    __slots__ = ("ring", "n", "grid", "points", "_rows", "_cache")
+    __slots__ = ("ring", "n", "grids", "_rows", "_cache")
 
     def __init__(self, ring, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -109,68 +142,54 @@ class Matrix:
             if len(r) != n:
                 raise DimensionMismatch("expected %d entries per row, got %d"
                                         % (n, len(r)))
-        grid = points = None
+        grids = None
         if isinstance(ring, GaussianField):
-            den = lcm(*(v.d for r in rows for v in r))
-            grid = (den,
-                    tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
-                    tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
+            # ring.scalar returns a GaussianRational unchanged
+            if not all(map(isinstance, chain.from_iterable(rows),
+                           repeat(GaussianRational))):
+                rows = tuple(tuple(map(ring.scalar, r)) for r in rows)
+            grids = (_lcm_grid(rows),)
         elif isinstance(ring, FunctionRing):
-            points = tuple(Matrix(GAUSS, ((v.values[k] for v in r)
-                                          for r in rows))
-                           for k in range(ring.npoints))
-        Matrix._init(self, ring, n, grid, points, rows)
+            rows = tuple(tuple(map(ring.scalar, r)) for r in rows)
+            grids = tuple(_lcm_grid([[v.values[t] for v in r] for r in rows])
+                          for t in range(ring.npoints))
+        Matrix._init(self, ring, n, grids, rows)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def _init(out, ring, n, grid, points, rows):
+    def _init(out, ring, n, grids, rows):
         put = object.__setattr__
         put(out, "ring", ring)
         put(out, "n", n)
-        put(out, "grid", grid)
-        put(out, "points", points)
+        put(out, "grids", grids)
         put(out, "_rows", rows)
         put(out, "_cache", {})
         return out
 
     @staticmethod
     def _of_rows(ring, rows):
-        # internal, other rings only: rows must be a square tuple of tuples
+        # internal, rings without grids: rows must be a square tuple of tuples
         return Matrix._init(object.__new__(Matrix), ring, len(rows),
-                            None, None, rows)
+                            None, rows)
 
     @staticmethod
-    def _of_grid(ring, den, re, im):
-        """The Gaussian matrix (re + im*i) / den for den > 0, stored after
-        one common gcd reduction; re and im are sequences of rows."""
-        if den != 1:
-            g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
-            if g > 1:
-                den //= g
-                re = [[v // g for v in r] for r in re]
-                im = [[v // g for v in r] for r in im]
-        grid = (den, tuple(map(tuple, re)), tuple(map(tuple, im)))
-        return Matrix._init(object.__new__(Matrix), ring, len(grid[1]),
-                            grid, None, None)
-
-    @staticmethod
-    def _of_points(ring, mats):
-        """The function-ring matrix with Gaussian point values mats."""
-        return Matrix._init(object.__new__(Matrix), ring, mats[0].n,
-                            None, tuple(mats), None)
+    def _of_grids(ring, grids):
+        # internal: grids must be reduced, one per point of ring
+        return Matrix._init(object.__new__(Matrix), ring, len(grids[0][1]),
+                            grids, None)
 
     @property
     def rows(self):
         rows = self._rows
         if rows is None:
-            if self.grid is not None:
-                rows = _gauss_entries(self.grid)
-            else:
+            points = [_gauss_entries(g) for g in self.grids]
+            if isinstance(self.ring, FunctionRing):
                 rows = tuple(tuple(map(FunctionElement, zip(*point_rows)))
-                             for point_rows in zip(*(p.rows
-                                                     for p in self.points)))
+                             for point_rows in zip(*points))
+            else:
+                rows = points[0]
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -180,26 +199,26 @@ class Matrix:
         _check_index(self.n, j)
         if self._rows is not None:
             return self._rows[i - 1][j - 1]
-        if self.grid is not None:
-            den, re, im = self.grid
-            a, b = re[i - 1][j - 1], im[i - 1][j - 1]
-            return GaussianRational(a, b, den) if a or b else GAUSS.zero
-        return FunctionElement(p.entry(i, j) for p in self.points)
+        if isinstance(self.ring, FunctionRing):
+            return FunctionElement(_gauss_entry(g, i - 1, j - 1)
+                                   for g in self.grids)
+        return _gauss_entry(self.grids[0], i - 1, j - 1)
 
     def _nnz(self):
+        """How many entries are nonzero at some point."""
         nnz = self._cache.get("nnz")
         if nnz is None:
-            if self.grid is not None:
-                _, re, im = self.grid
-                nnz = sum(1 for ra, ia in zip(re, im)
-                          for a, b in zip(ra, ia) if a or b)
-            elif self.points is not None:
-                # entries nonzero at some point
-                grids = [p.grid for p in self.points]
-                nnz = sum(1 for i in range(self.n) for j in range(self.n)
-                          if any(g[1][i][j] or g[2][i][j] for g in grids))
-            else:
+            if self.grids is None:
                 nnz = sum(1 for r in self.rows for v in r if v)
+            else:
+                # x | y == 0 only when x == y == 0
+                (_, re, im), *rest = self.grids
+                support = map(or_, chain.from_iterable(re),
+                              chain.from_iterable(im))
+                for _, re, im in rest:
+                    support = map(or_, support, chain.from_iterable(re))
+                    support = map(or_, support, chain.from_iterable(im))
+                nnz = self.n * self.n - list(support).count(0)
             self._cache["nnz"] = nnz
         return nnz
 
@@ -216,16 +235,15 @@ class Matrix:
         and ";" between rows."""
         key = self._cache.get("key")
         if key is None:
-            if self.grid is not None:
-                rows = _entry_keys(self.grid)
-            elif self.points is not None:
-                # a function element's key joins its point keys with "|"
-                rows = [map("|".join, zip(*point_rows))
-                        for point_rows in zip(*(_entry_keys(p.grid)
-                                                for p in self.points))]
-            else:
+            if self.grids is None:
                 ek = self.ring.element_key
                 rows = [map(ek, r) for r in self.rows]
+            else:
+                # a function element's key joins its point keys with "|"
+                keys = [_entry_keys(g) for g in self.grids]
+                rows = keys[0] if len(keys) == 1 else [
+                    map("|".join, zip(*point_rows))
+                    for point_rows in zip(*keys)]
             key = ";".join(map(",".join, rows))
             self._cache["key"] = key
         return key
@@ -253,15 +271,14 @@ class Matrix:
         return _combine(self, o, -1)
 
     def __neg__(self):
-        if self.grid is not None:
-            den, re, im = self.grid
-            return Matrix._of_grid(self.ring, den,
-                                   [[-v for v in r] for r in re],
-                                   [[-v for v in r] for r in im])
-        if self.points is not None:
-            return Matrix._of_points(self.ring, [-p for p in self.points])
-        return Matrix._of_rows(self.ring, tuple(tuple(-v for v in r)
-                                                for r in self.rows))
+        if self.grids is None:
+            return Matrix._of_rows(self.ring, tuple(tuple(-v for v in r)
+                                                    for r in self.rows))
+        # negation keeps a grid reduced
+        return Matrix._of_grids(self.ring, tuple(
+            (den, tuple(tuple(-v for v in r) for r in re),
+             tuple(tuple(-v for v in r) for r in im))
+            for den, re, im in self.grids))
 
     def __mul__(self, other):
         return self._scale(other)
@@ -282,18 +299,14 @@ class Matrix:
             return NotImplemented
         if self.ring != other.ring:
             return False
-        if self.grid is not None:
-            return self.grid == other.grid
-        if self.points is not None:
-            return self.points == other.points
-        return self.rows == other.rows
+        if self.grids is None:
+            return self.rows == other.rows
+        return self.grids == other.grids
 
     def __hash__(self):
-        if self.grid is not None:
-            return hash(self.grid)
-        if self.points is not None:
-            return hash(self.points)
-        return hash((self.n, self.rows))
+        if self.grids is None:
+            return hash((self.n, self.rows))
+        return hash(self.grids)
 
     def __repr__(self):
         return "Matrix(%s, n=%d)" % (self.ring.name, self.n)
@@ -301,53 +314,49 @@ class Matrix:
 
 def _combine(a, b, sign):
     """a + sign*b for compatible a and b, sign = 1 or -1."""
-    if a.grid is not None:
-        da, are, aim = a.grid
-        db, bre, bim = b.grid
-        d = lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        return Matrix._of_grid(
-            a.ring, d,
-            [[x * fa + y * fb for x, y in zip(ra, rb)]
-             for ra, rb in zip(are, bre)],
-            [[x * fa + y * fb for x, y in zip(ra, rb)]
-             for ra, rb in zip(aim, bim)])
-    if a.points is not None:
-        return Matrix._of_points(a.ring, [_combine(p, q, sign) for p, q
-                                          in zip(a.points, b.points)])
-    op = add if sign > 0 else sub
-    return Matrix._of_rows(a.ring, tuple(tuple(map(op, ra, rb))
-                                         for ra, rb in zip(a.rows, b.rows)))
+    if a.grids is None:
+        op = add if sign > 0 else sub
+        return Matrix._of_rows(a.ring, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows)))
+    return Matrix._of_grids(a.ring, tuple(map(_grid_combine, a.grids, b.grids,
+                                              repeat(sign))))
 
 
-def _gauss_int_product(a, b):
-    """Integer real and imaginary parts of a*b and the joint denominator."""
-    da, are, aim = a.grid
-    db, bre, bim = b.grid
+def _grid_combine(ga, gb, sign):
+    da, are, aim = ga
+    db, bre, bim = gb
+    d = lcm(da, db)
+    fa, fb = d // da, sign * (d // db)
+    return _grid(d,
+                 [[x * fa + y * fb for x, y in zip(ra, rb)]
+                  for ra, rb in zip(are, bre)],
+                 [[x * fa + y * fb for x, y in zip(ra, rb)]
+                  for ra, rb in zip(aim, bim)])
+
+
+def _int_product(are, aim, bre, bim):
+    """Integer real and imaginary parts of (are + aim*i)(bre + bim*i)."""
     # (P + iQ)(R + iS) with three integer products
     p1 = _int_matprod(are, bre)
     p2 = _int_matprod(aim, bim)
     p3 = _int_matprod(_int_matadd(are, aim), _int_matadd(bre, bim))
-    cre = _int_matsub(p1, p2)
-    cim = _int_matsub(_int_matsub(p3, p1), p2)
-    return cre, cim, da * db
+    return _int_matsub(p1, p2), _int_matsub(_int_matsub(p3, p1), p2)
 
 
-def _gauss_dense_commutator(a, b):
-    lre, lim, d = _gauss_int_product(a, b)
-    rre, rim, d2 = _gauss_int_product(b, a)
-    if d2 != d:
-        raise AssertionError("commutator denominators diverged")
-    return Matrix._of_grid(a.ring, d, _int_matsub(lre, rre),
-                           _int_matsub(lim, rim))
+def _grid_dense_commutator(ga, gb):
+    da, are, aim = ga
+    db, bre, bim = gb
+    lre, lim = _int_product(are, aim, bre, bim)
+    rre, rim = _int_product(bre, bim, are, aim)
+    return _grid(da * db, _int_matsub(lre, rre), _int_matsub(lim, rim))
 
 
-def _gauss_sparse_commutator(a, b, sign):
-    """sign * (a*b - b*a) for Gaussian a and b on integer grids, walking
+def _grid_sparse_commutator(ga, gb, sign):
+    """sign * (a*b - b*a) for the grids of a and b at one point, walking
     only b's nonzeros; the sign is folded into b's entries."""
-    da, are, aim = a.grid
-    db, bre, bim = b.grid
-    n = a.n
+    da, are, aim = ga
+    db, bre, bim = gb
+    n = len(are)
     nz = [(p, q, sign * r, sign * s)
           for p, (rr, ri) in enumerate(zip(bre, bim))
           for q, (r, s) in enumerate(zip(rr, ri)) if r or s]
@@ -366,16 +375,7 @@ def _gauss_sparse_commutator(a, b, sign):
         for j, (x, y) in enumerate(zip(are[p], aim[p])):
             ore[j] -= r * x - s * y
             oim[j] -= r * y + s * x
-    return Matrix._of_grid(a.ring, da * db, cre, cim)
-
-
-def _gauss_commutator(a, b):
-    n = a.n
-    if b._nnz() <= n:
-        return _gauss_sparse_commutator(a, b, 1)
-    if a._nnz() <= n:
-        return _gauss_sparse_commutator(b, a, -1)
-    return _gauss_dense_commutator(a, b)
+    return _grid(da * db, cre, cim)
 
 
 def _sparse_commutator(a, b):
@@ -405,14 +405,18 @@ def commutator(a, b):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
-    if a.grid is not None:
-        return _gauss_commutator(a, b)
-    if a.points is not None:
-        return Matrix._of_points(a.ring, [_gauss_commutator(p, q) for p, q
-                                          in zip(a.points, b.points)])
-    if b._nnz() > a.n and a._nnz() <= a.n:
-        return -_sparse_commutator(b, a)
-    return _sparse_commutator(a, b)
+    n = a.n
+    if a.grids is None:
+        if b._nnz() > n and a._nnz() <= n:
+            return -_sparse_commutator(b, a)
+        return _sparse_commutator(a, b)
+    if b._nnz() <= n:
+        grids = map(_grid_sparse_commutator, a.grids, b.grids, repeat(1))
+    elif a._nnz() <= n:
+        grids = map(_grid_sparse_commutator, b.grids, a.grids, repeat(-1))
+    else:
+        grids = map(_grid_dense_commutator, a.grids, b.grids)
+    return Matrix._of_grids(a.ring, tuple(grids))
 
 
 def zeros(n, ring=GAUSS):
@@ -440,17 +444,15 @@ def is_skew_adjoint(x):
     ok = x._cache.get("skew")
     if ok is None:
         n = x.n
-        if x.grid is not None:
-            # x^{ji} = -conj(x^{ij}) on the grid over one denominator
-            _, re, im = x.grid
-            ok = all(re[j][i] == -re[i][j] and im[j][i] == im[i][j]
-                     for i in range(n) for j in range(i, n))
-        elif x.points is not None:
-            ok = all(map(is_skew_adjoint, x.points))
-        else:
+        if x.grids is None:
             star = x.ring.star
             rows = x.rows
             ok = all(star(rows[j][i]) == -rows[i][j]
+                     for i in range(n) for j in range(i, n))
+        else:
+            # x^{ji} = -conj(x^{ij}) on each grid over one denominator
+            ok = all(re[j][i] == -re[i][j] and im[j][i] == im[i][j]
+                     for _, re, im in x.grids
                      for i in range(n) for j in range(i, n))
         x._cache["skew"] = ok
     return ok
@@ -462,6 +464,130 @@ def require_skew_adjoint(x, what="matrix"):
     return x
 
 
+def _is_scalar(x):
+    """Whether x is a multiple of the identity by a ring element."""
+    if x.grids is None:
+        return all(v == x.rows[0][0] if i == j else not v
+                   for i, r in enumerate(x.rows) for j, v in enumerate(r))
+    return all(a == re[0][0] and b == im[0][0] if i == j else not (a or b)
+               for _, re, im in x.grids
+               for i, (ra, ia) in enumerate(zip(re, im))
+               for j, (a, b) in enumerate(zip(ra, ia)))
+
+
+def _add_diagonal(rows, v):
+    """rows with v added to every diagonal entry."""
+    return tuple(r[:i] + (r[i] + v,) + r[i + 1:] for i, r in enumerate(rows))
+
+
+def _shift_diagonal(x, lam):
+    """x + lam(t) * I * identity at each point t, for integers lam(t):
+    lam(t)*den added to the imaginary diagonal of point t's grid, which
+    keeps it reduced. Over a ring without grids, lam(0) is the scale."""
+    if x.grids is None:
+        return Matrix(x.ring, _add_diagonal(
+            x.rows, x.ring.scalar(lam(0)) * imaginary_unit(x.ring)))
+    return Matrix._of_grids(x.ring, tuple(
+        (den, re, _add_diagonal(im, lam(t) * den))
+        for t, (den, re, im) in enumerate(x.grids)))
+
+
+def _gauss_coeff_ints(grid):
+    """lie.decompose of a skew-adjoint grid as (den, numerators) in basis
+    order: skew-adjointness makes the coefficients Re x^{ij} and Im x^{ij}
+    for i < j and Im x^{ii}, so they are read straight off the grid."""
+    den, re, im = grid
+    n = len(re)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return den, ([re[i][j] for i, j in upper] + [im[i][j] for i, j in upper]
+                 + [im[i][i] for i in range(n)])
+
+
+def _gauss_decompose(x):
+    """lie.decompose of a skew-adjoint Gaussian matrix."""
+    den, nums = _gauss_coeff_ints(x.grids[0])
+    return [GaussianRational(c, 0, den) for c in nums]
+
+
+def _gauss_table(grids):
+    """The images of a linear map at one point, given by their grids
+    there, as one integer structure matrix.
+
+    Returns (den, re_rows, im_rows, re_cols, im_cols), all numerators
+    over den. Column k holds image k flattened row-major; row p*n + q
+    holds the (p, q) entry of every image. Both layouts are kept so that
+    apply can walk whichever is shorter for its argument.
+    """
+    den = lcm(*(d for d, _, _ in grids))
+    re_cols = tuple(tuple(den // d * v for r in re for v in r)
+                    for d, re, _ in grids)
+    im_cols = tuple(tuple(den // d * v for r in im for v in r)
+                    for d, _, im in grids)
+    return den, tuple(zip(*re_cols)), tuple(zip(*im_cols)), re_cols, im_cols
+
+
+def _map_tables(values):
+    """One _gauss_table per point for the basis images values; None over
+    a ring without grids."""
+    if values[0].grids is None:
+        return None
+    return tuple(map(_gauss_table, zip(*(v.grids for v in values))))
+
+
+def _apply_table(table, grid):
+    """The image of a skew-adjoint grid under the map that _gauss_table
+    tabulated at its point."""
+    den, re_rows, im_rows, re_cols, im_cols = table
+    den_x, c = _gauss_coeff_ints(grid)
+    picked = [k for k, ck in enumerate(c) if ck]
+    if 2 * len(picked) < len(c):
+        # a sparse argument (basis elements, staircases): summing the
+        # few image columns it picks beats n^2 full-length dot products
+        re = repeat(0, len(c))
+        im = repeat(0, len(c))
+        for k in picked:
+            re = map(add, re, map(mul, re_cols[k], repeat(c[k])))
+            im = map(add, im, map(mul, im_cols[k], repeat(c[k])))
+    else:
+        re = [sum(map(mul, c, row)) for row in re_rows]
+        im = [sum(map(mul, c, row)) for row in im_rows]
+    re, im = list(re), list(im)
+    n = len(grid[1])
+    return _grid(den * den_x, [re[p * n:(p + 1) * n] for p in range(n)],
+                 [im[p * n:(p + 1) * n] for p in range(n)])
+
+
+def _apply_tables(tables, x):
+    """The image of a skew-adjoint x under the map _map_tables tabulated."""
+    return Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
+
+
+def _random_skew_grids(rng, n, ring):
+    """lie.random_skew over a ring with grids: the draws go straight into
+    the integer grid of each point, entry by entry with all points of an
+    entry in a row, in the order in which the ring's random_real and
+    random_element take them."""
+    parts = GAUSS.random_parts
+    npoints = ring.npoints if isinstance(ring, FunctionRing) else 1
+    cells = [[[None] * n for _ in range(n)] for _ in range(npoints)]
+    for i in range(n):
+        for cell in cells:
+            a, _, d = parts(rng, real=True)
+            cell[i][i] = (0, a, d)
+        for j in range(i + 1, n):
+            for cell in cells:
+                a, b, d = parts(rng)
+                cell[i][j] = (a, b, d)
+                cell[j][i] = (-a, b, d)
+    grids = []
+    for cell in cells:
+        den = lcm(*(d for row in cell for _, _, d in row))
+        grids.append(_grid(
+            den, [[a * (den // d) for a, _, d in row] for row in cell],
+            [[b * (den // d) for _, b, d in row] for row in cell]))
+    return Matrix._of_grids(ring, tuple(grids))
+
+
 def at_point(x, k):
     """Values of a function-ring matrix at one point, as a Gaussian matrix."""
     if not isinstance(x.ring, FunctionRing):
@@ -469,7 +595,7 @@ def at_point(x, k):
     if not 0 <= k < x.ring.npoints:
         raise IndexOutOfRange("point index %d outside 0..%d"
                               % (k, x.ring.npoints - 1))
-    return x.points[k]
+    return Matrix._of_grids(GAUSS, (x.grids[k],))
 
 
 # one ring per domain size, so that matrices assembled by from_points
@@ -491,4 +617,4 @@ def from_points(mats):
     ring = _fnrings.get(len(mats))
     if ring is None:
         ring = _fnrings[len(mats)] = FunctionRing(len(mats))
-    return Matrix._of_points(ring, mats)
+    return Matrix._of_grids(ring, tuple(m.grids[0] for m in mats))

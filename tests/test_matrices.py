@@ -1,8 +1,8 @@
 """Matrix layer: the bracket against its entrywise definition on every
 kernel, reduced entries out of the integer-grid kernels, which kernel
 each ring takes, star transpose and the skew-adjoint check, point
-values, and the stored forms: canonical Gaussian grids, per-point
-function-ring matrices, and entry objects built only when rows is read.
+values, and the stored form: canonical integer grids, one per point, and
+entry objects built only when rows is read.
 
 Matrices have no associative product: commutator is the only one.
 """
@@ -25,6 +25,7 @@ from skewlie.lie import (
 from skewlie.localder import localder_campaign
 from skewlie.matrices import (
     Matrix,
+    at_point,
     commutator,
     from_points,
     is_skew_adjoint,
@@ -34,6 +35,7 @@ from skewlie.matrices import (
 )
 from skewlie.rings import (
     GAUSS,
+    FunctionElement,
     FunctionRing,
     GaussianRational,
     PolynomialRing,
@@ -43,7 +45,8 @@ from skewlie.twolocal import GaugedInnerTwoLocal, twolocal_campaign
 RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z", "zc"), ((0, 1),))]
 RING_IDS = ["gauss", "fnring", "poly"]
 SHAPES = ["basis-right", "basis-left", "basis-basis", "staircase-dense",
-          "dense-dense", "central-difference", "mixed-denominators"]
+          "dense-dense", "central-difference", "mixed-denominators",
+          "mixed-support"]
 
 
 def G(a, b=0, d=1):
@@ -90,6 +93,20 @@ class TestBasics:
                        Matrix(FunctionRing(1), [[FunctionRing(1).one]]))
         with pytest.raises(DimensionMismatch):
             Matrix(GAUSS, [[G(1), G(2)]])
+
+    def test_entries_are_lifted_by_ring_scalar(self):
+        ident = matrix_unit(2, 1, 1) + matrix_unit(2, 2, 2)
+        m = Matrix(GAUSS, [[1, 0], [0, 1]])
+        assert m == ident and m.rows == ident.rows
+        assert all(isinstance(v, GaussianRational) for r in m.rows for v in r)
+        ring = FunctionRing(2)
+        lifted = Matrix(ring, ident.rows)
+        assert lifted == (matrix_unit(2, 1, 1, ring)
+                          + matrix_unit(2, 2, 2, ring))
+        assert lifted.rows == ((ring.one, ring.zero), (ring.zero, ring.one))
+        for r in (GAUSS, ring):
+            with pytest.raises(TypeError):
+                Matrix(r, [["1", 0], [0, 1]])
 
 
 def entrywise_bracket(a, b):
@@ -141,6 +158,21 @@ def _shape_pairs(shape, rng, n, ring):
                            + [ring.zero] * (n - 1))
         return [(x, y), (x, sparse), (ints, y),
                 (ints, _scaled(ring, sparse, 5))]
+    if shape == "mixed-support":
+        # over a function ring: a basis element at point 0 and dense at
+        # the others, so the kernel picked on the support over all points
+        # is not the one point 0 alone would take; over the other rings:
+        # n + 1 nonzeros, one past the sparse kernel's bound
+        if isinstance(ring, FunctionRing):
+            mixed = [from_points([at_point(e, 0)]
+                                 + [at_point(random_matrix(rng, n, ring), t)
+                                    for t in range(1, ring.npoints)])
+                     for e in basis[::n]]
+        else:
+            mixed = [_diagonal(ring, [_nonzero_element(rng, ring)] * n)
+                     + matrix_unit(n, 1, 2, ring)]
+        return [(x, y) for x in mixed
+                for y in (random_matrix(rng, n, ring), basis[-1], x)]
     if shape == "basis-right":
         return [(random_matrix(rng, n, ring), e) for e in basis]
     if shape == "basis-left":
@@ -360,10 +392,10 @@ class TestStoredGrid:
 
     def test_grids_are_reduced_lcm_forms(self):
         for how, m in self._made_every_way().items():
-            den, re, im = m.grid
+            (den, re, im), = m.grids
             assert den > 0, how
             assert gcd(den, *(v for r in re + im for v in r)) == 1, how
-            assert m.grid == _lcm_form(m.rows), how
+            assert m.grids == (_lcm_form(m.rows),), how
 
     def test_equal_matrices_have_equal_grids_and_hashes(self):
         rng = random.Random(32)
@@ -371,9 +403,9 @@ class TestStoredGrid:
             a = random_skew(rng, n)
             same = Matrix(GAUSS, a.rows)
             assert a - a == zeros(n)
-            assert (a - a).grid == zeros(n).grid == (1, ((0,) * n,) * n,
-                                                     ((0,) * n,) * n)
-            assert same == a and same.grid == a.grid
+            assert (a - a).grids == zeros(n).grids == (
+                (1, ((0,) * n,) * n, ((0,) * n,) * n),)
+            assert same == a and same.grids == a.grids
             assert hash(same) == hash(a)
             twice = a + a
             assert twice - a == a and hash(twice - a) == hash(a)
@@ -395,13 +427,29 @@ class TestPointStorage:
         ring = FunctionRing(3)
         rng = random.Random(34)
         x = random_skew(rng, 3, ring)
-        assert len(x.points) == 3
-        assert all(p.ring is GAUSS and p.grid is not None for p in x.points)
-        assert x == from_points(x.points)
+        points = [at_point(x, k) for k in range(3)]
+        assert len(x.grids) == 3
+        assert all(p.ring is GAUSS and p.grids == (g,)
+                   for p, g in zip(points, x.grids))
+        assert x == from_points(points)
         assert Matrix(ring, x.rows) == x
-        assert Matrix(ring, x.rows).points == x.points
+        assert Matrix(ring, x.rows).grids == x.grids
         assert x.cache_key() == ";".join(
             ",".join(ring.element_key(v) for v in r) for r in x.rows)
+
+    def test_one_point_ring_stays_a_function_ring(self):
+        # one grid, as over the Gaussian rationals, but function-ring entries
+        ring = FunctionRing(1)
+        x = random_skew(random.Random(38), 3, ring)
+        g = at_point(x, 0)
+        assert x.grids == g.grids
+        assert isinstance(x.entry(1, 2), FunctionElement)
+        assert all(isinstance(v, FunctionElement) for r in x.rows for v in r)
+        assert x.cache_key() == ";".join(
+            ",".join(ring.element_key(v) for v in r) for r in x.rows)
+        assert x != g and g != x
+        assert from_points([g]) == x
+        assert localder_campaign(ring, 3, 1, 38).passed
 
 
 def _reference_skew(rng, n, ring):
