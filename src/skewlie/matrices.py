@@ -23,15 +23,13 @@ cache keys, the tables of linear maps, the witness diagonal shift and
 random draws read or write the grids here, each as one kernel on one
 grid mapped over the points:
 
-  * brackets accumulate integer real and imaginary parts. The kernel is
-    picked once per bracket from the support over all points: a sparse
-    factor (at most n entries nonzero at some point) is walked entry by
-    entry, so brackets against basis elements and central differences
-    cost O(n^2) per point; two dense factors are multiplied as integer
-    matrices (three real products per complex product). Every result
-    grid is reduced by one common gcd
-  * polynomial brackets use the ring's own + and *, walking one factor's
-    nonzeros
+  * a bracket walks the nonzeros of one factor entry by entry,
+    accumulating integer real and imaginary parts: b, unless b has more
+    than n nonzeros and a has fewer. Nonzeros are counted once per
+    bracket over the support at all points, so brackets against basis
+    elements and central differences cost O(n^2) per point and two dense
+    factors O(n^3). Every result grid is reduced by one common gcd
+  * polynomial brackets walk the same factor with the ring's own + and *
 
 so no bracket over the Gaussian rationals or a function ring reduces a
 fraction in its inner loop.
@@ -57,20 +55,6 @@ from .rings import (
 def _check_index(n, i):
     if not 1 <= i <= n:
         raise IndexOutOfRange("index %d outside 1..%d" % (i, n))
-
-
-def _int_matprod(a, b):
-    """Product of two integer matrices given as sequences of rows."""
-    cols = tuple(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _int_matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _int_matadd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _grid(den, re, im):
@@ -149,10 +133,12 @@ class Matrix:
                            repeat(GaussianRational))):
                 rows = tuple(tuple(map(ring.scalar, r)) for r in rows)
             grids = (_lcm_grid(rows),)
-        elif isinstance(ring, FunctionRing):
+        else:
             rows = tuple(tuple(map(ring.scalar, r)) for r in rows)
-            grids = tuple(_lcm_grid([[v.values[t] for v in r] for r in rows])
-                          for t in range(ring.npoints))
+            if isinstance(ring, FunctionRing):
+                grids = tuple(_lcm_grid([[v.values[t] for v in r]
+                                         for r in rows])
+                              for t in range(ring.npoints))
         Matrix._init(self, ring, n, grids, rows)
 
     def __setattr__(self, *_):
@@ -334,23 +320,6 @@ def _grid_combine(ga, gb, sign):
                   for ra, rb in zip(aim, bim)])
 
 
-def _int_product(are, aim, bre, bim):
-    """Integer real and imaginary parts of (are + aim*i)(bre + bim*i)."""
-    # (P + iQ)(R + iS) with three integer products
-    p1 = _int_matprod(are, bre)
-    p2 = _int_matprod(aim, bim)
-    p3 = _int_matprod(_int_matadd(are, aim), _int_matadd(bre, bim))
-    return _int_matsub(p1, p2), _int_matsub(_int_matsub(p3, p1), p2)
-
-
-def _grid_dense_commutator(ga, gb):
-    da, are, aim = ga
-    db, bre, bim = gb
-    lre, lim = _int_product(are, aim, bre, bim)
-    rre, rim = _int_product(bre, bim, are, aim)
-    return _grid(da * db, _int_matsub(lre, rre), _int_matsub(lim, rim))
-
-
 def _grid_sparse_commutator(ga, gb, sign):
     """sign * (a*b - b*a) for the grids of a and b at one point, walking
     only b's nonzeros; the sign is folded into b's entries."""
@@ -400,22 +369,20 @@ def _sparse_commutator(a, b):
 
 
 def commutator(a, b):
-    """The bracket ab - ba, fusing the two products where the shapes allow
-    it."""
+    """The bracket ab - ba in one pass over the nonzeros of one factor:
+    b, unless b has more than n nonzeros and a has fewer, in which case
+    a is walked and the sign of [b, a] = -[a, b] folded in."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
-    n = a.n
+    nnz_b = b._nnz()
+    swap = nnz_b > a.n and a._nnz() < nnz_b
     if a.grids is None:
-        if b._nnz() > n and a._nnz() <= n:
-            return -_sparse_commutator(b, a)
-        return _sparse_commutator(a, b)
-    if b._nnz() <= n:
-        grids = map(_grid_sparse_commutator, a.grids, b.grids, repeat(1))
-    elif a._nnz() <= n:
+        return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
+    if swap:
         grids = map(_grid_sparse_commutator, b.grids, a.grids, repeat(-1))
     else:
-        grids = map(_grid_dense_commutator, a.grids, b.grids)
+        grids = map(_grid_sparse_commutator, a.grids, b.grids, repeat(1))
     return Matrix._of_grids(a.ring, tuple(grids))
 
 

@@ -104,7 +104,13 @@ class TestBasics:
         assert lifted == (matrix_unit(2, 1, 1, ring)
                           + matrix_unit(2, 2, 2, ring))
         assert lifted.rows == ((ring.one, ring.zero), (ring.zero, ring.one))
-        for r in (GAUSS, ring):
+        for r in RINGS:
+            # plain ints and the ring's own elements give one matrix: the
+            # same key, equal, and the same hash
+            ints = Matrix(r, [[1, 0], [0, 1]])
+            own = Matrix(r, [[r.one, r.zero], [r.zero, r.one]])
+            assert ints.cache_key() == own.cache_key()
+            assert ints == own and hash(ints) == hash(own)
             with pytest.raises(TypeError):
                 Matrix(r, [["1", 0], [0, 1]])
 
@@ -160,9 +166,10 @@ def _shape_pairs(shape, rng, n, ring):
                 (ints, _scaled(ring, sparse, 5))]
     if shape == "mixed-support":
         # over a function ring: a basis element at point 0 and dense at
-        # the others, so the kernel picked on the support over all points
-        # is not the one point 0 alone would take; over the other rings:
-        # n + 1 nonzeros, one past the sparse kernel's bound
+        # the others, so the factor walked, picked on the support over all
+        # points, is not the one point 0 alone would pick; over the other
+        # rings: n + 1 nonzeros, one past the count at which b is walked
+        # whatever a is
         if isinstance(ring, FunctionRing):
             mixed = [from_points([at_point(e, 0)]
                                  + [at_point(random_matrix(rng, n, ring), t)
@@ -246,7 +253,9 @@ class TestCommutator:
 
 class TestKernelRouting:
     """Gaussian and function-ring brackets run on integer grids; only
-    polynomial rings take the ring-generic sparse loop."""
+    polynomial rings take the ring-generic loop. Both walk b, unless b has
+    more than n nonzeros and a has fewer, and then walk a with the sign
+    folded in."""
 
     @pytest.fixture
     def generic_calls(self, monkeypatch):
@@ -266,6 +275,25 @@ class TestKernelRouting:
         assert twolocal_campaign(ring, 3, 1, 5, random_checks=5).passed
         assert localder_campaign(ring, 3, 1, 5, random_checks=5).passed
         assert generic_calls == []
+
+    def test_dense_against_staircase_walks_the_staircase(self, monkeypatch):
+        # the staircase has 2(n - 1) > n nonzeros, fewer than a dense
+        # factor's n^2, so it is walked in either argument order
+        signs = []
+        original = matrices._grid_sparse_commutator
+
+        def recording(ga, gb, sign):
+            signs.append(sign)
+            return original(ga, gb, sign)
+
+        monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
+        rng = random.Random(7)
+        for n in range(4, 9):
+            st, dense = staircase(n), random_skew(rng, n)
+            for a, b, sign in ((dense, st, 1), (st, dense, -1)):
+                signs.clear()
+                assert commutator(a, b) == entrywise_bracket(a, b)
+                assert signs == [sign]
 
     def test_polynomial_brackets_take_the_generic_loop(self, generic_calls):
         ring = RINGS[2]
