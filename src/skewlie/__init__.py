@@ -24,7 +24,6 @@ from .lie import (
     ie_diag,
     is_central,
     random_skew,
-    recompose,
     s_elem,
     staircase,
 )

@@ -143,32 +143,6 @@ def decompose(x):
     return coeffs
 
 
-def recompose(coeffs, n, ring=GAUSS):
-    """Inverse of decompose: rebuild the matrix entries directly."""
-    if len(coeffs) != n * n:
-        raise DimensionMismatch("expected %d coefficients, got %d"
-                                % (n * n, len(coeffs)))
-    i_unit = imaginary_unit(ring)
-    grid = [[ring.zero] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = coeffs[k]
-            grid[i][j] = grid[i][j] + c
-            grid[j][i] = grid[j][i] - c
-            k += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            ci = coeffs[k] * i_unit
-            grid[i][j] = grid[i][j] + ci
-            grid[j][i] = grid[j][i] + ci
-            k += 1
-    for i in range(n):
-        grid[i][i] = coeffs[k] * i_unit
-        k += 1
-    return Matrix(ring, grid)
-
-
 class LinearLieMap:
     """A linear map tabulated on the canonical basis.
 

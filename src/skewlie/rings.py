@@ -147,6 +147,9 @@ class GaussianRational:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
+        # a real value equals its Fraction, so it hashes as one
+        if not self.b:
+            return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
@@ -314,6 +317,9 @@ class FunctionElement:
         return self.values == o.values
 
     def __hash__(self):
+        # a constant function equals its value, so it hashes as one
+        if len(set(self.values)) == 1:
+            return hash(self.values[0])
         return hash(self.values)
 
     def __bool__(self):
@@ -465,6 +471,9 @@ class PolyElement:
         return self.terms == o.terms
 
     def __hash__(self):
+        # a constant polynomial equals its value, so it hashes as one
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), GAUSS.zero))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

@@ -29,16 +29,13 @@ from .lie import (
     basis_labels,
     bracket,
     canonical_basis,
-    decompose,
     ie_diag,
     is_central,
     random_skew,
-    recompose,
     require_gauge,
     s_elem,
     staircase,
 )
-from .linsolve import ReducedSystem
 from .matrices import (
     Matrix,
     at_point,
@@ -46,7 +43,7 @@ from .matrices import (
     require_skew_adjoint,
 )
 from .reporting import VerificationReport, require_campaign_args, seeded_trials
-from .rings import GAUSS, FunctionRing
+from .rings import GAUSS, FunctionRing, imaginary_unit
 
 
 def pair_key(x, y):
@@ -216,15 +213,16 @@ def check_pair_lemmas(oracle):
 
 class PreparedBracketSolver:
     """Bracket equations [c, p] = nabla(p) for the probe pair Idiag[1],
-    staircase, row-reduced once per size: 2n^2 rows of rank n^2 - 1.
+    staircase, solved by reading c off the two values.
 
-    The unknown is c's coefficient vector over the canonical basis. A
-    matrix commuting with I*e_11 is block-diagonal, and commuting with
-    the staircase then makes row k + 1 equal to c^{kk} e_{k+1}, one index
-    at a time, so the probe kernel is the central line. This is the one
-    place bracket equations are set up, for the brute-force solvers and
-    localder.corner_implementer; the reduction is over the Gaussian
-    rationals and serves every ring: no structure constant depends on it.
+    With u = [c, I*e_11] and v = [c, staircase], row 1 of c is
+    c^{1j} = I*u^{1j} for j >= 2, and entry (k, j) of v is
+    c^{k,j-1} - c^{k,j+1} - c^{k+1,j} + c^{k-1,j} (out-of-range entries
+    0), which gives row k + 1 from rows k and k - 1. Only c^{11} is free,
+    so the probe kernel is the central line; it is fixed by c^{11} = 0.
+    This is the one place bracket equations are set up, for the
+    brute-force solvers and localder.corner_implementer. The read uses
+    only the ring's +, - and I, so it serves every ring.
     """
 
     _cache = {}
@@ -232,15 +230,6 @@ class PreparedBracketSolver:
     def __init__(self, n):
         self.n = n
         basis = canonical_basis(n)
-        rows = []
-        for p in self.probes(GAUSS):
-            cols = [decompose(bracket(b, p)) for b in basis]
-            rows += ({k: cols[k][m] for k in range(n * n) if cols[k][m]}
-                     for m in range(n * n))
-        self.system = ReducedSystem(rows, n * n)
-        if self.system.rank != n * n - 1:
-            raise AssertionError("probe system rank %d, expected %d"
-                                 % (self.system.rank, n * n - 1))
         # the basis index of each probe, None for the staircase at n >= 3
         self._in_basis = [basis.index(p) if p in basis else None
                           for p in self.probes(GAUSS)]
@@ -256,14 +245,25 @@ class PreparedBracketSolver:
         return ie_diag(self.n, 1, ring), staircase(self.n, ring)
 
     def candidate(self, values, ring):
-        """The c with [c, p] == value for both probes p, free coordinate
-        zero, or Infeasible; over a function ring, solved point by point."""
+        """The c with c^{11} = 0 read off the probe values [c, Idiag[1]],
+        [c, staircase]; over a function ring, read point by point. The
+        read does not check that c matches both values: callers check c
+        on the whole basis."""
         if isinstance(ring, FunctionRing):
             return from_points(
                 self.candidate([at_point(v, k) for v in values], GAUSS)
                 for k in range(ring.npoints))
-        rhs = [c for v in values for c in decompose(v)]
-        return recompose(self.system.solve(rhs, ring=ring), self.n, ring)
+        n = self.n
+        u, v = (x.rows for x in values)
+        i_unit, zero = imaginary_unit(ring), ring.zero
+        # c padded by a zero border: row 0, column 0 and column n + 1
+        c = [[zero] * (n + 2) for _ in range(n + 1)]
+        for j in range(2, n + 1):
+            c[1][j] = i_unit * u[0][j - 1]
+        for k in range(1, n):
+            c[k + 1][1:n + 1] = [c[k][j - 1] - c[k][j + 1] + c[k - 1][j]
+                                 - v[k - 1][j - 1] for j in range(1, n + 1)]
+        return Matrix(ring, [row[1:n + 1] for row in c[1:]])
 
     def solve_values(self, nabla, ring):
         """One matrix c with [c, .] == nabla on K_n, or Infeasible.

@@ -176,3 +176,25 @@ def test_axiom_report_shape():
     assert d["schema_version"] == 1
     assert d["summary"]["failed"] == 0
     assert all(c["status"] == "pass" for c in d["checks"])
+
+
+_POLY = PolynomialRing(("z0", "z1"), star_pairs=((0, 1),))
+
+
+@pytest.mark.parametrize("elem,value", [
+    (GaussianRational(3), 3),
+    (GaussianRational(1, 0, 2), Fraction(1, 2)),
+    (GaussianRational(1, 0, 2), GaussianRational(1, 0, 2)),
+    (FunctionRing(2).one, 1),
+    (FunctionRing(2).scalar(Fraction(-3, 4)), Fraction(-3, 4)),
+    (FunctionRing(2).zero, 0),
+    (_POLY.one, 1),
+    (_POLY.scalar(Fraction(5, 3)), Fraction(5, 3)),
+    (_POLY.zero, 0),
+], ids=repr)
+def test_hash_agrees_with_equality(elem, value):
+    # an element equal to a plain value must hash as that value, or a set
+    # or dict holds both
+    assert elem == value
+    assert hash(elem) == hash(value)
+    assert len({elem, value}) == 1

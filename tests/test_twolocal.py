@@ -10,6 +10,7 @@ import random
 import pytest
 
 from skewlie import twolocal
+from skewlie.cli import make_ring
 from skewlie.errors import (
     ConfigError,
     DimensionMismatch,
@@ -269,11 +270,22 @@ class TestConsistencySweep:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_probe_system_rank(self, n):
+    @pytest.mark.parametrize("ring,n", [
+        (r, n) for r in (GAUSS, FunctionRing(2)) for n in range(2, 9)
+    ] + [(make_ring("poly", 0), n) for n in range(2, 5)],
+        ids=lambda v: getattr(v, "name", v))
+    def test_probe_kernel_is_central(self, ring, n):
+        # the read from [a0, Idiag[1]] and [a0, staircase] is a0 minus its
+        # (1,1) entry times the identity, so the probes fix a0 up to the
+        # center; zero values read the zero matrix
+        a0 = random_skew(random.Random(70 + n), n, ring)
         solver = PreparedBracketSolver.for_size(n)
-        assert solver.system.nrows == 2 * n * n
-        assert solver.system.rank == n * n - 1
+        probes = solver.probes(ring)
+        shift = sum((a0.entry(1, 1) * matrix_unit(n, k, k, ring)
+                     for k in range(1, n + 1)), zeros(n, ring))
+        assert solver.candidate([bracket(a0, p) for p in probes],
+                                ring) == a0 - shift
+        assert solver.candidate([zeros(n, ring)] * 2, ring) == zeros(n, ring)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_solve_values_evaluates_each_element_once(self, n):
