@@ -1,12 +1,13 @@
 """Symbolic certificates: identities proved for generic matrices.
 
 The campaigns test seeded instances; the certifier closes the gap to
-"for all". It builds matrices of independent symbolic entries, turns a
-statement's hypotheses into linear polynomials over those symbols, and
-either expresses every conclusion component as an explicit rational
-combination of hypothesis components (re-expanding the combination to
-confirm it) or returns a concrete rational counterexample satisfying
-all hypotheses while violating the conclusion.
+"for all". It builds matrices whose entries are linear forms in
+independent symbols, so a statement's hypotheses and conclusions are
+linear forms too (forms do not multiply), and either expresses every
+conclusion component as an explicit rational combination of hypothesis
+components (re-expanding the combination to confirm it) or returns a
+concrete rational counterexample satisfying all hypotheses while
+violating the conclusion.
 """
 
 import json

@@ -8,7 +8,6 @@ from .errors import (
     IndexOutOfRange,
     Infeasible,
     NeedThreeIndices,
-    NonLinearHypothesis,
     NotSkewAdjoint,
     SkewlieError,
     UnknownLemma,

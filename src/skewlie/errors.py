@@ -42,10 +42,6 @@ class Infeasible(SkewlieError):
     """A linear system admits no solution; carries no partial answer."""
 
 
-class NonLinearHypothesis(SkewlieError):
-    """A symbolic hypothesis or conclusion was not linear in the unknowns."""
-
-
 class UnknownLemma(SkewlieError):
     """No certificate builder is registered under the requested identifier."""
 

@@ -13,7 +13,8 @@ What a matrix stores depends on its ring:
     is (re[i][j] + im[i][j]*i) / den. The denominator den > 0 is the
     lcm of that point's entry denominators, so gcd(den, every
     numerator) == 1 and equal matrices have equal grids
-  * any other ring (polynomials): the rows of ring elements
+  * any other ring (polynomials, and the linear forms of symcheck's
+    unknowns): the rows of ring elements
 
 For the first, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
@@ -29,7 +30,9 @@ grid mapped over the points:
     bracket over the support at all points, so brackets against basis
     elements and central differences cost O(n^2) per point and two dense
     factors O(n^3). Every result grid is reduced by one common gcd
-  * polynomial brackets walk the same factor with the ring's own + and *
+  * brackets over other rings walk the same factor with the ring's own
+    + and *; symcheck brackets its unknowns through _sparse_commutator
+    directly, with a Gaussian second factor
 
 so no bracket over the Gaussian rationals or a function ring reduces a
 fraction in its inner loop.
@@ -348,7 +351,8 @@ def _grid_sparse_commutator(ga, gb, sign):
 
 
 def _sparse_commutator(a, b):
-    """a*b - b*a accumulated in one grid; only b's nonzeros are walked."""
+    """a*b - b*a over a's ring, accumulated in one grid; only b's nonzeros
+    are walked. b may be a Gaussian matrix whose entries scale a's."""
     zero = a.ring.zero
     n = a.n
     out = [[zero] * n for _ in range(n)]

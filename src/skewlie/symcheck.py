@@ -3,18 +3,20 @@
 The statements this package relies on at run time all have the same
 shape: a handful of skew-adjoint unknowns, hypotheses saying that some
 bracket expressions vanish componentwise, and conclusions that certain
-entry combinations vanish too. Here the unknowns become matrices of
-polynomial variables, the hypotheses become linear polynomials, and a
-conclusion is certified by exhibiting an exact linear combination of
-hypotheses (and their stars) that re-expands to it. When no combination
-exists the failure is made concrete: a Gaussian-rational assignment of
-all variables that satisfies every hypothesis while the conclusion is
-nonzero, and that respects the involution (paired variables take
-conjugate values, star-fixed ones real values), so it describes actual
-skew-adjoint matrices.
+entry combinations vanish too. Every bracket pairs one unknown with a
+concrete Gaussian matrix, so all of these are linear in the unknowns'
+entries: an unknown is a matrix of linear forms over the variables of
+its symbol table, and forms have no product. A conclusion is certified
+by exhibiting an exact linear combination of hypotheses (and their
+stars) that re-expands to it. When no combination exists the failure is
+made concrete: a Gaussian-rational assignment of all variables that
+satisfies every hypothesis while the conclusion is nonzero, and that
+respects the involution (paired variables take conjugate values,
+star-fixed ones real values), so it describes actual skew-adjoint
+matrices.
 
 Star closure matters: hypotheses are augmented with their images under
-the involution before solving. That is sound (a vanishing polynomial has
+the involution before solving. That is sound (a vanishing form has
 vanishing star) and necessary, both for completeness of the certificates
 and for the counterexample, which is read off a kernel vector of the
 same star-closed system.
@@ -26,122 +28,131 @@ from .errors import (
     DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
-    NonLinearHypothesis,
     UnknownLemma,
 )
-from .lie import bracket, ie_bar, ie_diag, s_elem, staircase
+from .lie import ie_bar, ie_diag, s_elem, staircase
 from .linsolve import ReducedSystem
 from .localder import assemble_d
-from .matrices import Matrix, matrix_unit
-from .rings import GAUSS, PolynomialRing, imaginary_unit
+from .matrices import Matrix, _sparse_commutator
+from .rings import GAUSS, GaussianRational
 
 
-# one ring per symbol table: the basis elements lie.py memoizes per ring
-# then carry the very ring of the unknowns, so mixing them compares rings
-# by identity instead of walking two equal name tuples
-_RINGS = {}
+class Form(dict):
+    """A linear form: variable index -> nonzero GaussianRational, the
+    row format of ReducedSystem. Forms add, subtract, negate and scale
+    by Gaussian rationals; two forms do not multiply."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, Form):
+            return NotImplemented
+        out = Form(self)
+        for v, c in other.items():
+            s = out.pop(v, GAUSS.zero) + c
+            if s:
+                out[v] = s
+        return out
+
+    def __neg__(self):
+        return Form({v: -c for v, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, value):
+        g = GaussianRational._coerce(value)
+        if g is None:
+            return NotImplemented
+        return Form({v: c * g for v, c in self.items()} if g else {})
+
+    __rmul__ = __mul__
+
+    def evaluate(self, values):
+        """The value at an assignment given as a list by variable index."""
+        return sum((c * values[v] for v, c in self.items()), GAUSS.zero)
+
+
+# [x, g] for a matrix x of forms and a Gaussian matrix g: the ring-generic
+# walk over g's nonzeros, where every product is a form times a scalar
+bracket = _sparse_commutator
 
 
 class SkewSymbols:
-    """Declares named generic skew-adjoint matrices over one shared
-    polynomial ring.
+    """A symbol table of named generic skew-adjoint matrices, and the ring
+    of linear forms over its variables that their entries live in.
 
     diagonal modes: "imag" puts I times a star-fixed variable at (i, i),
     the diagonal of every skew-adjoint unknown the paper reads; "zero"
     leaves the diagonal empty. support restricts nonzero entries to the
-    rows and columns of the given indices (used for block unknowns)."""
+    rows and columns of the given indices (used for block unknowns).
+    Off the diagonal, (i, j) holds the variable name_i_j and (j, i) minus
+    its star partner namec_i_j."""
+
+    name = "forms"
 
     def __init__(self, n):
         self.n = n
+        self.zero = Form()
         self._decls = []
 
     def declare(self, name, diagonal="imag", support=None):
         if diagonal not in ("imag", "zero"):
             raise ValueError("unknown diagonal mode %r" % diagonal)
+        if any(name == d[0] for d in self._decls):
+            raise ValueError("unknown %r is already declared" % name)
         sup = frozenset(support) if support is not None else None
         self._decls.append((name, diagonal, sup))
         return self
 
     def build(self):
-        """Returns (ring, matrices) with one generic matrix per name."""
-        names = []
-        star_pairs = []
-        slots = {}
-
-        def add_var(nm):
-            slots[nm] = len(names)
-            names.append(nm)
-            return slots[nm]
-
+        """Returns (ring, matrices): this table as the ring of forms over
+        its variables, and one generic matrix per name."""
+        n = self.n
+        names, perm, mats = [], [], {}
         for name, diagonal, sup in self._decls:
-            for i in range(1, self.n + 1):
-                for j in range(i + 1, self.n + 1):
+            grid = [[self.zero] * n for _ in range(n)]
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
                     if sup is not None and not (i in sup and j in sup):
                         continue
-                    v = add_var("%s_%d_%d" % (name, i, j))
-                    w = add_var("%sc_%d_%d" % (name, i, j))
-                    star_pairs.append((v, w))
-            for i in range(1, self.n + 1):
-                if sup is not None and i not in sup:
-                    continue
-                if diagonal == "imag":
-                    add_var("%s_d%d" % (name, i))
-        key = (tuple(names), tuple(star_pairs))
-        ring = _RINGS.get(key)
-        if ring is None:
-            ring = _RINGS[key] = PolynomialRing(names, star_pairs)
-        i_unit = imaginary_unit(ring)
-        mats = {}
-        for name, diagonal, sup in self._decls:
-            grid = [[ring.zero] * self.n for _ in range(self.n)]
-            for i in range(1, self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    if sup is not None and not (i in sup and j in sup):
-                        continue
-                    z = ring.var(slots["%s_%d_%d" % (name, i, j)])
-                    zc = ring.var(slots["%sc_%d_%d" % (name, i, j)])
-                    grid[i - 1][j - 1] = z
-                    grid[j - 1][i - 1] = -zc
-            for i in range(1, self.n + 1):
-                if sup is not None and i not in sup:
-                    continue
-                if diagonal == "imag":
-                    grid[i - 1][i - 1] = i_unit * \
-                        ring.var(slots["%s_d%d" % (name, i)])
-            mats[name] = Matrix(ring, grid)
-        return ring, mats
+                    v = len(names)
+                    names += ["%s_%d_%d" % (name, i, j),
+                              "%sc_%d_%d" % (name, i, j)]
+                    perm += [v + 1, v]
+                    grid[i - 1][j - 1] = Form({v: GAUSS.one})
+                    grid[j - 1][i - 1] = Form({v + 1: -GAUSS.one})
+            for i in range(1, n + 1):
+                if diagonal == "imag" and (sup is None or i in sup):
+                    perm.append(len(names))
+                    grid[i - 1][i - 1] = Form({len(names): GAUSS.imag})
+                    names.append("%s_d%d" % (name, i))
+            mats[name] = Matrix(self, grid)
+        # declare rejects equal names; this catches derived ones, such as
+        # the partner "ac_1_2" of unknown "a" against unknown "ac"
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names")
+        self.var_names, self.star_perm = tuple(names), tuple(perm)
+        return self, mats
+
+    def scalar(self, value):
+        if not isinstance(value, Form):
+            raise TypeError("%r is not a linear form" % (value,))
+        return value
+
+    def star(self, form):
+        """Permutes the variables by star_perm, conjugating coefficients."""
+        perm = self.star_perm
+        return Form({perm[v]: c.conjugate() for v, c in form.items()})
 
 
 def hypothesis_components(lhs, rhs=None):
-    """Entrywise difference of two matrices as labeled linear polynomials.
-
-    Returns [("(r,c)", poly)] for all n^2 positions, dropping zeros.
-    Raises NonLinearHypothesis when an entry is not homogeneous linear.
-    """
+    """The entrywise difference of two matrices of forms as
+    [("(r,c)", form)] over all n^2 positions, dropping zeros."""
     diff = lhs if rhs is None else lhs - rhs
-    out = []
-    for r in range(1, diff.n + 1):
-        for c in range(1, diff.n + 1):
-            p = diff.entry(r, c)
-            if not p:
-                continue
-            _require_linear(p)
-            out.append(("(%d,%d)" % (r, c), p))
-    return out
-
-
-def _require_linear(poly):
-    for mono in poly.terms:
-        if len(mono) == 0:
-            raise NonLinearHypothesis("constant term in a hypothesis")
-        if len(mono) > 1:
-            raise NonLinearHypothesis("degree %d term in a hypothesis"
-                                      % len(mono))
-
-
-def _linear_vector(poly):
-    _require_linear(poly)
-    return {mono[0]: c for mono, c in poly.terms.items()}
+    return [("(%d,%d)" % (r, c), p)
+            for r, row in enumerate(diff.rows, 1)
+            for c, p in enumerate(row, 1) if p]
 
 
 class ComponentCertificate:
@@ -177,20 +188,10 @@ class NotImplied:
                     "conclusion_value": GAUSS.format(self.conclusion_value)}}
 
 
-def _eval_linear(poly, values):
-    total = GAUSS.zero
-    for mono, c in poly.terms.items():
-        v = c
-        for idx in mono:
-            v = v * values[idx]
-        total = total + v
-    return total
-
-
 def certify(ring, hypotheses, conclusions):
     """Decide each conclusion against the star-closed hypothesis span.
 
-    hypotheses and conclusions are lists of (id, polynomial). Returns a
+    hypotheses and conclusions are lists of (id, form). Returns a
     list of ComponentCertificate and NotImplied objects, one per
     conclusion, in order. Certificates are re-expanded symbolically and
     counterexamples re-evaluated before being returned. One reduced
@@ -200,50 +201,47 @@ def certify(ring, hypotheses, conclusions):
     """
     hyps = list(hypotheses)
     hyps += [("star:%s" % hid, ring.star(h)) for hid, h in hypotheses]
-    nvars = len(ring.var_names)
-    sys = ReducedSystem((_linear_vector(h) for _, h in hyps), nvars)
+    sys = ReducedSystem((h for _, h in hyps), len(ring.var_names))
     results = []
-    for label, poly in conclusions:
-        vec = _linear_vector(poly)
-        residual, comb = sys.express(vec)
+    for label, form in conclusions:
+        residual, comb = sys.express(form)
         if not residual:
             combination = [(hyps[j][0], coeff)
                            for j, coeff in sorted(comb.items())]
-            total = ring.zero
-            for j, coeff in comb.items():
-                total = total + ring.scalar(coeff) * hyps[j][1]
-            if total != poly:
+            total = sum((coeff * hyps[j][1] for j, coeff in comb.items()),
+                        ring.zero)
+            if total != form:
                 raise AssertionError("certificate for %r fails re-expansion"
                                      % label)
             results.append(ComponentCertificate(label, combination))
         else:
-            results.append(_counterexample(ring, sys, hyps, label, poly,
+            results.append(_counterexample(ring, sys, hyps, label, form,
                                            min(residual)))
     return results
 
 
-def _counterexample(ring, sys, hyps, label, poly, free):
-    """A star-compatible solution of the hypotheses on which poly is
-    nonzero, built from the kernel vector x of one free column of poly's
+def _counterexample(ring, sys, hyps, label, form, free):
+    """A star-compatible solution of the hypotheses on which form is
+    nonzero, built from the kernel vector x of one free column of form's
     residual.
 
     The hypotheses are star-closed, so the mirror x'[v] =
     conj(x[star v]) solves them too; x + x' and (x - x')/I then satisfy
     value[star v] = conj(value[v]) and add up to 2x with weights 1 and
-    I, so poly is nonzero on at least one of them."""
+    I, so form is nonzero on at least one of them."""
     kernel = sys.nullvector(free)
     x = [kernel.get(v, GAUSS.zero) for v in range(len(ring.var_names))]
     mirror = [x[p].conjugate() for p in ring.star_perm]
     for values in ([u + w for u, w in zip(x, mirror)],
                    [-GAUSS.imag * (u - w) for u, w in zip(x, mirror)]):
-        value = _eval_linear(poly, values)
+        value = form.evaluate(values)
         if value:
             break
     else:
         raise AssertionError("no star-compatible counterexample separates %r"
                              % label)
     for hid, h in hyps:
-        if _eval_linear(h, values):
+        if h.evaluate(values):
             raise AssertionError("counterexample violates hypothesis %s" % hid)
     assignment = {ring.var_names[v]: val for v, val in enumerate(values)}
     return NotImplied(label, assignment, value)
@@ -304,7 +302,7 @@ def _build_3_4_1(n, indices):
     i, j = indices
     ring, m = SkewSymbols(n).declare("a").declare("b").build()
     a, b = m["a"], m["b"]
-    hyps = _eq("commute", bracket(a - b, s_elem(n, i, j, ring)))
+    hyps = _eq("commute", bracket(a - b, s_elem(n, i, j)))
     concl = [
         ("offdiagonal sum (%d,%d)" % (i, j),
          a.entry(i, j) + a.entry(j, i) - b.entry(i, j) - b.entry(j, i)),
@@ -319,8 +317,8 @@ def _build_3_4_2(n, indices):
     ring, m = SkewSymbols(n).declare("a").declare("b") \
                             .declare("x").build()
     a, b, x = m["a"], m["b"], m["x"]
-    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, j, ring)))
-    hyps += _eq("eq2", bracket(b - x, s_elem(n, i, p, ring)))
+    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, j)))
+    hyps += _eq("eq2", bracket(b - x, s_elem(n, i, p)))
     concl = [("offdiagonal sums agree (%d,%d)" % (i, j),
               a.entry(i, j) + a.entry(j, i)
               - b.entry(i, j) - b.entry(j, i))]
@@ -332,8 +330,8 @@ def _build_3_41(n, indices):
     ring, m = SkewSymbols(n).declare("a").declare("b") \
                             .declare("x").build()
     a, b, x = m["a"], m["b"], m["x"]
-    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, p, ring)))
-    hyps += _eq("eq2", bracket(b - x, s_elem(n, p, j, ring)))
+    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, p)))
+    hyps += _eq("eq2", bracket(b - x, s_elem(n, p, j)))
     concl = [
         ("entry (%d,%d)" % (i, j), a.entry(i, j) - b.entry(i, j)),
         ("entry (%d,%d)" % (j, i), a.entry(j, i) - b.entry(j, i)),
@@ -357,9 +355,11 @@ def _build_2_5(n, indices):
     hyps.append(("offdiagonal_sum",
                  d.entry(i, j) + d.entry(j, i)
                  - a.entry(i, j) - a.entry(j, i)))
-    s = s_elem(n, i, j, ring)
-    shift = (d.entry(i, i) - d.entry(j, j)) * \
-        (matrix_unit(n, i, j, ring) + matrix_unit(n, j, i, ring))
+    s = s_elem(n, i, j)
+    # (d^{ii} - d^{jj}) * (e_{i,j} + e_{j,i})
+    delta = d.entry(i, i) - d.entry(j, j)
+    shift = Matrix(ring, ((delta if {r, c} == {i, j} else ring.zero
+                           for c in range(1, n + 1)) for r in range(1, n + 1)))
     concl = _eq("identity", bracket(d, s) - bracket(a, s) - shift)
     concl = [("component %s" % pos.split("@")[1], p) for pos, p in concl]
     notes = ["both corner coefficients are d^{ii} - d^{jj}, as "
@@ -371,7 +371,7 @@ def _build_3_6(n, indices):
     k, l = indices
     ring, m = SkewSymbols(n).declare("c").declare("b").build()
     c, b = m["c"], m["b"]
-    hyps = _eq("commute", bracket(c - b, staircase(n, ring=ring)))
+    hyps = _eq("commute", bracket(c - b, staircase(n)))
     concl = [("diagonal difference (%d,%d)" % (k, l),
               c.entry(k, k) - c.entry(l, l)
               - b.entry(k, k) + b.entry(l, l))]
@@ -387,7 +387,7 @@ def _build_5_1(n, indices):
     ring, m = SkewSymbols(n).declare("aii").declare("akk") \
                             .declare("a1").build()
     aii, akk, a1 = m["aii"], m["akk"], m["a1"]
-    e_i, e_k = ie_diag(n, i, ring), ie_diag(n, k, ring)
+    e_i, e_k = ie_diag(n, i), ie_diag(n, k)
     hyps = _eq("additive",
                bracket(a1, e_i + e_k) - bracket(aii, e_i) - bracket(akk, e_k))
     concl = [
@@ -425,12 +425,12 @@ def _build_5_3(n, indices):
     hyps = []
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            e_p, e_q = ie_diag(n, p, ring), ie_diag(n, q, ring)
+            e_p, e_q = ie_diag(n, p), ie_diag(n, q)
             hyps += _eq("pair(%d,%d)" % (p, q),
                         bracket(m["y%d%d" % (p, q)], e_p + e_q)
                         - bracket(rows[p], e_p) - bracket(rows[q], e_q))
     d = assemble_d(m["a2"], rows)
-    e_i = ie_diag(n, i, ring)
+    e_i = ie_diag(n, i)
     concl = [("component %s" % pos, p) for pos, p in
              hypothesis_components(bracket(d, e_i), bracket(rows[i], e_i))]
     if not concl:
@@ -452,19 +452,19 @@ def _build_5_4(n, indices):
                  - d.entry(i, i) + d.entry(k, k)))
     diff = a - d
     concl = [("s-bracket %s" % pos, p) for pos, p in
-             hypothesis_components(bracket(diff, s_elem(n, i, k, ring)))]
+             hypothesis_components(bracket(diff, s_elem(n, i, k)))]
     concl += [("Ibar-bracket %s" % pos, p) for pos, p in
-              hypothesis_components(bracket(diff, ie_bar(n, i, k, ring)))]
+              hypothesis_components(bracket(diff, ie_bar(n, i, k)))]
     notes = ["star closure of the row hypotheses supplies the mirrored "
              "column entries"]
     return ring, hyps, concl, notes
 
 
-def _hyps_58_59(n, i, k, ring, m, shared):
+def _hyps_58_59(n, i, k, m, shared):
     a, aii, akk = m["A"], m["aii"], m["akk"]
-    e_i, e_k = ie_diag(n, i, ring), ie_diag(n, k, ring)
-    s = s_elem(n, i, k, ring)
-    ibar = ie_bar(n, i, k, ring)
+    e_i, e_k = ie_diag(n, i), ie_diag(n, k)
+    s = s_elem(n, i, k)
+    ibar = ie_bar(n, i, k)
     if shared:
         a3k1 = a3k2 = m["a3k"]
         a3i1 = a3i2 = m["a3i"]
@@ -493,7 +493,7 @@ def _build_55_56_510(n, indices, variant):
         sym.declare("a3k1").declare("a3k2")
         sym.declare("a3i1").declare("a3i2")
     ring, m = sym.build()
-    hyps = _hyps_58_59(n, i, k, ring, m, shared)
+    hyps = _hyps_58_59(n, i, k, m, shared)
     notes = ["each auxiliary witness serves both equations of its "
              "display" if shared else
              "independent auxiliary witnesses per equation: the "
@@ -541,10 +541,10 @@ def _build_58_59(n, indices, which):
     ring, m = sym.build()
     rows = {t: m["a%d%d" % (t, t)] for t in range(1, n + 1)}
     d = assemble_d(m["a2"], rows)
-    s = s_elem(n, i, k, ring)
-    ibar = ie_bar(n, i, k, ring)
+    s = s_elem(n, i, k)
+    ibar = ie_bar(n, i, k)
     if which == "5.8":
-        e = ie_diag(n, k, ring)
+        e = ie_diag(n, k)
         aw = rows[k]
         probe1, probe2 = e - s, e + ibar
         rhs1 = bracket(aw, e) - bracket(m["A"], s)
@@ -553,7 +553,7 @@ def _build_58_59(n, indices, which):
         drhs2 = bracket(d, e) + bracket(m["A"], ibar)
         anchor = k
     else:
-        e = ie_diag(n, i, ring)
+        e = ie_diag(n, i)
         aw = rows[i]
         probe1, probe2 = e + s, e + ibar
         rhs1 = bracket(aw, e) + bracket(m["A"], s)
@@ -589,17 +589,17 @@ def _build_5_7(n, indices):
         sym.declare("w%d" % t, support=(t, t + 1))
         sym.declare("b%d" % t)
     ring, m = sym.build()
-    x0 = staircase(n, ring=ring)
+    x0 = staircase(n)
     hyps = []
     for t in range(1, n):
-        x_t = x0 - s_elem(n, t, t + 1, ring)
+        x_t = x0 - s_elem(n, t, t + 1)
         if t > 1:
-            x_t = x_t - s_elem(n, t - 1, t, ring)
+            x_t = x_t - s_elem(n, t - 1, t)
         if t + 2 <= n:
-            x_t = x_t - s_elem(n, t + 1, t + 2, ring)
+            x_t = x_t - s_elem(n, t + 1, t + 2)
         hyps += _eq("chain%d" % t,
                     bracket(m["a2"], x0),
-                    bracket(m["w%d" % t], s_elem(n, t, t + 1, ring))
+                    bracket(m["w%d" % t], s_elem(n, t, t + 1))
                     + bracket(m["b%d" % t], x_t))
     for t in range(1, n - 1):
         hyps.append(("coherence%d" % t,

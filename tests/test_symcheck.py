@@ -10,16 +10,16 @@ import json
 
 import pytest
 
-from skewlie import GAUSS
+from skewlie import GAUSS, lie
 from skewlie.errors import (
     DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
-    NonLinearHypothesis,
     UnknownLemma,
 )
 from skewlie.lie import bracket, staircase
 from skewlie.matrices import Matrix, star_transpose
+from skewlie.rings import GaussianField, PolyElement
 from skewlie.symcheck import (
     VARIANT_LEMMAS,
     SkewSymbols,
@@ -75,16 +75,34 @@ class TestSkewSymbols:
         assert m["a"].ring is ring and m["b"].ring is ring
         assert m["a"] != m["b"]
 
-    def test_same_declarations_share_one_ring(self):
-        # memoized basis elements then carry the unknowns' own ring
-        ring, _ = SkewSymbols(3).declare("a").build()
-        again, _ = SkewSymbols(3).declare("a").build()
-        other, _ = SkewSymbols(3).declare("a", diagonal="zero").build()
-        assert again is ring and other != ring
-
     def test_bad_diagonal_mode(self):
         with pytest.raises(ValueError):
             SkewSymbols(3).declare("a", "funky")
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ValueError):
+            SkewSymbols(3).declare("a").declare("a")
+
+    def test_derived_variable_clash_rejected(self):
+        # the star partner of a_1_2 is ac_1_2, which unknown "ac" also names
+        with pytest.raises(ValueError):
+            SkewSymbols(3).declare("a").declare("ac").build()
+
+    def test_star_permutes_and_conjugates(self):
+        ring, m = SkewSymbols(3).declare("a").build()
+        a = m["a"]
+        z = a.entry(1, 2) * (1 + 2 * GAUSS.imag) + a.entry(1, 1)
+        starred = ring.star(z)
+        assert starred == -a.entry(2, 1) * (1 - 2 * GAUSS.imag) \
+            - a.entry(1, 1)
+        assert ring.star(starred) == z
+
+    def test_form_arithmetic_drops_zeros(self):
+        ring, m = SkewSymbols(3).declare("a").build()
+        x, y = m["a"].entry(1, 2), m["a"].entry(1, 3)
+        assert (x + y) - y == x
+        assert x - x == ring.zero and 0 * x == ring.zero
+        assert (x * GAUSS.imag).evaluate([GAUSS.one] * 9) == GAUSS.imag
 
 
 class TestHypothesisComponents:
@@ -99,17 +117,18 @@ class TestHypothesisComponents:
         assert hypothesis_components(m["a"], m["a"]) == []
 
     def test_quadratic_entry_rejected(self):
+        # forms have no product, so bracketing two unknowns cannot build
         ring, m = SkewSymbols(3).declare("a").declare("b").build()
-        with pytest.raises(NonLinearHypothesis):
-            hypothesis_components(bracket(m["a"], m["b"]))
+        with pytest.raises(TypeError):
+            bracket(m["a"], m["b"])
 
     def test_constant_entry_rejected(self):
         ring, m = SkewSymbols(3).declare("a").build()
-        shifted = m["a"] + Matrix(ring, [[ring.one if r == c else ring.zero
-                                          for c in range(3)]
-                                         for r in range(3)])
-        with pytest.raises(NonLinearHypothesis):
-            hypothesis_components(shifted)
+        with pytest.raises(TypeError):
+            Matrix(ring, [[GAUSS.one if r == c else ring.zero
+                           for c in range(3)] for r in range(3)])
+        with pytest.raises(TypeError):
+            ring.scalar(GAUSS.one)
 
 
 class TestCertifyCore:
@@ -155,6 +174,27 @@ class TestCanonicalCertificates:
     @pytest.mark.parametrize("lemma", ALL_LEMMAS)
     def test_all_lemmas_certify(self, lemma, n):
         assert certify_lemma(lemma, n).all_implied
+
+    def test_certificates_build_no_polynomials(self, monkeypatch):
+        # unknowns are forms and every bracket partner is a shared
+        # Gaussian basis element, so no polynomial or per-table basis copy
+        # is ever made
+        memo = {}
+        monkeypatch.setattr(lie, "_elem_memo", memo)
+        made = []
+        init = PolyElement.__init__
+
+        def counting_init(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(PolyElement, "__init__", counting_init)
+        for n in (3, 4, 5):
+            for lemma in known_lemmas():
+                assert certify_lemma(lemma, n).all_implied
+        assert memo
+        assert all(isinstance(key[2], GaussianField) for key in memo)
+        assert made == []
 
     def test_registry_is_complete(self):
         assert set(known_lemmas()) == set(ALL_LEMMAS)
