@@ -382,3 +382,21 @@ def test_catalog_fingerprint_n6():
                        for lemma in known_lemmas()], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "266dab85b45bbbc75eee0be2e62b64e437deb432c7661d4bbbc8a38af621b4d7"
+
+
+def test_display_fingerprint_off_default_indices():
+    """The sha256 of the display statements 5.5, 5.6, 5.8, 5.9 and 5.10,
+    and of the independent probes of 5.5, 5.6 and 5.10, at n = 5 with the
+    indices (2, 4) and (4, 2), as sorted-key JSON. The other pins take
+    these statements at their default indices (1, 2) only; here both
+    indices are interior and the row index k comes both after and before
+    the column index i."""
+    displays = ("5.5", "5.6", "5.8", "5.9", "5.10")
+    runs = [(lemma, idx, None) for lemma in displays
+            for idx in ((2, 4), (4, 2))]
+    runs += [(lemma, idx, "independent") for lemma in VARIANT_LEMMAS
+             for idx in ((2, 4), (4, 2))]
+    text = json.dumps([certify_lemma(lemma, 5, idx, variant=v).to_dict()
+                       for lemma, idx, v in runs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6e41ec5b6b82c13bea6b3fa075c0948c1127186f49f2e89b181e38e7c31b1384"
