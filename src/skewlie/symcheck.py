@@ -285,9 +285,24 @@ class LemmaCertificate:
         }
 
 
-def _eq(eq_id, lhs, rhs=None):
-    return [("%s@%s" % (eq_id, pos), p)
-            for pos, p in hypothesis_components(lhs, rhs)]
+def _eq(label, lhs, rhs=None):
+    """The nonzero components of lhs - rhs, each labelled label % "(r,c)"."""
+    return [(label % pos, p) for pos, p in hypothesis_components(lhs, rhs)]
+
+
+def _display(labels, n, indices, pos, sign, aux, w_e, w):
+    """The two equations of the display behind eqs 5.5-5.10 at the anchor
+    t = indices[pos], for e = I*e_t and (i, k) = indices: [u1, e + sign*s]
+    = [w_e, e] + [w, sign*s] with s = s[i,k], labelled labels[0], and
+    [u2, e + Ibar] = [w_e, e] + [w, Ibar] with Ibar = Ibar[i,k], labelled
+    labels[1], for aux = (u1, u2). The sign scales the Gaussian factor:
+    a matrix of forms cannot be scaled."""
+    e = ie_diag(n, indices[pos])
+    s, ibar = sign * s_elem(n, *indices), ie_bar(n, *indices)
+    u1, u2 = aux
+    base = bracket(w_e, e)
+    return (_eq(labels[0], bracket(u1, e + s), base + bracket(w, s))
+            + _eq(labels[1], bracket(u2, e + ibar), base + bracket(w, ibar)))
 
 
 def _check_indices(n, indices):
@@ -302,7 +317,7 @@ def _build_3_4_1(n, indices):
     i, j = indices
     ring, m = SkewSymbols(n).declare("a").declare("b").build()
     a, b = m["a"], m["b"]
-    hyps = _eq("commute", bracket(a - b, s_elem(n, i, j)))
+    hyps = _eq("commute@%s", bracket(a - b, s_elem(n, i, j)))
     concl = [
         ("offdiagonal sum (%d,%d)" % (i, j),
          a.entry(i, j) + a.entry(j, i) - b.entry(i, j) - b.entry(j, i)),
@@ -312,13 +327,20 @@ def _build_3_4_1(n, indices):
     return ring, hyps, concl, []
 
 
-def _build_3_4_2(n, indices):
-    i, j, p = indices
+def _two_witnesses(n, s1, s2):
+    """Unknowns a, b and x with the hypotheses [a - x, s1] = 0 and
+    [b - x, s2] = 0: two witnesses that share the witness x of a pair."""
     ring, m = SkewSymbols(n).declare("a").declare("b") \
                             .declare("x").build()
     a, b, x = m["a"], m["b"], m["x"]
-    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, j)))
-    hyps += _eq("eq2", bracket(b - x, s_elem(n, i, p)))
+    hyps = _eq("eq1@%s", bracket(a - x, s1))
+    hyps += _eq("eq2@%s", bracket(b - x, s2))
+    return ring, a, b, hyps
+
+
+def _build_3_4_2(n, indices):
+    i, j, p = indices
+    ring, a, b, hyps = _two_witnesses(n, s_elem(n, i, j), s_elem(n, i, p))
     concl = [("offdiagonal sums agree (%d,%d)" % (i, j),
               a.entry(i, j) + a.entry(j, i)
               - b.entry(i, j) - b.entry(j, i))]
@@ -327,11 +349,7 @@ def _build_3_4_2(n, indices):
 
 def _build_3_41(n, indices):
     i, j, p = indices
-    ring, m = SkewSymbols(n).declare("a").declare("b") \
-                            .declare("x").build()
-    a, b, x = m["a"], m["b"], m["x"]
-    hyps = _eq("eq1", bracket(a - x, s_elem(n, i, p)))
-    hyps += _eq("eq2", bracket(b - x, s_elem(n, p, j)))
+    ring, a, b, hyps = _two_witnesses(n, s_elem(n, i, p), s_elem(n, p, j))
     concl = [
         ("entry (%d,%d)" % (i, j), a.entry(i, j) - b.entry(i, j)),
         ("entry (%d,%d)" % (j, i), a.entry(j, i) - b.entry(j, i)),
@@ -360,8 +378,7 @@ def _build_2_5(n, indices):
     delta = d.entry(i, i) - d.entry(j, j)
     shift = Matrix(ring, ((delta if {r, c} == {i, j} else ring.zero
                            for c in range(1, n + 1)) for r in range(1, n + 1)))
-    concl = _eq("identity", bracket(d, s) - bracket(a, s) - shift)
-    concl = [("component %s" % pos.split("@")[1], p) for pos, p in concl]
+    concl = _eq("component %s", bracket(d, s) - bracket(a, s) - shift)
     notes = ["both corner coefficients are d^{ii} - d^{jj}, as "
              "skew-adjointness of the two sides forces"]
     return ring, hyps, concl, notes
@@ -371,7 +388,7 @@ def _build_3_6(n, indices):
     k, l = indices
     ring, m = SkewSymbols(n).declare("c").declare("b").build()
     c, b = m["c"], m["b"]
-    hyps = _eq("commute", bracket(c - b, staircase(n)))
+    hyps = _eq("commute@%s", bracket(c - b, staircase(n)))
     concl = [("diagonal difference (%d,%d)" % (k, l),
               c.entry(k, k) - c.entry(l, l)
               - b.entry(k, k) + b.entry(l, l))]
@@ -388,7 +405,7 @@ def _build_5_1(n, indices):
                             .declare("a1").build()
     aii, akk, a1 = m["aii"], m["akk"], m["a1"]
     e_i, e_k = ie_diag(n, i), ie_diag(n, k)
-    hyps = _eq("additive",
+    hyps = _eq("additive@%s",
                bracket(a1, e_i + e_k) - bracket(aii, e_i) - bracket(akk, e_k))
     concl = [
         ("entry (%d,%d)" % (i, k), aii.entry(i, k) - akk.entry(i, k)),
@@ -426,13 +443,12 @@ def _build_5_3(n, indices):
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             e_p, e_q = ie_diag(n, p), ie_diag(n, q)
-            hyps += _eq("pair(%d,%d)" % (p, q),
+            hyps += _eq("pair(%d,%d)@%%s" % (p, q),
                         bracket(m["y%d%d" % (p, q)], e_p + e_q)
                         - bracket(rows[p], e_p) - bracket(rows[q], e_q))
     d = assemble_d(m["a2"], rows)
     e_i = ie_diag(n, i)
-    concl = [("component %s" % pos, p) for pos, p in
-             hypothesis_components(bracket(d, e_i), bracket(rows[i], e_i))]
+    concl = _eq("component %s", bracket(d, e_i), bracket(rows[i], e_i))
     if not concl:
         concl = [("identity at %d" % i, ring.zero)]
     return ring, hyps, concl, []
@@ -451,49 +467,29 @@ def _build_5_4(n, indices):
     hyps.append(("eq5.7", a.entry(i, i) - a.entry(k, k)
                  - d.entry(i, i) + d.entry(k, k)))
     diff = a - d
-    concl = [("s-bracket %s" % pos, p) for pos, p in
-             hypothesis_components(bracket(diff, s_elem(n, i, k)))]
-    concl += [("Ibar-bracket %s" % pos, p) for pos, p in
-              hypothesis_components(bracket(diff, ie_bar(n, i, k)))]
+    concl = _eq("s-bracket %s", bracket(diff, s_elem(n, i, k)))
+    concl += _eq("Ibar-bracket %s", bracket(diff, ie_bar(n, i, k)))
     notes = ["star closure of the row hypotheses supplies the mirrored "
              "column entries"]
     return ring, hyps, concl, notes
 
 
-def _hyps_58_59(n, i, k, m, shared):
-    a, aii, akk = m["A"], m["aii"], m["akk"]
-    e_i, e_k = ie_diag(n, i), ie_diag(n, k)
-    s = s_elem(n, i, k)
-    ibar = ie_bar(n, i, k)
-    if shared:
-        a3k1 = a3k2 = m["a3k"]
-        a3i1 = a3i2 = m["a3i"]
-    else:
-        a3k1, a3k2 = m["a3k1"], m["a3k2"]
-        a3i1, a3i2 = m["a3i1"], m["a3i2"]
-    hyps = _eq("eq1", bracket(a3k1, e_k - s),
-               bracket(akk, e_k) - bracket(a, s))
-    hyps += _eq("eq2", bracket(a3k2, e_k + ibar),
-                bracket(akk, e_k) + bracket(a, ibar))
-    hyps += _eq("eq3", bracket(a3i1, e_i + s),
-                bracket(aii, e_i) + bracket(a, s))
-    hyps += _eq("eq4", bracket(a3i2, e_i + ibar),
-                bracket(aii, e_i) + bracket(a, ibar))
-    return hyps
-
-
 def _build_55_56_510(n, indices, variant):
-    i, k = indices
     shared = variant != "independent"
     sym = SkewSymbols(n).declare("A").declare("aii") \
                         .declare("akk")
     if shared:
         sym.declare("a3k").declare("a3i")
+        aux_k, aux_i = ("a3k", "a3k"), ("a3i", "a3i")
     else:
         sym.declare("a3k1").declare("a3k2")
         sym.declare("a3i1").declare("a3i2")
+        aux_k, aux_i = ("a3k1", "a3k2"), ("a3i1", "a3i2")
     ring, m = sym.build()
-    hyps = _hyps_58_59(n, i, k, m, shared)
+    hyps = _display(("eq1@%s", "eq2@%s"), n, indices, 1, -1,
+                    [m[u] for u in aux_k], m["akk"], m["A"])
+    hyps += _display(("eq3@%s", "eq4@%s"), n, indices, 0, 1,
+                     [m[u] for u in aux_i], m["aii"], m["A"])
     notes = ["each auxiliary witness serves both equations of its "
              "display" if shared else
              "independent auxiliary witnesses per equation: the "
@@ -533,53 +529,27 @@ def _build_5_10(n, indices, variant=None):
     return ring, hyps, concl, notes
 
 
-def _build_58_59(n, indices, which):
-    i, k = indices
+def _build_58_59(n, indices, pos, sign):
+    """Eq 5.8 (pos=1, sign=-1: the anchor is the row index k) or eq 5.9
+    (pos=0, sign=1: the anchor is the column index i)."""
+    t = indices[pos]
     sym = SkewSymbols(n).declare("A")
     _declare_d_parts(sym, n)
     sym.declare("a3")
     ring, m = sym.build()
-    rows = {t: m["a%d%d" % (t, t)] for t in range(1, n + 1)}
+    rows = {u: m["a%d%d" % (u, u)] for u in range(1, n + 1)}
     d = assemble_d(m["a2"], rows)
-    s = s_elem(n, i, k)
-    ibar = ie_bar(n, i, k)
-    if which == "5.8":
-        e = ie_diag(n, k)
-        aw = rows[k]
-        probe1, probe2 = e - s, e + ibar
-        rhs1 = bracket(aw, e) - bracket(m["A"], s)
-        rhs2 = bracket(aw, e) + bracket(m["A"], ibar)
-        drhs1 = bracket(d, e) - bracket(m["A"], s)
-        drhs2 = bracket(d, e) + bracket(m["A"], ibar)
-        anchor = k
-    else:
-        e = ie_diag(n, i)
-        aw = rows[i]
-        probe1, probe2 = e + s, e + ibar
-        rhs1 = bracket(aw, e) + bracket(m["A"], s)
-        rhs2 = bracket(aw, e) + bracket(m["A"], ibar)
-        drhs1 = bracket(d, e) + bracket(m["A"], s)
-        drhs2 = bracket(d, e) + bracket(m["A"], ibar)
-        anchor = i
-    hyps = _eq("additive1", bracket(m["a3"], probe1), rhs1)
-    hyps += _eq("additive2", bracket(m["a3"], probe2), rhs2)
-    hyps += _eq("eq5.3[%d]" % anchor, bracket(d, e), bracket(aw, e))
-    concl = [("s-form %s" % pos, p) for pos, p in
-             hypothesis_components(bracket(m["a3"], probe1), drhs1)]
-    concl += [("Ibar-form %s" % pos, p) for pos, p in
-              hypothesis_components(bracket(m["a3"], probe2), drhs2)]
+    e = ie_diag(n, t)
+    aux = (m["a3"], m["a3"])
+    hyps = _display(("additive1@%s", "additive2@%s"), n, indices, pos, sign,
+                    aux, rows[t], m["A"])
+    hyps += _eq("eq5.3[%d]@%%s" % t, bracket(d, e), bracket(rows[t], e))
+    concl = _display(("s-form %s", "Ibar-form %s"), n, indices, pos, sign,
+                     aux, d, m["A"])
     notes = ["the displayed right hand side uses the built implementer d; "
              "the derivation routes through the single-index witness and "
-             "the prior identity at index %d" % anchor]
+             "the prior identity at index %d" % t]
     return ring, hyps, concl, notes
-
-
-def _build_5_8(n, indices):
-    return _build_58_59(n, indices, "5.8")
-
-
-def _build_5_9(n, indices):
-    return _build_58_59(n, indices, "5.9")
 
 
 def _build_5_7(n, indices):
@@ -597,7 +567,7 @@ def _build_5_7(n, indices):
             x_t = x_t - s_elem(n, t - 1, t)
         if t + 2 <= n:
             x_t = x_t - s_elem(n, t + 1, t + 2)
-        hyps += _eq("chain%d" % t,
+        hyps += _eq("chain%d@%%s" % t,
                     bracket(m["a2"], x0),
                     bracket(m["w%d" % t], s_elem(n, t, t + 1))
                     + bracket(m["b%d" % t], x_t))
@@ -631,8 +601,10 @@ _BUILDERS = {
     "5.5": (_build_5_5, lambda n: (1, 2), "eq 5.5"),
     "5.6": (_build_5_6, lambda n: (1, 2), "eq 5.6"),
     "5.7": (_build_5_7, lambda n: (1, n), "eq 5.7"),
-    "5.8": (_build_5_8, lambda n: (1, 2), "eq 5.8"),
-    "5.9": (_build_5_9, lambda n: (1, 2), "eq 5.9"),
+    "5.8": (lambda n, idx: _build_58_59(n, idx, 1, -1), lambda n: (1, 2),
+            "eq 5.8"),
+    "5.9": (lambda n, idx: _build_58_59(n, idx, 0, 1), lambda n: (1, 2),
+            "eq 5.9"),
     "5.10": (_build_5_10, lambda n: (1, 2), "eq 5.10"),
 }
 
