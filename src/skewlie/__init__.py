@@ -1,7 +1,6 @@
 """Exact reconstruction of derivations on Lie rings of skew-adjoint matrices."""
 
 from .errors import (
-    ComplexWeight,
     ConfigError,
     DimensionMismatch,
     EqualIndices,

@@ -19,6 +19,11 @@ from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
 from .symcheck import certify_lemma, known_lemmas
 from .twolocal import twolocal_campaign
 
+# the largest --n and --omega accepted, far above every size the tests,
+# demos and benchmark use; beyond it a run would exhaust memory (the
+# canonical basis alone holds n^4 entries) instead of failing cleanly
+SIZE_LIMIT = 64
+
 
 def parse_sizes(text):
     """A size argument: a single integer like "4" or a range like "3..5"."""
@@ -36,6 +41,9 @@ def parse_sizes(text):
         raise ConfigError("empty size range %r" % text)
     if lo < 2:
         raise ConfigError("matrix sizes start at 2, got %d" % lo)
+    if hi > SIZE_LIMIT:
+        raise ConfigError("matrix sizes are at most %d, got %d"
+                          % (SIZE_LIMIT, hi))
     return list(range(lo, hi + 1))
 
 
@@ -45,6 +53,9 @@ def make_ring(name, omega):
     if name == "fnring":
         if omega < 1:
             raise ConfigError("a function ring needs at least one point")
+        if omega > SIZE_LIMIT:
+            raise ConfigError("a function ring has at most %d points, got %d"
+                              % (SIZE_LIMIT, omega))
         return FunctionRing(omega)
     if name == "poly":
         return PolynomialRing(("z", "zc", "w"), ((0, 1),))

@@ -26,10 +26,6 @@ class EqualIndices(SkewlieError):
     """An operation that needs distinct indices received equal ones."""
 
 
-class ComplexWeight(SkewlieError):
-    """A scalar that must be star-fixed was not."""
-
-
 class NeedThreeIndices(SkewlieError):
     """The requested construction only exists for sizes of at least three."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from hashlib import sha256
 
-from .errors import ComplexWeight, ConfigError, DimensionMismatch, EqualIndices
+from .errors import ConfigError, DimensionMismatch, EqualIndices
 from .matrices import (
     Matrix,
     _apply_tables,
@@ -26,9 +26,8 @@ from .matrices import (
     _random_skew_grids,
     _shift_diagonal,
     commutator,
-    matrix_unit,
+    from_entries,
     require_skew_adjoint,
-    zeros,
 )
 from .rings import GAUSS, FunctionRing, GaussianField, imaginary_unit
 
@@ -50,28 +49,25 @@ def s_elem(n, i, j, ring=GAUSS):
     """s_{i,j} = e_{i,j} - e_{j,i}. Defined for i != j; s_{j,i} = -s_{i,j}."""
     if i == j:
         raise EqualIndices("s element needs two distinct indices, got %d" % i)
-    return _memoized("s", n, ring, (i, j), lambda:
-                     matrix_unit(n, i, j, ring) - matrix_unit(n, j, i, ring))
-
-
-def ebar_elem(n, i, j, ring=GAUSS):
-    """The symmetric unit e_{i,j} + e_{j,i} for i != j."""
-    if i == j:
-        raise EqualIndices("ebar element needs two distinct indices, got %d" % i)
-    return _memoized("ebar", n, ring, (i, j), lambda:
-                     matrix_unit(n, i, j, ring) + matrix_unit(n, j, i, ring))
+    return _memoized("s", n, ring, (i, j), lambda: from_entries(
+        n, {(i, j): ring.one, (j, i): -ring.one}, ring))
 
 
 def ie_bar(n, i, j, ring=GAUSS):
-    """I*(e_{i,j} + e_{j,i})."""
-    return _memoized("iebar", n, ring, (i, j), lambda:
-                     imaginary_unit(ring) * ebar_elem(n, i, j, ring))
+    """I*(e_{i,j} + e_{j,i}). Defined for i != j."""
+    if i == j:
+        raise EqualIndices("Ibar element needs two distinct indices, got %d"
+                           % i)
+    def build():
+        unit = imaginary_unit(ring)
+        return from_entries(n, {(i, j): unit, (j, i): unit}, ring)
+    return _memoized("iebar", n, ring, (i, j), build)
 
 
 def ie_diag(n, i, ring=GAUSS):
     """I*e_{i,i}."""
-    return _memoized("iediag", n, ring, i, lambda:
-                     imaginary_unit(ring) * matrix_unit(n, i, i, ring))
+    return _memoized("iediag", n, ring, i, lambda: from_entries(
+        n, {(i, i): imaginary_unit(ring)}, ring))
 
 
 def basis_labels(n):
@@ -105,10 +101,10 @@ def canonical_basis(n, ring=GAUSS):
 def staircase(n, ring=GAUSS):
     """The unit staircase, the sum of s[k,k+1] for k = 1..n-1."""
     def build():
-        out = zeros(n, ring)
+        entries = {}
         for k in range(1, n):
-            out = out + s_elem(n, k, k + 1, ring)
-        return out
+            entries[k, k + 1], entries[k + 1, k] = ring.one, -ring.one
+        return from_entries(n, entries, ring)
     return _memoized("staircase", n, ring, (), build)
 
 
@@ -203,20 +199,6 @@ class LinearLieMap:
         return Matrix(self.ring, grid)
 
 
-def centralizer_gauge(lam, n, ring=GAUSS):
-    """The central skew-adjoint element lam * I * identity.
-
-    lam must be star-fixed so the result stays skew-adjoint; such
-    elements commute with everything and are invisible to brackets.
-    """
-    lam = ring.scalar(lam)
-    if ring.star(lam) != lam:
-        raise ComplexWeight("gauge scale must be star-fixed")
-    v, z = lam * imaginary_unit(ring), ring.zero
-    return Matrix(ring, ((v if i == j else z for j in range(n))
-                         for i in range(n)))
-
-
 # the witness gauges that the oracles, campaigns and CLI accept
 GAUGES = ("none", "central")
 
@@ -231,18 +213,17 @@ def require_gauge(gauge):
 class GaugedInnerOracle:
     """The witness-gauge model shared by the gauged inner-derivation oracles.
 
-    Every witness is a0 plus a central summand lam * I * identity (the
-    value of centralizer_gauge), made by shifting a0's diagonal only:
-    lam*den is added to the imaginary diagonal of a0's grid at each
-    point, and the other rows are shared. The scale lam is an integer
-    drawn from sha256 of the seed, the order-free key of the queried
-    elements and, over a function ring, the point, so it varies from
-    query to query and from point to point. The mapped values are those
-    of [a0, .]; the gauges exercise exactly the freedom reconstruction
-    has to cope with. Witnesses are memoized per key, so a repeated
-    query returns the same object. gauge="none" answers a0 itself; a
-    gauge outside GAUGES raises ConfigError. Subclasses define query and
-    name their seed in seed_role.
+    Every witness is a0 plus a central summand lam * I * identity, made
+    by shifting a0's diagonal only: lam*den is added to the imaginary
+    diagonal of a0's grid at each point, and the other rows are shared.
+    The scale lam is an integer drawn from sha256 of the seed, the
+    order-free key of the queried elements and, over a function ring,
+    the point, so it varies from query to query and from point to point.
+    The mapped values are those of [a0, .]; the gauges exercise exactly
+    the freedom reconstruction has to cope with. Witnesses are memoized
+    per key, so a repeated query returns the same object. gauge="none"
+    answers a0 itself; a gauge outside GAUGES raises ConfigError.
+    Subclasses define query and name their seed in seed_role.
     """
 
     seed_role = "oracle seed"

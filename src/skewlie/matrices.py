@@ -390,18 +390,25 @@ def commutator(a, b):
     return Matrix._of_grids(a.ring, tuple(grids))
 
 
+def from_entries(n, entries, ring=GAUSS):
+    """The n x n matrix with entries[(i, j)] at each 1-based position (i, j)
+    of the mapping entries and zero everywhere else; values are lifted by
+    ring.scalar."""
+    grid = [[ring.zero] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        _check_index(n, i)
+        _check_index(n, j)
+        grid[i - 1][j - 1] = v
+    return Matrix(ring, grid)
+
+
 def zeros(n, ring=GAUSS):
-    z = ring.zero
-    return Matrix(ring, ((z,) * n for _ in range(n)))
+    return from_entries(n, {}, ring)
 
 
 def matrix_unit(n, i, j, ring=GAUSS):
     """e_{i,j}: single one at 1-based position (i, j)."""
-    _check_index(n, i)
-    _check_index(n, j)
-    z, o = ring.zero, ring.one
-    return Matrix(ring, ((o if (r, c) == (i - 1, j - 1) else z
-                          for c in range(n)) for r in range(n)))
+    return from_entries(n, {(i, j): ring.one}, ring)
 
 
 def star_transpose(x):

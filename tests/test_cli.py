@@ -18,10 +18,16 @@ class TestParseSizes:
     def test_whitespace(self):
         assert cli.parse_sizes(" 3..4 ") == [3, 4]
 
-    @pytest.mark.parametrize("bad", ["", "x", "3..x", "5..3", "1", "0..4"])
+    @pytest.mark.parametrize("bad", ["", "x", "3..x", "5..3", "1", "0..4",
+                                     "3..65"])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             cli.parse_sizes(bad)
+
+
+    def test_size_limit_is_inclusive(self):
+        assert cli.parse_sizes("63..64") == [63, 64]
+        assert cli.make_ring("fnring", cli.SIZE_LIMIT).npoints == 64
 
 
 class TestMakeRing:
@@ -135,6 +141,16 @@ class TestMainExitCodes:
         assert cli.main(["--mode", "local", "--n", "3",
                          "--trials", trials]) == 2
         assert "at least one trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "local", "--ring", "fnring", "--omega", "100000000000"],
+        ["--mode", "twolocal", "--n", "3..100000000000"]],
+        ids=["omega", "n"])
+    def test_oversize_is_2(self, argv, capsys):
+        # refused before anything is allocated: exit 2, a typed error
+        assert cli.main(argv + ["--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "at most 64" in err and "Traceback" not in err
 
     def test_bad_out_path_is_3(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "r.json"

@@ -27,6 +27,7 @@ from skewlie.matrices import (
     Matrix,
     at_point,
     commutator,
+    from_entries,
     from_points,
     is_skew_adjoint,
     matrix_unit,
@@ -72,6 +73,17 @@ class TestBasics:
             e.entry(0, 1)
         with pytest.raises(IndexOutOfRange):
             matrix_unit(3, 1, 4)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_from_entries(self, ring):
+        # the listed 1-based positions take their values, lifted by
+        # ring.scalar; every other entry is zero
+        m = from_entries(3, {(1, 3): 2, (3, 1): -2, (2, 2): ring.one}, ring)
+        assert m == Matrix(ring, [[0, 0, 2], [0, 1, 0], [-2, 0, 0]])
+        assert from_entries(2, {}, ring) == Matrix(ring, [[0, 0], [0, 0]])
+        for bad in ((0, 1), (1, 4), (4, 4)):
+            with pytest.raises(IndexOutOfRange):
+                from_entries(3, {bad: 1}, ring)
 
     def test_add_sub_neg(self):
         a = gmat([[1, 2], [3, 4]])
