@@ -58,10 +58,9 @@ def ie_bar(n, i, j, ring=GAUSS):
     if i == j:
         raise EqualIndices("Ibar element needs two distinct indices, got %d"
                            % i)
-    def build():
-        unit = imaginary_unit(ring)
-        return from_entries(n, {(i, j): unit, (j, i): unit}, ring)
-    return _memoized("iebar", n, ring, (i, j), build)
+    unit = imaginary_unit(ring)
+    return _memoized("iebar", n, ring, (i, j), lambda: from_entries(
+        n, {(i, j): unit, (j, i): unit}, ring))
 
 
 def ie_diag(n, i, ring=GAUSS):

@@ -24,7 +24,6 @@ class TestParseSizes:
         with pytest.raises(ConfigError):
             cli.parse_sizes(bad)
 
-
     def test_size_limit_is_inclusive(self):
         assert cli.parse_sizes("63..64") == [63, 64]
         assert cli.make_ring("fnring", cli.SIZE_LIMIT).npoints == 64
