@@ -400,3 +400,22 @@ def test_display_fingerprint_off_default_indices():
                        for lemma, idx, v in runs], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "6e41ec5b6b82c13bea6b3fa075c0948c1127186f49f2e89b181e38e7c31b1384"
+
+
+def test_catalog_fingerprint_n3_to_n8():
+    """One sha256 over n = 3..8, updated in order with the sorted-key JSON
+    of every registered certificate at its defaults, then the independent
+    probes, then 3.6 and 5.7 at (1, 2) and (2, 3). It pins every
+    combination and counterexample of the catalog at every size the
+    acceptance tests and the bench reach."""
+    digest = hashlib.sha256()
+    for n in range(3, 9):
+        runs = [(lemma, None, None) for lemma in known_lemmas()]
+        runs += [(lemma, None, "independent") for lemma in VARIANT_LEMMAS]
+        runs += [(lemma, idx, None) for lemma in ("3.6", "5.7")
+                 for idx in ((1, 2), (2, 3))]
+        for lemma, idx, v in runs:
+            cert = certify_lemma(lemma, n, idx, variant=v)
+            digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "56e29f864553417610016dfadf9192db483edba7863efecc1c98a531e47ac652"
