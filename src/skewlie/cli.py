@@ -19,10 +19,10 @@ from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
 from .symcheck import certify_lemma, known_lemmas
 from .twolocal import twolocal_campaign
 
-# the largest --n and --omega accepted, far above every size the tests,
-# demos and benchmark use; beyond it a run would exhaust memory (the
-# canonical basis alone holds n^4 entries) instead of failing cleanly
-SIZE_LIMIT = 64
+# the largest --n and --omega accepted, twice every size the tests, demos
+# and benchmark use; the canonical basis alone holds n^4 entries (55 MB
+# at n = 32), so a larger run would spend its memory before any check
+SIZE_LIMIT = 32
 
 
 def parse_sizes(text):

@@ -25,12 +25,16 @@ from .rings import GAUSS, GaussianRational
 
 
 def _int_row(row, ncols):
-    """A sparse row as (den, {col: (re, im)}), gcd-reduced; raises
-    DimensionMismatch on a column outside 0..ncols-1."""
-    parts = {}
-    for c, v in row.items():
+    """A sparse row as (den, {col: (re, im)}), gcd-reduced, from int,
+    Fraction or GaussianRational coefficients or from (re, im) int pairs
+    only; raises DimensionMismatch on a column outside 0..ncols-1."""
+    for c in row:
         if not 0 <= c < ncols:
             raise DimensionMismatch("column %d outside 0..%d" % (c, ncols - 1))
+    if all(type(v) is tuple for v in row.values()):
+        return 1, {c: v for c, v in row.items() if v != (0, 0)}
+    parts = {}
+    for c, v in row.items():
         g = GaussianRational._coerce(v)
         if g is None:
             raise TypeError("coefficient %r is not a Gaussian rational" % (v,))
@@ -86,8 +90,8 @@ class ReducedSystem:
     """Reduced row echelon form of a matrix, with provenance.
 
     rows: iterable of sparse rows, each a dict column -> coefficient
-    (int, Fraction or GaussianRational). Columns are 0-based and must be
-    below ncols.
+    (int, Fraction or GaussianRational), or column -> (re, im) for a row
+    of Gaussian integers. Columns are 0-based and must be below ncols.
     """
 
     def __init__(self, rows, ncols):

@@ -24,6 +24,8 @@ same star-closed system.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import (
     DimensionMismatch,
     EqualIndices,
@@ -31,16 +33,17 @@ from .errors import (
     UnknownLemma,
 )
 from .lie import ie_bar, ie_diag, s_elem, staircase
-from .linsolve import ReducedSystem
+from .linsolve import ReducedSystem, _int_row
 from .localder import assemble_d
 from .matrices import Matrix, _sparse_commutator
 from .rings import GAUSS, GaussianRational
 
 
 class Form(dict):
-    """A linear form: variable index -> nonzero GaussianRational, the
-    row format of ReducedSystem. Forms add, subtract, negate and scale
-    by Gaussian rationals; two forms do not multiply."""
+    """A linear form: variable index -> nonzero Gaussian integer (re, im),
+    the row format of ReducedSystem. Forms add, subtract, negate and scale
+    by Gaussian integers; two forms do not multiply, and a scalar with a
+    denominator raises TypeError."""
 
     __slots__ = ()
 
@@ -48,14 +51,14 @@ class Form(dict):
         if not isinstance(other, Form):
             return NotImplemented
         out = Form(self)
-        for v, c in other.items():
-            s = out.pop(v, GAUSS.zero) + c
-            if s:
-                out[v] = s
+        for v, (a, b) in other.items():
+            c, d = out.pop(v, (0, 0))
+            if a + c or b + d:
+                out[v] = (a + c, b + d)
         return out
 
     def __neg__(self):
-        return Form({v: -c for v, c in self.items()})
+        return Form({v: (-a, -b) for v, (a, b) in self.items()})
 
     def __sub__(self, other):
         return self + -other
@@ -64,13 +67,22 @@ class Form(dict):
         g = GaussianRational._coerce(value)
         if g is None:
             return NotImplemented
-        return Form({v: c * g for v, c in self.items()} if g else {})
+        if g.d != 1:
+            raise TypeError("%r is not a Gaussian integer" % (value,))
+        return self.times(g.a, g.b)
 
     __rmul__ = __mul__
 
+    def times(self, fa, fb):
+        """(fa + fb*i) * self for integers fa, fb."""
+        return Form({v: (fa * a - fb * b, fa * b + fb * a)
+                     for v, (a, b) in self.items()} if fa or fb else {})
+
     def evaluate(self, values):
-        """The value at an assignment given as a list by variable index."""
-        return sum((c * values[v] for v, c in self.items()), GAUSS.zero)
+        """The value (re, im) at a list of (re, im) values by variable."""
+        terms = [(a, b) + values[v] for v, (a, b) in self.items()]
+        return (sum(a * c - b * d for a, b, c, d in terms),
+                sum(a * d + b * c for a, b, c, d in terms))
 
 
 # [x, g] for a matrix x of forms and a Gaussian matrix g: the ring-generic
@@ -120,12 +132,12 @@ class SkewSymbols:
                     names += ["%s_%d_%d" % (name, i, j),
                               "%sc_%d_%d" % (name, i, j)]
                     perm += [v + 1, v]
-                    grid[i - 1][j - 1] = Form({v: GAUSS.one})
-                    grid[j - 1][i - 1] = Form({v + 1: -GAUSS.one})
+                    grid[i - 1][j - 1] = Form({v: (1, 0)})
+                    grid[j - 1][i - 1] = Form({v + 1: (-1, 0)})
             for i in range(1, n + 1):
                 if diagonal == "imag" and (sup is None or i in sup):
                     perm.append(len(names))
-                    grid[i - 1][i - 1] = Form({len(names): GAUSS.imag})
+                    grid[i - 1][i - 1] = Form({len(names): (0, 1)})
                     names.append("%s_d%d" % (name, i))
             mats[name] = Matrix(self, grid)
         # declare rejects equal names; this catches derived ones, such as
@@ -143,7 +155,7 @@ class SkewSymbols:
     def star(self, form):
         """Permutes the variables by star_perm, conjugating coefficients."""
         perm = self.star_perm
-        return Form({perm[v]: c.conjugate() for v, c in form.items()})
+        return Form({perm[v]: (a, -b) for v, (a, b) in form.items()})
 
 
 def hypothesis_components(lhs, rhs=None):
@@ -193,7 +205,8 @@ def certify(ring, hypotheses, conclusions):
 
     hypotheses and conclusions are lists of (id, form). Returns a
     list of ComponentCertificate and NotImplied objects, one per
-    conclusion, in order. Certificates are re-expanded symbolically and
+    conclusion, in order. Certificates are re-expanded on integers, as
+    sum((den*c_j) * h_j) == den * form for the lcm den of the c_j, and
     counterexamples re-evaluated before being returned. One reduced
     system of the star-closed hypotheses serves both: a conclusion
     outside its span gets a star-compatible counterexample from the
@@ -201,19 +214,29 @@ def certify(ring, hypotheses, conclusions):
     """
     hyps = list(hypotheses)
     hyps += [("star:%s" % hid, ring.star(h)) for hid, h in hypotheses]
-    sys = ReducedSystem((h for _, h in hyps), len(ring.var_names))
+    # a row equal to +-h for an earlier row h reduces to zero, so it never
+    # becomes a pivot or enters a provenance: only the rows fed are solved
+    fed, seen = [], set()
+    for hid, h in hyps:
+        key = frozenset(h.items())
+        if key not in seen:
+            fed.append((hid, h))
+            seen.update((key, frozenset((-h).items())))
+    sys = ReducedSystem((h for _, h in fed), len(ring.var_names))
     results = []
     for label, form in conclusions:
         residual, comb = sys.express(form)
         if not residual:
-            combination = [(hyps[j][0], coeff)
-                           for j, coeff in sorted(comb.items())]
-            total = sum((coeff * hyps[j][1] for j, coeff in comb.items()),
-                        ring.zero)
-            if total != form:
+            combination = sorted(comb.items())
+            den = lcm(*(c.d for _, c in combination))
+            total = sum((fed[j][1].times(c.a * (den // c.d),
+                                         c.b * (den // c.d))
+                         for j, c in combination), ring.zero)
+            if total != form.times(den, 0):
                 raise AssertionError("certificate for %r fails re-expansion"
                                      % label)
-            results.append(ComponentCertificate(label, combination))
+            results.append(ComponentCertificate(
+                label, [(fed[j][0], c) for j, c in combination]))
         else:
             results.append(_counterexample(ring, sys, hyps, label, form,
                                            min(residual)))
@@ -229,22 +252,23 @@ def _counterexample(ring, sys, hyps, label, form, free):
     conj(x[star v]) solves them too; x + x' and (x - x')/I then satisfy
     value[star v] = conj(value[v]) and add up to 2x with weights 1 and
     I, so form is nonzero on at least one of them."""
-    kernel = sys.nullvector(free)
-    x = [kernel.get(v, GAUSS.zero) for v in range(len(ring.var_names))]
-    mirror = [x[p].conjugate() for p in ring.star_perm]
-    for values in ([u + w for u, w in zip(x, mirror)],
-                   [-GAUSS.imag * (u - w) for u, w in zip(x, mirror)]):
+    den, kernel = _int_row(sys.nullvector(free), sys.ncols)
+    x = [kernel.get(v, (0, 0)) for v in range(sys.ncols)]
+    x_star = [x[p] for p in ring.star_perm]
+    for values in ([(a + c, b - d) for (a, b), (c, d) in zip(x, x_star)],
+                   [(b + d, c - a) for (a, b), (c, d) in zip(x, x_star)]):
         value = form.evaluate(values)
-        if value:
+        if any(value):
             break
     else:
         raise AssertionError("no star-compatible counterexample separates %r"
                              % label)
     for hid, h in hyps:
-        if h.evaluate(values):
+        if any(h.evaluate(values)):
             raise AssertionError("counterexample violates hypothesis %s" % hid)
-    assignment = {ring.var_names[v]: val for v, val in enumerate(values)}
-    return NotImplied(label, assignment, value)
+    assignment = {name: GaussianRational(a, b, den) if a or b else GAUSS.zero
+                  for name, (a, b) in zip(ring.var_names, values)}
+    return NotImplied(label, assignment, GaussianRational(*value, den))
 
 
 class LemmaCertificate:

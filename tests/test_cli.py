@@ -19,14 +19,15 @@ class TestParseSizes:
         assert cli.parse_sizes(" 3..4 ") == [3, 4]
 
     @pytest.mark.parametrize("bad", ["", "x", "3..x", "5..3", "1", "0..4",
-                                     "3..65"])
+                                     "3..%d" % (cli.SIZE_LIMIT + 1)])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             cli.parse_sizes(bad)
 
     def test_size_limit_is_inclusive(self):
-        assert cli.parse_sizes("63..64") == [63, 64]
-        assert cli.make_ring("fnring", cli.SIZE_LIMIT).npoints == 64
+        top = cli.SIZE_LIMIT
+        assert cli.parse_sizes("%d..%d" % (top - 1, top)) == [top - 1, top]
+        assert cli.make_ring("fnring", top).npoints == top
 
 
 class TestMakeRing:
@@ -149,7 +150,8 @@ class TestMainExitCodes:
         # refused before anything is allocated: exit 2, a typed error
         assert cli.main(argv + ["--trials", "1"]) == 2
         err = capsys.readouterr().err
-        assert "at most 64" in err and "Traceback" not in err
+        assert "at most %d" % cli.SIZE_LIMIT in err
+        assert "Traceback" not in err
 
     def test_bad_out_path_is_3(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "r.json"

@@ -215,3 +215,50 @@ class TestInvariants:
         lifted.append(fn.lift([rhs[-1] - G(1, 1), rhs[-1]]))
         with pytest.raises(Infeasible):
             sys.solve(lifted, ring=fn)
+
+
+class TestGaussianIntegerPairs:
+    """A row of (re, im) int pairs is the row of Gaussian integers
+    re + im*i; symcheck feeds its linear forms in this format."""
+
+    @staticmethod
+    def pairs(row):
+        return {c: (v.a, v.b) for c, v in row.items()}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_reduction_as_gaussian_rows(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        pool = [G(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            if len(rows) >= 2 and rng.random() < 0.35:
+                a, b = rng.sample(rows, 2)
+                f = rng.choice(pool)
+                dep = {c: a.get(c, GAUSS.zero) + f * b.get(c, GAUSS.zero)
+                       for c in set(a) | set(b)}
+                rows.append({c: v for c, v in dep.items() if v})
+            else:
+                rows.append({c: rng.choice(pool) for c in
+                             rng.sample(range(ncols), rng.randint(1, ncols))})
+        gauss = ReducedSystem(rows, ncols)
+        ints = ReducedSystem(map(self.pairs, rows), ncols)
+        assert (ints.rank, ints.free_cols) == (gauss.rank, gauss.free_cols)
+        assert ints.nullspace() == gauss.nullspace()
+        targets = rows + [{c: rng.choice(pool) for c in range(ncols)}
+                          for _ in range(3)]
+        for target in targets:
+            assert ints.express(self.pairs(target)) == gauss.express(target)
+
+    def test_zero_pair_is_dropped(self):
+        sys = ReducedSystem([{0: (0, 0), 1: (0, 2)}], ncols=2)
+        assert sys.rank == 1 and sys.free_cols == [0]
+        assert sys.express({0: (0, 0), 1: (1, 0)}) == ({}, {0: G(0, -1, 2)})
+
+    def test_pair_column_outside_the_system(self):
+        sys = ReducedSystem([{0: (1, 0)}], ncols=1)
+        with pytest.raises(DimensionMismatch):
+            sys.append({1: (0, 1)})
+        with pytest.raises(DimensionMismatch):
+            sys.express({-1: (1, 1)})
+        assert sys.nrows == 1

@@ -7,6 +7,7 @@ fails if the certificates drift.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from skewlie.errors import (
 )
 from skewlie.lie import bracket, staircase
 from skewlie.matrices import Matrix, star_transpose
-from skewlie.rings import GaussianField, PolyElement
+from skewlie.rings import GaussianField, GaussianRational, PolyElement
 from skewlie.symcheck import (
     VARIANT_LEMMAS,
     SkewSymbols,
@@ -102,7 +103,17 @@ class TestSkewSymbols:
         x, y = m["a"].entry(1, 2), m["a"].entry(1, 3)
         assert (x + y) - y == x
         assert x - x == ring.zero and 0 * x == ring.zero
-        assert (x * GAUSS.imag).evaluate([GAUSS.one] * 9) == GAUSS.imag
+        assert (x * GAUSS.imag).evaluate([(1, 0)] * 9) == (0, 1)
+        assert (x + y).evaluate([(2, 1)] * 9) == (4, 2)
+
+    def test_form_scalars_are_gaussian_integers(self):
+        ring, m = SkewSymbols(3).declare("a").build()
+        x = m["a"].entry(1, 2)
+        assert x * GaussianRational(4, -2, 2) == x * (2 - GAUSS.imag)
+        with pytest.raises(TypeError):
+            x * GaussianRational(1, 0, 2)
+        with pytest.raises(TypeError):
+            Fraction(1, 3) * x
 
 
 class TestHypothesisComponents:
@@ -161,6 +172,30 @@ class TestCertifyCore:
         assert ce.assignment["a_1_2"] == -GAUSS.imag
         assert ce.assignment["ac_1_2"] == GAUSS.imag
         assert ce.conclusion_value == -2 * GAUSS.imag
+        assert_star_compatible(ring, ce)
+
+    def test_star_rows_in_the_span_are_skipped(self):
+        # star:h1 == -h2 and star:h2 == -h1 do not enter the system, so the
+        # system's row 3 is hyps[5] == star:h3
+        ring, m = SkewSymbols(3).declare("a").build()
+        a = m["a"]
+        hyps = [("h1", a.entry(1, 2)), ("h2", a.entry(2, 1)),
+                ("h3", a.entry(1, 3))]
+        out = certify(ring, hyps,
+                      [("mirror", a.entry(3, 1)),
+                       ("sum", a.entry(1, 2) + 2 * a.entry(3, 1)),
+                       ("free", a.entry(2, 3))])
+        assert combo_dict(out[0]) == {"star:h3": -GAUSS.one}
+        assert combo_dict(out[1]) == {"h1": GAUSS.one,
+                                      "star:h3": -2 * GAUSS.one}
+        ce = out[2]
+        assert not ce.implied
+        names = ring.var_names
+        for _, h in hyps:
+            for form in (h, ring.star(h)):
+                assert sum((GaussianRational(re, im) * ce.assignment[names[v]]
+                            for v, (re, im) in form.items()),
+                           GAUSS.zero) == GAUSS.zero
         assert_star_compatible(ring, ce)
 
     def test_empty_conclusion_certifies_empty(self):
