@@ -19,9 +19,9 @@ from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
 from .symcheck import certify_lemma, known_lemmas
 from .twolocal import twolocal_campaign
 
-# the largest --n and --omega accepted, twice every size the tests, demos
-# and benchmark use; the canonical basis alone holds n^4 entries (55 MB
-# at n = 32), so a larger run would spend its memory before any check
+# the largest --n and --omega accepted, twice the largest size the tests,
+# demos and benchmark use; the canonical basis alone holds n^4 entries
+# (55 MB at n = 32), so a larger run would spend its memory before any check
 SIZE_LIMIT = 32
 
 

@@ -175,8 +175,8 @@ class TestCertifyCore:
         assert_star_compatible(ring, ce)
 
     def test_star_rows_in_the_span_are_skipped(self):
-        # star:h1 == -h2 and star:h2 == -h1 do not enter the system, so the
-        # system's row 3 is hyps[5] == star:h3
+        # star:h1 == -h2 and star:h2 == -h1 do not enter the system, so its
+        # fourth row is star:h3, the sixth of the star-closed hypotheses
         ring, m = SkewSymbols(3).declare("a").build()
         a = m["a"]
         hyps = [("h1", a.entry(1, 2)), ("h2", a.entry(2, 1)),
