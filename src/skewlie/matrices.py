@@ -29,7 +29,14 @@ grid mapped over the points:
     than n nonzeros and a has fewer. Nonzeros are counted once per
     bracket over the support at all points, so brackets against basis
     elements and central differences cost O(n^2) per point and two dense
-    factors O(n^3). Every result grid is reduced by one common gcd
+    factors O(n^3). Every result grid is reduced by one common gcd. A
+    factor about to be walked that has exactly n nonzeros and is scalar
+    at every point (a central difference) is central, so the bracket
+    returns the ring's zero matrix of that size, built once, without a
+    walk; the scalar check is the same per-grid kernel that is_central
+    reads
+  * sums and differences work on the flattened numerators of both
+    grids with map, so the arithmetic and the one gcd run in C
   * brackets over other rings walk the same factor with the ring's own
     + and *; symcheck brackets its unknowns through _sparse_commutator
     directly, with a Gaussian second factor
@@ -60,15 +67,28 @@ def _check_index(n, i):
         raise IndexOutOfRange("index %d outside 1..%d" % (i, n))
 
 
-def _grid(den, re, im):
+def _flat_grid(n, den, re, im):
     """The grid (re + im*i) / den for den > 0 after one common gcd
-    reduction; re and im are sequences of integer rows."""
+    reduction; re and im are flat row-major lists of n*n numerators."""
     if den != 1:
-        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        g = gcd(den, *re, *im)
         if g > 1:
             den //= g
-            re = [[v // g for v in r] for r in re]
-            im = [[v // g for v in r] for r in im]
+            re = [v // g for v in re]
+            im = [v // g for v in im]
+    return den, _split_rows(re, n), _split_rows(im, n)
+
+
+def _split_rows(flat, n):
+    """The rows of n entries each of a flat list, as a tuple of tuples."""
+    return tuple(zip(*[iter(flat)] * n))
+
+
+def _grid(den, re, im):
+    """_flat_grid for re and im given as sequences of integer rows."""
+    if den != 1:
+        flat = chain.from_iterable
+        return _flat_grid(len(re), den, list(flat(re)), list(flat(im)))
     return den, tuple(map(tuple, re)), tuple(map(tuple, im))
 
 
@@ -312,15 +332,17 @@ def _combine(a, b, sign):
 
 
 def _grid_combine(ga, gb, sign):
+    """a + sign*b for the grids of a and b at one point, summed on their
+    flattened numerators."""
     da, are, aim = ga
     db, bre, bim = gb
     d = lcm(da, db)
-    fa, fb = d // da, sign * (d // db)
-    return _grid(d,
-                 [[x * fa + y * fb for x, y in zip(ra, rb)]
-                  for ra, rb in zip(are, bre)],
-                 [[x * fa + y * fb for x, y in zip(ra, rb)]
-                  for ra, rb in zip(aim, bim)])
+    fa, fb = repeat(d // da), repeat(sign * (d // db))
+    flat = chain.from_iterable
+    return _flat_grid(
+        len(are), d,
+        list(map(add, map(mul, flat(are), fa), map(mul, flat(bre), fb))),
+        list(map(add, map(mul, flat(aim), fa), map(mul, flat(bim), fb))))
 
 
 def _grid_sparse_commutator(ga, gb, sign):
@@ -375,19 +397,39 @@ def _sparse_commutator(a, b):
 def commutator(a, b):
     """The bracket ab - ba in one pass over the nonzeros of one factor:
     b, unless b has more than n nonzeros and a has fewer, in which case
-    a is walked and the sign of [b, a] = -[a, b] folded in."""
+    a is walked and the sign of [b, a] = -[a, b] folded in. On grids, a
+    walked factor with exactly n nonzeros that is scalar at every point
+    is central, and the bracket is the zero matrix without a walk."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
+    n = a.n
     nnz_b = b._nnz()
-    swap = nnz_b > a.n and a._nnz() < nnz_b
+    swap = nnz_b > n and a._nnz() < nnz_b
     if a.grids is None:
         return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
+    walked = a if swap else b
+    if walked._nnz() == n and all(map(_grid_is_scalar, walked.grids)):
+        return _zero_like(a)
     if swap:
         grids = map(_grid_sparse_commutator, b.grids, a.grids, repeat(-1))
     else:
         grids = map(_grid_sparse_commutator, a.grids, b.grids, repeat(1))
     return Matrix._of_grids(a.ring, tuple(grids))
+
+
+# the zero matrix of each ring with grids and size, built on first use
+_zeros = {}
+
+
+def _zero_like(x):
+    """The zero matrix of x's ring (one with grids) and size."""
+    z = _zeros.get((x.ring, x.n))
+    if z is None:
+        empty = ((0,) * x.n,) * x.n
+        z = _zeros[x.ring, x.n] = Matrix._of_grids(
+            x.ring, ((1, empty, empty),) * len(x.grids))
+    return z
 
 
 def from_entries(n, entries, ring=GAUSS):
@@ -447,10 +489,18 @@ def _is_scalar(x):
     if x.grids is None:
         return all(v == x.rows[0][0] if i == j else not v
                    for i, r in enumerate(x.rows) for j, v in enumerate(r))
-    return all(a == re[0][0] and b == im[0][0] if i == j else not (a or b)
-               for _, re, im in x.grids
-               for i, (ra, ia) in enumerate(zip(re, im))
-               for j, (a, b) in enumerate(zip(ra, ia)))
+    return all(map(_grid_is_scalar, x.grids))
+
+
+def _grid_is_scalar(grid):
+    """Whether a grid is a multiple of the identity at its point: every
+    diagonal entry equals the first, and a row holds no other nonzero."""
+    _, re, im = grid
+    a, b = re[0][0], im[0][0]
+    zeros_re, zeros_im = len(re) - (a != 0), len(re) - (b != 0)
+    return all(r[i] == a and s[i] == b
+               and r.count(0) == zeros_re and s.count(0) == zeros_im
+               for i, (r, s) in enumerate(zip(re, im)))
 
 
 def _add_diagonal(rows, v):
@@ -529,10 +579,7 @@ def _apply_table(table, grid):
     else:
         re = [sum(map(mul, c, row)) for row in re_rows]
         im = [sum(map(mul, c, row)) for row in im_rows]
-    re, im = list(re), list(im)
-    n = len(grid[1])
-    return _grid(den * den_x, [re[p * n:(p + 1) * n] for p in range(n)],
-                 [im[p * n:(p + 1) * n] for p in range(n)])
+    return _flat_grid(len(grid[1]), den * den_x, list(re), list(im))
 
 
 def _apply_tables(tables, x):

@@ -226,10 +226,26 @@ class GaussianField:
 
     def random_parts(self, rng, real=False):
         """The integers (a, b, d) of one random draw (a + b*i)/d, not
-        reduced; a real draw takes no b from rng and has b = 0."""
-        a = rng.randint(-9, 9)
-        b = 0 if real else rng.randint(-9, 9)
-        return a, b, rng.randint(1, 5)
+        reduced; a real draw takes no b from rng and has b = 0.
+
+        a and b are rng.randint(-9, 9) and d is rng.randint(1, 5), drawn
+        as randint draws them, so values and rng state match it: CPython's
+        randint(lo, hi) is lo + r for r = getrandbits(k), k the bit length
+        of the width hi - lo + 1, drawn again while r is not below it."""
+        bits = rng.getrandbits
+        a = bits(5)
+        while a >= 19:
+            a = bits(5)
+        b = 0
+        if not real:
+            b = bits(5)
+            while b >= 19:
+                b = bits(5)
+            b -= 9
+        d = bits(3)
+        while d >= 5:
+            d = bits(3)
+        return a - 9, b, d + 1
 
     def random_element(self, rng):
         return GaussianRational(*self.random_parts(rng))

@@ -61,7 +61,14 @@ class Form(dict):
         return Form({v: (-a, -b) for v, (a, b) in self.items()})
 
     def __sub__(self, other):
-        return self + -other
+        if not isinstance(other, Form):
+            return NotImplemented
+        out = Form(self)
+        for v, (a, b) in other.items():
+            c, d = out.pop(v, (0, 0))
+            if c - a or d - b:
+                out[v] = (c - a, d - b)
+        return out
 
     def __mul__(self, value):
         g = GaussianRational._coerce(value)

@@ -153,8 +153,10 @@ def reconstruct_implementer(oracle):
 def verify_implementer(oracle, abar, elements):
     """Labels of the elements z with [w - abar, z] != 0 for w the witness
     of (z, z), i.e. mapped value != [abar, z]: one query and one bracket
-    per element, sparse whenever w - abar is central (n nonzeros). The
-    bracket's nonzeros are counted on its grids."""
+    per element. The bracket walks a basis element z itself; against a
+    denser z it walks w - abar, and when that is central (n nonzeros,
+    scalar) the bracket is zero without a walk. The bracket's nonzeros
+    are counted on its grids."""
     bad = []
     for label, z in elements:
         w = oracle.query(require_skew_adjoint(z, "argument"), z)

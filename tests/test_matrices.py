@@ -263,6 +263,19 @@ class TestCommutator:
             a @ a
 
 
+def _walk_signs(monkeypatch):
+    """The signs of the per-point walks commutator makes from now on."""
+    signs = []
+    original = matrices._grid_sparse_commutator
+
+    def recording(ga, gb, sign):
+        signs.append(sign)
+        return original(ga, gb, sign)
+
+    monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
+    return signs
+
+
 class TestKernelRouting:
     """Gaussian and function-ring brackets run on integer grids; only
     polynomial rings take the ring-generic loop. Both walk b, unless b has
@@ -291,14 +304,7 @@ class TestKernelRouting:
     def test_dense_against_staircase_walks_the_staircase(self, monkeypatch):
         # the staircase has 2(n - 1) > n nonzeros, fewer than a dense
         # factor's n^2, so it is walked in either argument order
-        signs = []
-        original = matrices._grid_sparse_commutator
-
-        def recording(ga, gb, sign):
-            signs.append(sign)
-            return original(ga, gb, sign)
-
-        monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
+        signs = _walk_signs(monkeypatch)
         rng = random.Random(7)
         for n in range(4, 9):
             st, dense = staircase(n), random_skew(rng, n)
@@ -315,6 +321,123 @@ class TestKernelRouting:
         for x, y in ((a, e), (e, a), (a, random_matrix(rng, 3, ring))):
             assert commutator(x, y) == entrywise_bracket(x, y)
         assert len(generic_calls) == 3
+
+
+def _scalar_factors(ring, rng, n):
+    """Skew-adjoint scalars lam*I*1; over a function ring also one that is
+    scalar at every point but zero at the last."""
+    out = [_diagonal(ring, [ring.imag * ring.random_real(rng)] * n)
+           for _ in range(2)]
+    if isinstance(ring, FunctionRing):
+        points = [at_point(out[0], t) for t in range(ring.npoints - 1)]
+        out.append(from_points(points + [zeros(n)]))
+    return out
+
+
+class TestScalarShortcut:
+    """A walked factor with exactly n nonzeros that is scalar at every
+    point makes the bracket zero without a walk; any other factor with n
+    nonzeros is walked."""
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_scalar_factor_gives_the_reference_zero(self, ring,
+                                                    monkeypatch):
+        signs = _walk_signs(monkeypatch)
+        rng = random.Random(41)
+        n = 3
+        for c in _scalar_factors(ring, rng, n):
+            assert c._nnz() == n
+            for other in (random_skew(rng, n, ring),
+                          random_matrix(rng, n, ring)):
+                for a, b in ((c, other), (other, c)):
+                    ref = entrywise_bracket(a, b)
+                    got = commutator(a, b)
+                    assert got == ref == zeros(n, ring)
+                    assert hash(got) == hash(ref)
+                    assert got.cache_key() == ref.cache_key()
+                    assert is_skew_adjoint(got)
+        assert signs == []
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_non_scalar_factor_with_n_nonzeros_is_walked(self, ring,
+                                                         monkeypatch):
+        signs = _walk_signs(monkeypatch)
+        rng = random.Random(42)
+        n = 3
+        i_unit = ring.imag
+        lam = i_unit * ring.one
+        factors = [
+            # diag(I, 2I, 3I)
+            _diagonal(ring, [i_unit * k for k in (1, 2, 3)]),
+            # the zero diagonal of the zero scalar, and n nonzeros off it
+            from_entries(n, {(1, 2): lam, (2, 1): lam, (1, 3): lam}, ring),
+        ]
+        if isinstance(ring, FunctionRing):
+            # scalar at two points, diag(I, 2I, 3I) at the third
+            scalar = _scalar_factors(ring, rng, n)[0]
+            factors.append(from_points(
+                [at_point(scalar, 0), at_point(scalar, 1),
+                 at_point(factors[0], 2)]))
+        for d in factors:
+            assert d._nnz() == n
+            other = random_skew(rng, n, ring)
+            for a, b in ((d, other), (other, d)):
+                signs.clear()
+                got = commutator(a, b)
+                assert got == entrywise_bracket(a, b) != zeros(n, ring)
+                assert signs == [-1 if a is d else 1] * len(d.grids)
+
+
+class TestGridSums:
+    """Sums and differences on the flattened grids: the reduced lcm form
+    of the entrywise result."""
+
+    def _pairs(self, rng, n):
+        def ints():
+            return gmat([[(rng.randint(-9, 9), rng.randint(-9, 9))
+                          for _ in range(n)] for _ in range(n)])
+
+        x, y = ints(), ints()
+        halves = ints() * G(1, 0, 2) + x * G(1, 0, 2)
+        # denominators 7 and 6, 10 and 15; halves + rest has no
+        # denominator left, and halves - halves and x + (-x) are zero
+        rest = y - halves
+        return [(x * G(1, 0, 7), y * G(1, 0, 6)),
+                (x * G(1, 0, 10), y * G(1, 0, 15)),
+                (halves, rest), (halves, halves), (x, -x)]
+
+    def test_gaussian_sums_and_differences_match_the_reference(self):
+        rng = random.Random(43)
+        dens = set()
+        for n in (1, 3, 4):
+            results = []
+            for a, b in self._pairs(rng, n):
+                for sign, op in ((1, lambda u, v: u + v),
+                                 (-1, lambda u, v: u - v)):
+                    ref = Matrix(GAUSS, ((op(u, v) for u, v in zip(ra, rb))
+                                         for ra, rb in zip(a.rows, b.rows)))
+                    got = matrices._grid_combine(a.grids[0], b.grids[0],
+                                                 sign)
+                    assert got == _lcm_form(ref.rows) == ref.grids[0]
+                    results.append(got)
+            assert (1, ((0,) * n,) * n, ((0,) * n,) * n) in results
+            dens.update(den for den, _, _ in results)
+        assert {1, 30, 42} <= dens
+
+    def test_function_ring_sums_match_the_reference(self):
+        ring = FunctionRing(3)
+        rng = random.Random(44)
+        for n in (2, 3):
+            x = _scaled(ring, random_matrix(rng, n, ring), 7)
+            y = random_matrix(rng, n, ring)
+            for a, b in ((x, y), (x, x), (y, x - y)):
+                for got, op in ((a + b, lambda u, v: u + v),
+                                (a - b, lambda u, v: u - v)):
+                    ref = Matrix(ring, ((op(u, v) for u, v in zip(ra, rb))
+                                        for ra, rb in zip(a.rows, b.rows)))
+                    assert got.grids == ref.grids
 
 
 def _star_rule(x):
