@@ -454,3 +454,20 @@ def test_catalog_fingerprint_n3_to_n8():
             digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
         "56e29f864553417610016dfadf9192db483edba7863efecc1c98a531e47ac652"
+
+
+def test_catalog_fingerprint_n10_n12():
+    """One sha256 over n = 10 and 12, built as the n = 3..8 pin is. At
+    n = 12 the eq 5.7 system alone reduces 1,596 rows, so the pin covers
+    row reductions far longer than the bench and Tier-1 sizes reach."""
+    digest = hashlib.sha256()
+    for n in (10, 12):
+        runs = [(lemma, None, None) for lemma in known_lemmas()]
+        runs += [(lemma, None, "independent") for lemma in VARIANT_LEMMAS]
+        runs += [(lemma, idx, None) for lemma in ("3.6", "5.7")
+                 for idx in ((1, 2), (2, 3))]
+        for lemma, idx, v in runs:
+            cert = certify_lemma(lemma, n, idx, variant=v)
+            digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "68f6f82f589f7b1ee37a61b49a55a80633e9cdc7d327b1ee696335eae9e6a0f8"
