@@ -1,22 +1,30 @@
 """Exact linear algebra over the Gaussian rationals.
 
-ReducedSystem row-reduces a sparse coefficient matrix once and remembers,
-for every surviving row, which combination of the original rows produced
-it. That provenance lets one reduction serve many right hand sides, and
-the right hand sides may live in a larger ring than the coefficients:
-solving only ever multiplies ring elements by Gaussian rational scalars.
+ReducedSystem brings a sparse coefficient matrix to row echelon form
+once. Each row is reduced against the pivots in rising column order,
+the columns a pivot row brings in included; a new pivot does not clear
+its column from the earlier pivots. For every original row the
+reduction keeps an elimination record: the steps (pivot col,
+multiplier) it took and, for a new pivot, the factor that normalised
+its lead to 1. express expands its combination over the original rows
+from these records, touching only the pivots it reaches; nullvector
+back-substitutes; solve runs the records forward on the right hand side
+and then back-substitutes. The right hand sides may live in a larger
+ring than the coefficients: solving only ever multiplies ring elements
+by Gaussian rational scalars.
 
-Rows are reduced on Gaussian integers. Each row and its provenance are
-stored together as sparse numerators (re, im) over one shared positive
-denominator, kept gcd-reduced as Matrix grids are, so a reduction step
-is the integer update r := r*den_p - (fa + fb*i)*p against a pivot row p
-with denominator den_p, and a new pivot is normalised by multiplying by
-conj(lead) over |lead|^2. GaussianRational scalars are built only where
-results leave the class: express, nullvector and solve.
+Rows are reduced on Gaussian integers, stored as sparse numerators
+(re, im) over one shared positive denominator, kept gcd-reduced as
+Matrix grids are, so a reduction step is the integer update
+r := r*den_p - (fa + fb*i)*p against a pivot row p with denominator
+den_p, and a new pivot is normalised by multiplying by conj(lead) over
+|lead|^2. GaussianRational scalars are built only where results leave
+the reduction: express, nullvector and solve.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
@@ -45,40 +53,16 @@ def _int_row(row, ncols):
                  for c, g in parts.items()}
 
 
-def _update(target, scale, fa, fb, source):
-    """target := scale*target - (fa + fb*i)*source on sparse numerator
-    dicts, dropping created zeros."""
-    if scale != 1:
-        _scale(target, scale, 0)
-    for c, (a, b) in source.items():
-        ta, tb = target.get(c, (0, 0))
-        re = ta - fa * a + fb * b
-        im = tb - fa * b - fb * a
-        if re or im:
-            target[c] = (re, im)
-        else:
-            del target[c]
-
-
-def _scale(target, fa, fb):
-    """target := (fa + fb*i)*target on a sparse numerator dict, for a
-    nonzero factor."""
-    for c, (a, b) in target.items():
-        target[c] = (fa * a - fb * b, fa * b + fb * a)
-
-
-def _reduced(den, *parts):
-    """Divide den and every numerator of the sparse dicts by their gcd;
+def _reduced(den, nums):
+    """Divide den and every numerator of the sparse dict by their gcd;
     returns the new den."""
     if den == 1:
         return 1
-    g = gcd(den, *chain.from_iterable(chain.from_iterable(
-        p.values() for p in parts)))
+    g = gcd(den, *chain.from_iterable(nums.values()))
     if g > 1:
         den //= g
-        for p in parts:
-            for c, (a, b) in p.items():
-                p[c] = (a // g, b // g)
+        for c, (a, b) in nums.items():
+            nums[c] = (a // g, b // g)
     return den
 
 
@@ -87,7 +71,7 @@ def _gauss(nums, den):
 
 
 class ReducedSystem:
-    """Reduced row echelon form of a matrix, with provenance.
+    """Row echelon form of a matrix, with an elimination record per row.
 
     rows: iterable of sparse rows, each a dict column -> coefficient
     (int, Fraction or GaussianRational), or column -> (re, im) for a row
@@ -97,43 +81,72 @@ class ReducedSystem:
     def __init__(self, rows, ncols):
         self.ncols = ncols
         self.nrows = 0
-        self._pivots = {}   # pivot col -> [den, row, provenance] (numerators)
-        self._null = []     # (den, provenance) of rows that reduced to zero
-        self._exits = None  # solve's GaussianRational provenance, lazily
+        # pivot col -> (den, row numerators, (original row, steps, 1/lead)),
+        # in insertion order, which is the order of the original rows
+        self._pivots = {}
+        self._null = []     # (original row, steps) of rows that reduced to 0
         for row in rows:
             self.append(row)
+
+    def _eliminate(self, den, r, steps):
+        """Clear every pivot column from r in rising column order, the
+        columns that a pivot row brings in included. Appends each step
+        (pivot col, fa, fb, den), for the multiplier (fa + fb*i)/den of
+        that pivot's row, to steps and returns r's new den."""
+        pivots = self._pivots
+        heap = [c for c in r if c in pivots]
+        heapify(heap)
+        # a queued column stays on the heap until it is popped, so one
+        # that cancels and comes back is not pushed twice
+        queued = set(heap)
+        while heap:
+            pc = heappop(heap)
+            g = r.get(pc)
+            if g is None:
+                continue
+            fa, fb = g
+            steps.append((pc, fa, fb, den))
+            # r := pden*r - (fa + fb*i)*prow, which clears column pc
+            pden, prow, _ = pivots[pc]
+            if pden != 1:
+                for c, (a, b) in r.items():
+                    r[c] = (pden * a, pden * b)
+            for c, (a, b) in prow.items():
+                t = r.get(c)
+                if t is None:
+                    r[c] = (fb * b - fa * a, -fa * b - fb * a)
+                    if c in pivots and c not in queued:
+                        queued.add(c)
+                        heappush(heap, c)
+                else:
+                    re = t[0] - fa * a + fb * b
+                    im = t[1] - fa * b - fb * a
+                    if re or im:
+                        r[c] = (re, im)
+                    else:
+                        del r[c]
+            den = _reduced(den * pden, r)
+        return den
 
     def append(self, row):
         """Feed one more original row into the reduction."""
         den, r = _int_row(row, self.ncols)
-        prov = {self.nrows: (den, 0)}
+        orig = self.nrows
         self.nrows += 1
-        self._exits = None
-        pivots = self._pivots
-        for pc in sorted(c for c in r if c in pivots):
-            fa, fb = r[pc]
-            pden, prow, pprov = pivots[pc]
-            _update(r, pden, fa, fb, prow)
-            _update(prov, pden, fa, fb, pprov)
-            den = _reduced(den * pden, r, prov)
+        steps = []
+        den = self._eliminate(den, r, steps)
         if not r:
-            self._null.append((den, prov))
+            self._null.append((orig, steps))
             return
         pc = min(r)
         la, lb = r[pc]
         # r/den over its lead (la + lb*i)/den is r*conj(lead)/|lead|^2
+        norm = la * la + lb * lb
         if (la, lb) != (1, 0):
-            _scale(r, la, -lb)
-            _scale(prov, la, -lb)
-        den = _reduced(la * la + lb * lb, r, prov)
-        # clear the new pivot column from the rows already in echelon form
-        for entry in pivots.values():
-            g = entry[1].get(pc)
-            if g:
-                _update(entry[1], den, g[0], g[1], r)
-                _update(entry[2], den, g[0], g[1], prov)
-                entry[0] = _reduced(entry[0] * den, entry[1], entry[2])
-        pivots[pc] = [den, r, prov]
+            for c, (a, b) in r.items():
+                r[c] = (la * a + lb * b, la * b - lb * a)
+        self._pivots[pc] = (_reduced(norm, r), r, (
+            orig, steps, GaussianRational(den * la, -den * lb, norm)))
 
     @property
     def rank(self):
@@ -152,26 +165,58 @@ class ReducedSystem:
         An empty residual certifies span membership.
         """
         den, r = _int_row(row, self.ncols)
-        comb = {}
+        steps = []
+        den = self._eliminate(den, r, steps)
+        # row - residual is sum(mult * pivot row); a pivot row is its
+        # original row less its own steps, over its lead, and refers only
+        # to pivots inserted before it, so expand the latest pivot first
         pivots = self._pivots
-        for pc in sorted(c for c in r if c in pivots):
-            fa, fb = r[pc]
-            pden, prow, pprov = pivots[pc]
-            _update(r, pden, fa, fb, prow)
-            _update(comb, pden, -fa, -fb, pprov)
-            den = _reduced(den * pden, r, comb)
-        return _gauss(r, den), _gauss(comb, den)
+        coeff = {pc: GaussianRational(fa, fb, d) for pc, fa, fb, d in steps}
+        heap = [(-pivots[pc][2][0], pc) for pc in coeff]
+        heapify(heap)
+        comb = {}
+        while heap:
+            pc = heappop(heap)[1]
+            c = coeff.pop(pc)
+            if not c:
+                continue
+            orig, psteps, scale = pivots[pc][2]
+            c = c * scale
+            comb[orig] = c
+            ca, cb, cd = c.a, c.b, c.d
+            for j, fa, fb, d in psteps:
+                # c times the step's multiplier (fa + fb*i)/d
+                term = GaussianRational(ca * fa - cb * fb, ca * fb + cb * fa,
+                                        cd * d)
+                if j in coeff:
+                    coeff[j] = coeff[j] - term
+                else:
+                    coeff[j] = -term
+                    heappush(heap, (-pivots[j][2][0], j))
+        return _gauss(r, den), comb
 
     def nullvector(self, free_col):
         """The kernel basis vector attached to one free column."""
         if free_col in self._pivots or not 0 <= free_col < self.ncols:
             raise DimensionMismatch("column %d is not free" % free_col)
-        x = {free_col: GAUSS.one}
-        for pc, (pden, prow, _) in self._pivots.items():
-            g = prow.get(free_col)
-            if g:
-                x[pc] = GaussianRational(-g[0], -g[1], pden)
-        return x
+        x = [GAUSS.zero] * self.ncols
+        x[free_col] = GAUSS.one
+        self._back_substitute(x, GAUSS.zero)
+        return {c: v for c, v in enumerate(x) if v}
+
+    def _back_substitute(self, x, zero):
+        """Solve the pivot rows for their pivot variables in place. On
+        entry x holds each pivot row's right hand side at its pivot
+        column and the free variables elsewhere. A pivot row's other
+        columns all lie right of its pivot, so go right to left."""
+        pivots = self._pivots
+        for pc in sorted(pivots, reverse=True):
+            pden, prow, _ = pivots[pc]
+            acc = x[pc]
+            for c, (a, b) in prow.items():
+                if c != pc and x[c] != zero:
+                    acc = acc - GaussianRational(a, b, pden) * x[c]
+            x[pc] = acc
 
     def nullspace(self):
         return [self.nullvector(c) for c in self.free_cols]
@@ -180,31 +225,28 @@ class ReducedSystem:
         """Solve A x = rhs for the matrix this system was built from.
 
         rhs is a sequence of ring elements, one per original row. Free
-        variables are zero, so each pivot variable is its row's
-        provenance applied to rhs. Raises Infeasible when a dependency
-        among the rows is not matched by the right hand side.
+        variables are zero. The recorded steps run forward on rhs, giving
+        each pivot row's right hand side, and back-substitution gives the
+        pivot variables. Raises Infeasible when a dependency among the
+        rows is not matched by the right hand side.
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatch("expected %d right hand side entries, got %d"
                                     % (self.nrows, len(rhs)))
-        if self._exits is None:
-            self._exits = (
-                [list(_gauss(prov, den).items()) for den, prov in self._null],
-                [(pc, list(_gauss(pprov, pden).items()))
-                 for pc, (pden, _, pprov) in self._pivots.items()])
-        nulls, pivots = self._exits
         zero = ring.zero
+        # x first holds each pivot row's right hand side at its pivot
+        x = [zero] * self.ncols
 
-        def combine(prov):
-            acc = zero
-            for j, coeff in prov:
-                acc = acc + coeff * rhs[j]
+        def forward(orig, steps):
+            acc = rhs[orig]
+            for pc, fa, fb, d in steps:
+                acc = acc - GaussianRational(fa, fb, d) * x[pc]
             return acc
 
-        for prov in nulls:
-            if combine(prov) != zero:
+        for pc, (_, _, (orig, steps, scale)) in self._pivots.items():
+            x[pc] = scale * forward(orig, steps)
+        for orig, steps in self._null:
+            if forward(orig, steps) != zero:
                 raise Infeasible("right hand side breaks a row dependency")
-        x = [zero] * self.ncols
-        for pc, pprov in pivots:
-            x[pc] = combine(pprov)
+        self._back_substitute(x, zero)
         return x

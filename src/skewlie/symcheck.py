@@ -222,7 +222,8 @@ def certify(ring, hypotheses, conclusions):
     hyps = list(hypotheses)
     hyps += [("star:%s" % hid, ring.star(h)) for hid, h in hypotheses]
     # a row equal to +-h for an earlier row h reduces to zero, so it never
-    # becomes a pivot or enters a provenance: only the rows fed are solved
+    # becomes a pivot and no combination uses it; feeding it would only
+    # cost its elimination
     fed, seen = [], set()
     for hid, h in hyps:
         key = frozenset(h.items())

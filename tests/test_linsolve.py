@@ -76,6 +76,33 @@ class TestExpress:
         assert sys.nrows == 1
 
 
+class TestEchelon:
+    """Rows {0:1, 1:1} and {1:1, 2:1}: the first pivot row keeps column
+    1, the second pivot's column, so express, nullvector and solve must
+    go through the second pivot after the first."""
+
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+
+    def test_express_walks_into_a_later_pivot(self):
+        # {0:1} - row0 = {1:-1}; {1:-1} + row1 = {2:1}
+        sys = ReducedSystem(self.rows, ncols=3)
+        res, comb = sys.express({0: 1})
+        assert res == {2: G(1)}
+        assert comb == {0: G(1), 1: G(-1)}
+
+    def test_nullvector_back_substitutes(self):
+        # x2 = 1, then x1 = -x2 and x0 = -x1
+        sys = ReducedSystem(self.rows, ncols=3)
+        assert sys.nullvector(2) == {2: G(1), 1: G(-1), 0: G(1)}
+
+    def test_function_ring_rhs(self):
+        # x0 + x1 = f, x1 + x2 = g with x2 free: x1 = g, x0 = f - g
+        r = FunctionRing(2)
+        sys = ReducedSystem(self.rows, ncols=3)
+        x = sys.solve([r.lift([4, 6]), r.lift([1, 2])], ring=r)
+        assert x == [r.lift([3, 4]), r.lift([1, 2]), r.zero]
+
+
 class TestNullspace:
     def test_kernel_vectors_annihilate_rows(self):
         rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]
