@@ -448,11 +448,6 @@ def zeros(n, ring=GAUSS):
     return from_entries(n, {}, ring)
 
 
-def matrix_unit(n, i, j, ring=GAUSS):
-    """e_{i,j}: single one at 1-based position (i, j)."""
-    return from_entries(n, {(i, j): ring.one}, ring)
-
-
 def star_transpose(x):
     """(x*)^{i,j} = star of x^{j,i}."""
     star = x.ring.star

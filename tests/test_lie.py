@@ -33,7 +33,6 @@ from skewlie.matrices import (
     Matrix,
     from_entries,
     is_skew_adjoint,
-    matrix_unit,
     zeros,
 )
 from skewlie.rings import (
@@ -50,9 +49,9 @@ RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z0", "z1"), ((0, 1),))]
 
 class TestGenerators:
     def test_s_and_ebar_shape(self):
-        assert s_elem(3, 1, 2) == matrix_unit(3, 1, 2) - matrix_unit(3, 2, 1)
-        assert ie_bar(3, 1, 2) == GAUSS.imag * (matrix_unit(3, 1, 2)
-                                                + matrix_unit(3, 2, 1))
+        assert s_elem(3, 1, 2) == from_entries(3, {(1, 2): 1, (2, 1): -1})
+        assert ie_bar(3, 1, 2) == from_entries(
+            3, {(1, 2): GAUSS.imag, (2, 1): GAUSS.imag})
         assert s_elem(3, 2, 1) == -s_elem(3, 1, 2)
         with pytest.raises(EqualIndices):
             s_elem(3, 2, 2)
@@ -145,7 +144,7 @@ class TestDecompose:
 
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewAdjoint):
-            decompose(matrix_unit(2, 1, 1))
+            decompose(from_entries(2, {(1, 1): 1}))
 
 
 class TestLinearMaps:
@@ -185,7 +184,7 @@ class TestLinearMaps:
         with pytest.raises(DimensionMismatch):
             m.apply(zeros(3))
         with pytest.raises(NotSkewAdjoint):
-            m.apply(matrix_unit(2, 1, 1))
+            m.apply(from_entries(2, {(1, 1): 1}))
         with pytest.raises(DimensionMismatch):
             LinearLieMap(GAUSS, 2, [zeros(2)])
 

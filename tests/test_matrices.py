@@ -30,7 +30,6 @@ from skewlie.matrices import (
     from_entries,
     from_points,
     is_skew_adjoint,
-    matrix_unit,
     star_transpose,
     zeros,
 )
@@ -66,13 +65,13 @@ def random_matrix(rng, n, ring=GAUSS):
 
 class TestBasics:
     def test_entry_is_one_based(self):
-        e = matrix_unit(3, 1, 2)
+        e = from_entries(3, {(1, 2): 1})
         assert e.entry(1, 2) == G(1)
         assert e.entry(2, 1) == G(0)
         with pytest.raises(IndexOutOfRange):
             e.entry(0, 1)
         with pytest.raises(IndexOutOfRange):
-            matrix_unit(3, 1, 4)
+            from_entries(3, {(1, 4): 1})
 
     @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
     def test_from_entries(self, ring):
@@ -99,22 +98,22 @@ class TestBasics:
 
     def test_ring_and_size_guards(self):
         with pytest.raises(DimensionMismatch):
-            gmat([[1, 2], [3, 4]]) + matrix_unit(3, 1, 1)
+            gmat([[1, 2], [3, 4]]) + from_entries(3, {(1, 1): 1})
         with pytest.raises(DimensionMismatch):
-            commutator(matrix_unit(1, 1, 1),
+            commutator(from_entries(1, {(1, 1): 1}),
                        Matrix(FunctionRing(1), [[FunctionRing(1).one]]))
         with pytest.raises(DimensionMismatch):
             Matrix(GAUSS, [[G(1), G(2)]])
 
     def test_entries_are_lifted_by_ring_scalar(self):
-        ident = matrix_unit(2, 1, 1) + matrix_unit(2, 2, 2)
+        ident = from_entries(2, {(1, 1): 1, (2, 2): 1})
         m = Matrix(GAUSS, [[1, 0], [0, 1]])
         assert m == ident and m.rows == ident.rows
         assert all(isinstance(v, GaussianRational) for r in m.rows for v in r)
         ring = FunctionRing(2)
         lifted = Matrix(ring, ident.rows)
-        assert lifted == (matrix_unit(2, 1, 1, ring)
-                          + matrix_unit(2, 2, 2, ring))
+        assert lifted == from_entries(2, {(1, 1): ring.one,
+                                          (2, 2): ring.one}, ring)
         assert lifted.rows == ((ring.one, ring.zero), (ring.zero, ring.one))
         for r in RINGS:
             # plain ints and the ring's own elements give one matrix: the
@@ -189,7 +188,7 @@ def _shape_pairs(shape, rng, n, ring):
                      for e in basis[::n]]
         else:
             mixed = [_diagonal(ring, [_nonzero_element(rng, ring)] * n)
-                     + matrix_unit(n, 1, 2, ring)]
+                     + from_entries(n, {(1, 2): ring.one}, ring)]
         return [(x, y) for x in mixed
                 for y in (random_matrix(rng, n, ring), basis[-1], x)]
     if shape == "basis-right":
@@ -239,7 +238,7 @@ class TestCommutator:
                     assert _entries_reduced(m)
 
     def test_non_matrix_arguments(self):
-        m = matrix_unit(2, 1, 1)
+        m = from_entries(2, {(1, 1): 1})
         with pytest.raises(DimensionMismatch):
             commutator(3, m)
         with pytest.raises(DimensionMismatch):
@@ -490,7 +489,7 @@ class TestStarTranspose:
         # (i 1; -1 i) satisfies x* = -x
         x = gmat([[(0, 1), 1], [-1, (0, 1)]])
         assert is_skew_adjoint(x)
-        assert not is_skew_adjoint(matrix_unit(2, 1, 1))
+        assert not is_skew_adjoint(from_entries(2, {(1, 1): 1}))
 
     def test_antimultiplicative(self):
         rng = random.Random(9)

@@ -29,7 +29,7 @@ from skewlie.lie import (
     s_elem,
     staircase,
 )
-from skewlie.matrices import at_point, matrix_unit, zeros
+from skewlie.matrices import at_point, from_entries, zeros
 from skewlie.rings import GAUSS, FunctionRing
 from skewlie.twolocal import (
     GaugedInnerTwoLocal,
@@ -99,7 +99,7 @@ class TestOracle:
     def test_rejects_non_skew_arguments(self):
         _, oracle = make_oracle(4, 3)
         with pytest.raises(NotSkewAdjoint):
-            oracle.query(matrix_unit(3, 1, 1), s_elem(3, 1, 2))
+            oracle.query(from_entries(3, {(1, 1): 1}), s_elem(3, 1, 2))
 
     def test_delta_matches_seed_derivation(self):
         a0, oracle = make_oracle(5, 3)
@@ -281,8 +281,8 @@ class TestBruteForce:
         a0 = random_skew(random.Random(70 + n), n, ring)
         solver = PreparedBracketSolver.for_size(n)
         probes = solver.probes(ring)
-        shift = sum((a0.entry(1, 1) * matrix_unit(n, k, k, ring)
-                     for k in range(1, n + 1)), zeros(n, ring))
+        shift = from_entries(n, {(k, k): a0.entry(1, 1)
+                                 for k in range(1, n + 1)}, ring)
         assert solver.candidate([bracket(a0, p) for p in probes],
                                 ring) == a0 - shift
         assert solver.candidate([zeros(n, ring)] * 2, ring) == zeros(n, ring)
