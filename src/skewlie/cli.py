@@ -19,10 +19,15 @@ from .rings import GAUSS, FunctionRing, PolynomialRing, check_ring_axioms
 from .symcheck import certify_lemma, known_lemmas
 from .twolocal import twolocal_campaign
 
-# the largest --n and --omega accepted, twice the largest size the tests,
-# demos and benchmark use; the canonical basis alone holds n^4 entries
-# (55 MB at n = 32), so a larger run would spend its memory before any check
+# the largest --n and --omega accepted by the campaigns, twice the largest
+# size the tests, demos and benchmark use; a campaign holds the canonical
+# basis, n^4 entries (55 MB at n = 32), so a larger run would spend its
+# memory before any check
 SIZE_LIMIT = 32
+# the largest --n accepted wherever symcheck runs; certifying the catalog
+# builds no canonical basis, its cost is the row reduction of the eq 5.7
+# system, about n^4.5: n = 24 took 27 s and 302 MB on a 2-vCPU VM
+SYMCHECK_LIMIT = 24
 
 
 def parse_sizes(text):
@@ -130,6 +135,9 @@ def run(args):
                 "required (n >= 3)" % min(sizes))
         if "symcheck" in modes:
             raise ConfigError("certificates are stated for sizes >= 3")
+    if "symcheck" in modes and max(sizes) > SYMCHECK_LIMIT:
+        raise ConfigError("certificates are checked for sizes at most %d, "
+                          "got %d" % (SYMCHECK_LIMIT, max(sizes)))
     config = {
         "mode": args.mode, "n": args.n, "ring": ring.name,
         "omega": args.omega, "trials": args.trials, "seed": args.seed,

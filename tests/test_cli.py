@@ -142,16 +142,27 @@ class TestMainExitCodes:
                          "--trials", trials]) == 2
         assert "at least one trial" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["--mode", "local", "--ring", "fnring", "--omega", "100000000000"],
-        ["--mode", "twolocal", "--n", "3..100000000000"]],
-        ids=["omega", "n"])
-    def test_oversize_is_2(self, argv, capsys):
+    @pytest.mark.parametrize("argv,limit", [
+        (["--mode", "local", "--ring", "fnring", "--omega", "100000000000"],
+         cli.SIZE_LIMIT),
+        (["--mode", "twolocal", "--n", "3..100000000000"], cli.SIZE_LIMIT),
+        (["--mode", "symcheck", "--n", str(cli.SYMCHECK_LIMIT + 1)],
+         cli.SYMCHECK_LIMIT),
+        (["--mode", "all", "--n", "3..%d" % (cli.SYMCHECK_LIMIT + 1)],
+         cli.SYMCHECK_LIMIT)],
+        ids=["omega", "n", "symcheck", "all-symcheck"])
+    def test_oversize_is_2(self, argv, limit, capsys):
         # refused before anything is allocated: exit 2, a typed error
         assert cli.main(argv + ["--trials", "1"]) == 2
         err = capsys.readouterr().err
-        assert "at most %d" % cli.SIZE_LIMIT in err
+        assert "at most %d" % limit in err
         assert "Traceback" not in err
+
+    def test_symcheck_limit_is_inclusive(self):
+        args = cli.build_parser().parse_args(
+            ["--mode", "symcheck", "--n", str(cli.SYMCHECK_LIMIT),
+             "--lemma", "3.41"])
+        assert cli.run(args).passed
 
     def test_bad_out_path_is_3(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "r.json"
