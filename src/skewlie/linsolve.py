@@ -81,19 +81,21 @@ class ReducedSystem:
     def __init__(self, rows, ncols):
         self.ncols = ncols
         self.nrows = 0
-        # pivot col -> (den, row numerators, (original row, steps, 1/lead)),
-        # in insertion order, which is the order of the original rows
+        # pivot col -> (den, row numerators, (original row, steps, 1/lead
+        # as (re, im, den))), in insertion order, which is the order of
+        # the original rows
         self._pivots = {}
         self._null = []     # (original row, steps) of rows that reduced to 0
         for row in rows:
             self.append(row)
 
-    def _eliminate(self, den, r, steps):
+    def _eliminate(self, den, r):
         """Clear every pivot column from r in rising column order, the
-        columns that a pivot row brings in included. Appends each step
-        (pivot col, fa, fb, den), for the multiplier (fa + fb*i)/den of
-        that pivot's row, to steps and returns r's new den."""
+        columns that a pivot row brings in included. Returns r's new den
+        and the steps taken, each (pivot col, fa, fb, den) for the
+        multiplier (fa + fb*i)/den of that pivot's row."""
         pivots = self._pivots
+        steps = []
         heap = [c for c in r if c in pivots]
         heapify(heap)
         # a queued column stays on the heap until it is popped, so one
@@ -126,15 +128,14 @@ class ReducedSystem:
                     else:
                         del r[c]
             den = _reduced(den * pden, r)
-        return den
+        return den, steps
 
     def append(self, row):
         """Feed one more original row into the reduction."""
         den, r = _int_row(row, self.ncols)
         orig = self.nrows
         self.nrows += 1
-        steps = []
-        den = self._eliminate(den, r, steps)
+        den, steps = self._eliminate(den, r)
         if not r:
             self._null.append((orig, steps))
             return
@@ -146,7 +147,7 @@ class ReducedSystem:
             for c, (a, b) in r.items():
                 r[c] = (la * a + lb * b, la * b - lb * a)
         self._pivots[pc] = (_reduced(norm, r), r, (
-            orig, steps, GaussianRational(den * la, -den * lb, norm)))
+            orig, steps, (den * la, -den * lb, norm)))
 
     @property
     def rank(self):
@@ -165,34 +166,36 @@ class ReducedSystem:
         An empty residual certifies span membership.
         """
         den, r = _int_row(row, self.ncols)
-        steps = []
-        den = self._eliminate(den, r, steps)
+        den, steps = self._eliminate(den, r)
         # row - residual is sum(mult * pivot row); a pivot row is its
         # original row less its own steps, over its lead, and refers only
-        # to pivots inserted before it, so expand the latest pivot first
+        # to pivots inserted before it, so expand the latest pivot first.
+        # A pivot's coefficient stays an unreduced (re, im, den) triple
+        # until the pivot is expanded
         pivots = self._pivots
-        coeff = {pc: GaussianRational(fa, fb, d) for pc, fa, fb, d in steps}
+        coeff = {pc: (fa, fb, d) for pc, fa, fb, d in steps}
         heap = [(-pivots[pc][2][0], pc) for pc in coeff]
         heapify(heap)
         comb = {}
         while heap:
             pc = heappop(heap)[1]
-            c = coeff.pop(pc)
-            if not c:
+            ca, cb, cd = coeff.pop(pc)
+            if not (ca or cb):
                 continue
-            orig, psteps, scale = pivots[pc][2]
-            c = c * scale
+            orig, psteps, (sa, sb, sd) = pivots[pc][2]
+            c = GaussianRational(ca * sa - cb * sb, ca * sb + cb * sa, cd * sd)
             comb[orig] = c
             ca, cb, cd = c.a, c.b, c.d
             for j, fa, fb, d in psteps:
-                # c times the step's multiplier (fa + fb*i)/d
-                term = GaussianRational(ca * fa - cb * fb, ca * fb + cb * fa,
-                                        cd * d)
-                if j in coeff:
-                    coeff[j] = coeff[j] - term
-                else:
-                    coeff[j] = -term
+                # subtract c times the step's multiplier (fa + fb*i)/d
+                ta, tb, td = ca * fa - cb * fb, ca * fb + cb * fa, cd * d
+                old = coeff.get(j)
+                if old is None:
+                    coeff[j] = (-ta, -tb, td)
                     heappush(heap, (-pivots[j][2][0], j))
+                else:
+                    oa, ob, od = old
+                    coeff[j] = (oa * td - ta * od, ob * td - tb * od, od * td)
         return _gauss(r, den), comb
 
     def nullvector(self, free_col):
@@ -244,7 +247,7 @@ class ReducedSystem:
             return acc
 
         for pc, (_, _, (orig, steps, scale)) in self._pivots.items():
-            x[pc] = scale * forward(orig, steps)
+            x[pc] = GaussianRational(*scale) * forward(orig, steps)
         for orig, steps in self._null:
             if forward(orig, steps) != zero:
                 raise Infeasible("right hand side breaks a row dependency")
