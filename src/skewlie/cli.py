@@ -26,8 +26,8 @@ from .twolocal import twolocal_campaign
 SIZE_LIMIT = 32
 # the largest --n accepted wherever symcheck runs; certifying the catalog
 # builds no canonical basis, its cost is the row reduction of the eq 5.7
-# system: n = 16 took 2.3 s and 65 MB, n = 24 took 27 s and 302 MB on a
-# 2-vCPU VM
+# system: n = 16 took 2.3 to 2.8 s and 65 MB, n = 24 took 26 to 27 s and
+# 302 MB on a 2-vCPU VM
 SYMCHECK_LIMIT = 24
 
 

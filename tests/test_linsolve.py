@@ -1,4 +1,4 @@
-"""Reduction, provenance, kernels and ring-valued right hand sides.
+"""Reduction, combinations, kernels and ring-valued right hand sides.
 
 Small systems here were solved by hand and the answers frozen; the
 invariant tests check random systems against the definitions.
