@@ -139,27 +139,29 @@ def decompose(x):
 
 
 class LinearLieMap:
-    """A linear map tabulated on the canonical basis.
+    """A linear map on K_n tabulated on the canonical basis.
 
-    values[k] is the image of canonical_basis(n)[k]. Applying the map to
-    an arbitrary skew-adjoint matrix decomposes it and recombines the
-    tabulated images with the same coefficients.
+    values[k] is the image of canonical_basis(n)[k]; every image must be
+    skew-adjoint (NotSkewAdjoint otherwise), so the map takes K_n into
+    itself. Applying the map to an arbitrary skew-adjoint matrix
+    decomposes it and recombines the tabulated images with the same
+    coefficients; applied to a canonical basis element itself it
+    returns the stored image.
 
     Over the Gaussian rationals and function rings the images are
-    tabulated once, at construction, as one integer structure matrix per
-    point of the domain: one shared denominator D and, for each of the
-    n^2 output entries, a row of n^2 integer numerators for its real
-    part and one for its imaginary part (2n^2 by n^2 in all). apply(x)
-    reads the integer coefficients of x at each point off its grid
-    there, over its denominator den_x, and builds each output entry from
-    two integer dot products over D*den_x: 2n^4 integer multiply-adds
-    and one gcd reduction of the result grid per point and call, where
-    the entry-by-entry recombination pays a reduction per multiply-add.
-    An argument with fewer than n^2/2 nonzero coefficients at a point
-    sums the image columns it picks there instead, 2n^2 multiply-adds
-    per coefficient. Polynomial rings recombine entry by entry
-    (_apply_generic), which is also the reference the tables are tested
-    against.
+    tabulated once, at construction, as one n^2 x n^2 integer matrix
+    per point of the domain: the n^2 real coordinates of every image
+    (its decomposition), over one shared denominator D. apply(x) reads
+    the integer coordinates of x at each point off its grid there, over
+    its denominator den_x, takes n^2 integer dot products over D*den_x
+    for the coordinates of the image, and rebuilds its skew-adjoint
+    grid from them with one gcd reduction: n^4 integer multiply-adds per
+    point and call, where the entry-by-entry recombination pays a
+    reduction per multiply-add. An argument with fewer than n^2/2
+    nonzero coefficients at a point sums the image columns it picks
+    there instead, n^2 multiply-adds per coefficient. Polynomial rings
+    recombine entry by entry (_apply_generic), which is also the
+    reference the tables are tested against.
     """
 
     def __init__(self, ring, n, values):
@@ -167,9 +169,14 @@ class LinearLieMap:
         if len(values) != n * n:
             raise DimensionMismatch("expected %d basis images, got %d"
                                     % (n * n, len(values)))
+        for label, v in zip(basis_labels(n), values):
+            require_skew_adjoint(v, "image of %s" % label)
         self.ring = ring
         self.n = n
         self.values = values
+        # the basis is memoized, so its members are told apart by identity
+        self._basis_index = {id(b): k for k, b in
+                             enumerate(canonical_basis(n, ring))}
         self._tables = _map_tables(values)
 
     @classmethod
@@ -179,6 +186,9 @@ class LinearLieMap:
     def apply(self, x):
         if x.n != self.n or x.ring != self.ring:
             raise DimensionMismatch("map and argument disagree on shape")
+        k = self._basis_index.get(id(x))
+        if k is not None:
+            return self.values[k]
         if self._tables is None:
             return self._apply_generic(x)
         require_skew_adjoint(x)
@@ -264,7 +274,8 @@ def is_central(x):
 def random_skew(rng, n, ring=GAUSS):
     """A random skew-adjoint matrix: free entries above the diagonal,
     imaginary-unit multiples of star-fixed samples on it, in the order
-    in which the ring's random_element and random_real take them.
+    in which the ring's random_element and random_real take them. The
+    result is known skew-adjoint to the bracket, without a check.
     """
     if isinstance(ring, (GaussianField, FunctionRing)):
         return _random_skew_grids(rng, n, ring)
@@ -276,4 +287,6 @@ def random_skew(rng, n, ring=GAUSS):
             v = ring.random_element(rng)
             grid[i][j] = v
             grid[j][i] = -ring.star(v)
-    return Matrix(ring, grid)
+    out = Matrix(ring, grid)
+    out._cache["skew"] = True
+    return out

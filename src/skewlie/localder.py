@@ -47,6 +47,7 @@ from .matrices import (
     Matrix,
     at_point,
     from_points,
+    is_skew_adjoint,
     require_skew_adjoint,
     zeros,
 )
@@ -102,7 +103,9 @@ class WitnessedLocalMap:
 
     Construction queries the oracle on the whole canonical basis,
     verifies the witness contract on each answer, and tabulates the map
-    from the returned values. witness(x) re-checks the contract on every
+    from the returned values; a value that fails [w, b] == value or is
+    not skew-adjoint raises WitnessContractError naming the basis
+    element b. witness(x) re-checks the contract on every
     new element and memoizes the answer, so a witness that fails
     [w, x] == map(x) raises WitnessContractError at the point of use.
     """
@@ -120,6 +123,9 @@ class WitnessedLocalMap:
                 raise WitnessContractError(
                     "witness for %s does not implement the claimed value"
                     % label)
+            if not is_skew_adjoint(value):
+                raise WitnessContractError(
+                    "claimed value for %s is not skew-adjoint" % label)
             self._memo[b.cache_key()] = w
             values.append(value)
         self.map = LinearLieMap(self.ring, self.n, values)
@@ -218,6 +224,18 @@ def _embed_block(y, S, n):
     return Matrix(ring, grid)
 
 
+def _embedded_basis(S, n, ring):
+    """The embedding of each basis element of the block S (sorted) into
+    size n, in the block's basis order: s[a,b], Ibar[a,b] and Idiag[a]
+    of the block embed as the canonical basis elements s[S_a,S_b],
+    Ibar[S_a,S_b] and Idiag[S_a] of K_n, the memoized objects whose
+    images a LinearLieMap stores."""
+    pairs = [(p, q) for a, p in enumerate(S) for q in S[a + 1:]]
+    return ([s_elem(n, p, q, ring) for p, q in pairs]
+            + [ie_bar(n, p, q, ring) for p, q in pairs]
+            + [ie_diag(n, p, ring) for p in S])
+
+
 def corner_implementer(lmap, indices):
     """An implementer of the map compressed to a block of indices.
 
@@ -226,9 +244,13 @@ def corner_implementer(lmap, indices):
     every restriction of a local derivation and is unique up to a central
     summand of the block. It is solved by PreparedBracketSolver of the
     block size, as the brute-force implementers are, on the block of the
-    map's value at each embedded block basis element and probe.
-    Raises Infeasible, naming the block, when no such matrix exists,
-    which is how incoherent oracles surface here.
+    map's value at each embedded block basis element and probe. A block
+    basis element embeds as a canonical basis element of K_n
+    (_embedded_basis), so its value is the map's stored image, cut to
+    the block; only the staircase probe of a block of three or more
+    indices is embedded and applied. Raises Infeasible, naming the
+    block, when no such matrix exists, which is how incoherent oracles
+    surface here.
     """
     S = sorted(set(indices))
     if len(S) < 2:
@@ -237,11 +259,19 @@ def corner_implementer(lmap, indices):
     for p in S:
         if not 1 <= p <= n:
             raise DimensionMismatch("block index %d outside 1..%d" % (p, n))
+    ring = lmap.ring
+    embedded = {id(b): e for b, e in zip(canonical_basis(len(S), ring),
+                                         _embedded_basis(S, n, ring))}
+
+    def nabla(b):
+        e = embedded.get(id(b))
+        if e is None:
+            e = _embed_block(b, S, n)
+        return _extract_block(lmap.nabla(e), S)
+
     solver = PreparedBracketSolver.for_size(len(S))
     try:
-        w_local = solver.solve_values(
-            lambda b: _extract_block(lmap.nabla(_embed_block(b, S, n)), S),
-            lmap.ring)
+        w_local = solver.solve_values(nabla, ring)
     except Infeasible as exc:
         raise Infeasible("no block implementer on indices %r" % (S,)) \
             from exc

@@ -35,6 +35,18 @@ grid mapped over the points:
     returns the ring's zero matrix of that size, built once, without a
     walk; the scalar check is the same per-grid kernel that is_central
     reads
+  * when the walked factor has more than n nonzeros and both factors
+    are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
+    is P - P*, formed on the flattened numerators with map. Whether a
+    matrix is skew-adjoint is cached with it, and set without a check
+    on random_skew draws, on brackets, sums and differences of two
+    known skew-adjoint factors, on _shift_diagonal of one and on the
+    images that linear-map tables return; an unknown factor is checked
+    once, on its grids in C
+  * the table of a linear map on K_n holds the n^2 real coordinates
+    (the lie.decompose coefficients) of every basis image, n^2 x n^2
+    integers per point, and apply rebuilds the skew-adjoint image grid
+    from the n^2 coordinates it computes
   * sums and differences work on the flattened numerators of both
     grids with map, so the arithmetic and the one gcd run in C
   * brackets over other rings walk the same factor with the ring's own
@@ -49,7 +61,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, or_, sub
+from operator import add, mul, neg, or_, sub
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
 from .rings import (
@@ -322,13 +334,18 @@ class Matrix:
 
 
 def _combine(a, b, sign):
-    """a + sign*b for compatible a and b, sign = 1 or -1."""
+    """a + sign*b for compatible a and b, sign = 1 or -1; known
+    skew-adjoint when a and b are."""
     if a.grids is None:
         op = add if sign > 0 else sub
-        return Matrix._of_rows(a.ring, tuple(
+        out = Matrix._of_rows(a.ring, tuple(
             tuple(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows)))
-    return Matrix._of_grids(a.ring, tuple(map(_grid_combine, a.grids, b.grids,
-                                              repeat(sign))))
+    else:
+        out = Matrix._of_grids(a.ring, tuple(
+            map(_grid_combine, a.grids, b.grids, repeat(sign))))
+    if a._cache.get("skew") and b._cache.get("skew"):
+        out._cache["skew"] = True
+    return out
 
 
 def _grid_combine(ga, gb, sign):
@@ -345,9 +362,11 @@ def _grid_combine(ga, gb, sign):
         list(map(add, map(mul, flat(aim), fa), map(mul, flat(bim), fb))))
 
 
-def _grid_sparse_commutator(ga, gb, sign):
+def _grid_sparse_commutator(ga, gb, sign, skew=False):
     """sign * (a*b - b*a) for the grids of a and b at one point, walking
-    only b's nonzeros; the sign is folded into b's entries."""
+    only b's nonzeros; the sign is folded into b's entries. With skew
+    (a and b skew-adjoint) only P = sign*a*b is walked: b*a = (a*b)*,
+    so the bracket is P - P*, re = P_re - P_re^T and im = P_im + P_im^T."""
     da, are, aim = ga
     db, bre, bim = gb
     n = len(are)
@@ -363,6 +382,11 @@ def _grid_sparse_commutator(ga, gb, sign):
             y = aim[i][p]
             cre[i][j] += x * r - y * s
             cim[i][j] += x * s + y * r
+    if skew:
+        flat = chain.from_iterable
+        return _flat_grid(n, da * db,
+                          list(map(sub, flat(cre), flat(zip(*cre)))),
+                          list(map(add, flat(cim), flat(zip(*cim)))))
     for i, p, r, s in nz:
         # row i of b*a gains b^{ip} times row p of a
         ore, oim = cre[i], cim[i]
@@ -399,7 +423,11 @@ def commutator(a, b):
     b, unless b has more than n nonzeros and a has fewer, in which case
     a is walked and the sign of [b, a] = -[a, b] folded in. On grids, a
     walked factor with exactly n nonzeros that is scalar at every point
-    is central, and the bracket is the zero matrix without a walk."""
+    is central, and the bracket is the zero matrix without a walk. When
+    the walked factor has more than n nonzeros and both factors are
+    skew-adjoint, only their product is walked (_grid_sparse_commutator
+    with skew). The bracket of two known skew-adjoint factors is known
+    skew-adjoint."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
@@ -407,15 +435,24 @@ def commutator(a, b):
     nnz_b = b._nnz()
     swap = nnz_b > n and a._nnz() < nnz_b
     if a.grids is None:
-        return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
-    walked = a if swap else b
-    if walked._nnz() == n and all(map(_grid_is_scalar, walked.grids)):
-        return _zero_like(a)
-    if swap:
-        grids = map(_grid_sparse_commutator, b.grids, a.grids, repeat(-1))
+        out = -_sparse_commutator(b, a) if swap \
+            else _sparse_commutator(a, b)
     else:
-        grids = map(_grid_sparse_commutator, a.grids, b.grids, repeat(1))
-    return Matrix._of_grids(a.ring, tuple(grids))
+        walked = a if swap else b
+        nnz = walked._nnz()
+        if nnz == n and all(map(_grid_is_scalar, walked.grids)):
+            return _zero_like(a)
+        skew = repeat(nnz > n and is_skew_adjoint(a) and is_skew_adjoint(b))
+        if swap:
+            grids = map(_grid_sparse_commutator, b.grids, a.grids,
+                        repeat(-1), skew)
+        else:
+            grids = map(_grid_sparse_commutator, a.grids, b.grids,
+                        repeat(1), skew)
+        out = Matrix._of_grids(a.ring, tuple(grids))
+    if a._cache.get("skew") and b._cache.get("skew"):
+        out._cache["skew"] = True
+    return out
 
 
 # the zero matrix of each ring with grids and size, built on first use
@@ -465,12 +502,18 @@ def is_skew_adjoint(x):
             ok = all(star(rows[j][i]) == -rows[i][j]
                      for i in range(n) for j in range(i, n))
         else:
-            # x^{ji} = -conj(x^{ij}) on each grid over one denominator
-            ok = all(re[j][i] == -re[i][j] and im[j][i] == im[i][j]
-                     for _, re, im in x.grids
-                     for i in range(n) for j in range(i, n))
+            ok = all(map(_grid_is_skew, x.grids))
         x._cache["skew"] = ok
     return ok
+
+
+def _grid_is_skew(grid):
+    """x^{ji} = -conj(x^{ij}) on a grid over one denominator: re + re^T
+    is zero and im^T == im, compared on the flattened numerators."""
+    _, re, im = grid
+    flat = chain.from_iterable
+    return tuple(zip(*im)) == im and not any(map(add, flat(re),
+                                                 flat(zip(*re))))
 
 
 def require_skew_adjoint(x, what="matrix"):
@@ -506,13 +549,56 @@ def _add_diagonal(rows, v):
 def _shift_diagonal(x, lam):
     """x + lam(t) * I * identity at each point t, for integers lam(t):
     lam(t)*den added to the imaginary diagonal of point t's grid, which
-    keeps it reduced. Over a ring without grids, lam(0) is the scale."""
+    keeps it reduced. Over a ring without grids, lam(0) is the scale.
+    The shift is skew-adjoint, so the result is known skew-adjoint when
+    x is."""
     if x.grids is None:
-        return Matrix(x.ring, _add_diagonal(
+        out = Matrix(x.ring, _add_diagonal(
             x.rows, x.ring.scalar(lam(0)) * imaginary_unit(x.ring)))
-    return Matrix._of_grids(x.ring, tuple(
-        (den, re, _add_diagonal(im, lam(t) * den))
-        for t, (den, re, im) in enumerate(x.grids)))
+    else:
+        out = Matrix._of_grids(x.ring, tuple(
+            (den, re, _add_diagonal(im, lam(t) * den))
+            for t, (den, re, im) in enumerate(x.grids)))
+    if x._cache.get("skew"):
+        out._cache["skew"] = True
+    return out
+
+
+# per size n, the flat row-major positions that the n^2 coordinates of a
+# skew-adjoint grid are read from and written back to; see _skew_layout
+_layouts = {}
+
+
+def _skew_layout(n):
+    """Index lists that move the n^2 coordinates of a skew-adjoint grid
+    (lie's basis order: Re x^{ij} for i < j, Im x^{ij} for i < j, Im
+    x^{ii}) to and from its flat row-major numerators, built once per n.
+
+    The coordinates are read as Re at the positions upper (i < j,
+    lexicographic) and Im at coords_im (upper, then the diagonal).
+    re_from and im_from write them back: flat entry f of re is
+    ext[re_from[f]] for ext = s + (-s) + [0], s the Re coordinates, and
+    flat entry f of im is t[im_from[f]], t the Im coordinates.
+    """
+    out = _layouts.get(n)
+    if out is None:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        index = {pq: k for k, pq in enumerate(pairs)}
+        half = len(pairs)
+        upper = [i * n + j for i, j in pairs]
+        re_from, im_from = [], []
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    re_from.append(2 * half)
+                    im_from.append(half + i)
+                else:
+                    k = index[min(i, j), max(i, j)]
+                    re_from.append(k if i < j else half + k)
+                    im_from.append(k)
+        out = _layouts[n] = (upper, upper + [i * (n + 1) for i in range(n)],
+                             re_from, im_from)
+    return out
 
 
 def _gauss_coeff_ints(grid):
@@ -520,10 +606,27 @@ def _gauss_coeff_ints(grid):
     order: skew-adjointness makes the coefficients Re x^{ij} and Im x^{ij}
     for i < j and Im x^{ii}, so they are read straight off the grid."""
     den, re, im = grid
-    n = len(re)
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return den, ([re[i][j] for i, j in upper] + [im[i][j] for i, j in upper]
-                 + [im[i][i] for i in range(n)])
+    upper, coords_im, _, _ = _skew_layout(len(re))
+    flat = chain.from_iterable
+    fre, fim = list(flat(re)), list(flat(im))
+    return den, (list(map(fre.__getitem__, upper))
+                 + list(map(fim.__getitem__, coords_im)))
+
+
+def _skew_grid(n, den, coords):
+    """The reduced grid of the skew-adjoint matrix with coordinates
+    coords / den in basis order (the inverse of _gauss_coeff_ints)."""
+    if den != 1:
+        g = gcd(den, *coords)
+        if g > 1:
+            den //= g
+            coords = [v // g for v in coords]
+    _, _, re_from, im_from = _skew_layout(n)
+    half = n * (n - 1) // 2
+    s = coords[:half]
+    ext = s + list(map(neg, s)) + [0]
+    return (den, _split_rows(list(map(ext.__getitem__, re_from)), n),
+            _split_rows(list(map(coords[half:].__getitem__, im_from)), n))
 
 
 def _gauss_decompose(x):
@@ -532,54 +635,53 @@ def _gauss_decompose(x):
     return [GaussianRational(c, 0, den) for c in nums]
 
 
-def _gauss_table(grids):
-    """The images of a linear map at one point, given by their grids
-    there, as one integer structure matrix.
+def _coord_table(grids):
+    """The images of a linear map on K_n at one point, given by their
+    skew-adjoint grids there, as the n^2 x n^2 integer matrix of their
+    coordinates.
 
-    Returns (den, re_rows, im_rows, re_cols, im_cols), all numerators
-    over den. Column k holds image k flattened row-major; row p*n + q
-    holds the (p, q) entry of every image. Both layouts are kept so that
-    apply can walk whichever is shorter for its argument.
+    Returns (den, rows, cols), all numerators over den. cols[k] holds
+    the coordinates of image k; rows[m] holds coordinate m of every
+    image. Both layouts are kept so that apply can walk whichever is
+    shorter for its argument.
     """
-    den = lcm(*(d for d, _, _ in grids))
-    re_cols = tuple(tuple(den // d * v for r in re for v in r)
-                    for d, re, _ in grids)
-    im_cols = tuple(tuple(den // d * v for r in im for v in r)
-                    for d, _, im in grids)
-    return den, tuple(zip(*re_cols)), tuple(zip(*im_cols)), re_cols, im_cols
+    coords = list(map(_gauss_coeff_ints, grids))
+    den = lcm(*(d for d, _ in coords))
+    cols = tuple(tuple(den // d * v for v in c) for d, c in coords)
+    return den, tuple(zip(*cols)), cols
 
 
 def _map_tables(values):
-    """One _gauss_table per point for the basis images values; None over
-    a ring without grids."""
+    """One _coord_table per point for the skew-adjoint basis images
+    values; None over a ring without grids."""
     if values[0].grids is None:
         return None
-    return tuple(map(_gauss_table, zip(*(v.grids for v in values))))
+    return tuple(map(_coord_table, zip(*(v.grids for v in values))))
 
 
 def _apply_table(table, grid):
-    """The image of a skew-adjoint grid under the map that _gauss_table
+    """The image of a skew-adjoint grid under the map that _coord_table
     tabulated at its point."""
-    den, re_rows, im_rows, re_cols, im_cols = table
+    den, rows, cols = table
     den_x, c = _gauss_coeff_ints(grid)
     picked = [k for k, ck in enumerate(c) if ck]
     if 2 * len(picked) < len(c):
         # a sparse argument (basis elements, staircases): summing the
         # few image columns it picks beats n^2 full-length dot products
-        re = repeat(0, len(c))
-        im = repeat(0, len(c))
+        out = repeat(0, len(c))
         for k in picked:
-            re = map(add, re, map(mul, re_cols[k], repeat(c[k])))
-            im = map(add, im, map(mul, im_cols[k], repeat(c[k])))
+            out = map(add, out, map(mul, cols[k], repeat(c[k])))
     else:
-        re = [sum(map(mul, c, row)) for row in re_rows]
-        im = [sum(map(mul, c, row)) for row in im_rows]
-    return _flat_grid(len(grid[1]), den * den_x, list(re), list(im))
+        out = [sum(map(mul, c, row)) for row in rows]
+    return _skew_grid(len(grid[1]), den * den_x, list(out))
 
 
 def _apply_tables(tables, x):
-    """The image of a skew-adjoint x under the map _map_tables tabulated."""
-    return Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
+    """The image of a skew-adjoint x under the map _map_tables tabulated,
+    known skew-adjoint."""
+    out = Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
+    out._cache["skew"] = True
+    return out
 
 
 def _random_skew_grids(rng, n, ring):
@@ -605,7 +707,9 @@ def _random_skew_grids(rng, n, ring):
         grids.append(_grid(
             den, [[a * (den // d) for a, _, d in row] for row in cell],
             [[b * (den // d) for _, b, d in row] for row in cell]))
-    return Matrix._of_grids(ring, tuple(grids))
+    out = Matrix._of_grids(ring, tuple(grids))
+    out._cache["skew"] = True
+    return out
 
 
 def at_point(x, k):

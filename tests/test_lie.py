@@ -179,6 +179,26 @@ class TestLinearMaps:
                 assert out == bracket(a, x)
                 assert out.rows == m._apply_generic(x).rows
 
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_rejects_a_non_skew_image(self, ring):
+        values = canonical_basis(3, ring)
+        values[3] = from_entries(3, {(1, 1): 1}, ring)
+        with pytest.raises(NotSkewAdjoint, match=r"Ibar\[1,2\]"):
+            LinearLieMap(ring, 3, values)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_apply_returns_the_stored_basis_images(self, ring):
+        rng = random.Random(10)
+        for n in (3, 4):
+            a = random_skew(rng, n, ring)
+            m = LinearLieMap.tabulate(lambda x: bracket(a, x), n, ring)
+            for b, v in zip(canonical_basis(n, ring), m.values):
+                assert m.apply(b) is v
+            # an equal matrix that is not the memoized element is applied
+            b = canonical_basis(n, ring)[0]
+            copy = b + zeros(n, ring)
+            assert copy is not b and m.apply(copy) == m.values[0]
+
     def test_linear_map_shape_guard(self):
         m = LinearLieMap(GAUSS, 2, canonical_basis(2))
         with pytest.raises(DimensionMismatch):

@@ -43,8 +43,9 @@ from skewlie.localder import (
     verify_full,
     verify_spanning_set,
 )
-from skewlie.matrices import at_point, zeros
+from skewlie.matrices import at_point, from_entries, zeros
 from skewlie.rings import GAUSS, FunctionRing
+from skewlie.twolocal import PreparedBracketSolver
 
 
 class CountingOracle:
@@ -93,6 +94,21 @@ class TestWitnessedMap:
 
         with pytest.raises(WitnessContractError):
             WitnessedLocalMap(BadOracle())
+
+    def test_non_skew_value_fails_at_construction(self):
+        # the witness contract holds, but a non-skew witness makes a
+        # value outside K_n, which is named by its basis element
+        w = from_entries(3, {(1, 1): 1, (1, 2): 2})
+
+        class HostileOracle:
+            ring = GAUSS
+            n = 3
+
+            def query(self, x):
+                return bracket(w, x), w
+
+        with pytest.raises(WitnessContractError, match=r"s\[1,2\]"):
+            WitnessedLocalMap(HostileOracle())
 
     def test_nonlinear_value_fails_on_use(self):
         # answers are witness-consistent per query but do not assemble
@@ -185,6 +201,46 @@ class TestBlockImplementers:
         assert abar.entry(2, 3) == a0.entry(2, 3)
         assert abar.entry(1, 1) - abar.entry(3, 3) == \
             a0.entry(1, 1) - a0.entry(3, 3)
+
+
+def _embed_apply_extract(lmap, S):
+    """corner_implementer with every block value found by embedding the
+    block element as a new matrix, applying the whole map's table and
+    cutting the block out."""
+    n = lmap.n
+    w = PreparedBracketSolver.for_size(len(S)).solve_values(
+        lambda b: localder._extract_block(
+            lmap.nabla(localder._embed_block(b, S, n)), S), lmap.ring)
+    return localder._embed_block(w, S, n)
+
+
+class TestBlockReads:
+    """Block values are the map's stored images of canonical basis
+    elements."""
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(2)],
+                             ids=["gauss", "fnring2"])
+    def test_block_basis_embeds_as_memoized_basis_elements(self, ring):
+        for n in (3, 4, 6):
+            basis = canonical_basis(n, ring)
+            for S in ((1, 2), (2, n), (1, 3), (1, 2, n)):
+                embedded = localder._embedded_basis(S, n, ring)
+                assert embedded == [localder._embed_block(b, S, n) for b in
+                                    canonical_basis(len(S), ring)]
+                assert all(any(e is b for b in basis) for e in embedded)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_embed_apply_extract(self, n):
+        _, lmap = make_map(80 + n, n)
+        blocks = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+        blocks += [(1, 2, n), tuple(range(2, n + 1))]
+        for S in blocks:
+            assert corner_implementer(lmap, S) == _embed_apply_extract(lmap, S)
+
+    def test_function_ring_blocks(self):
+        _, lmap = make_map(87, 4, ring=FunctionRing(2))
+        for S in ((1, 3), (2, 4), (1, 2, 4)):
+            assert corner_implementer(lmap, S) == _embed_apply_extract(lmap, S)
 
 
 class TestChecks:

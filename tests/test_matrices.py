@@ -267,9 +267,9 @@ def _walk_signs(monkeypatch):
     signs = []
     original = matrices._grid_sparse_commutator
 
-    def recording(ga, gb, sign):
+    def recording(ga, gb, sign, *skew):
         signs.append(sign)
-        return original(ga, gb, sign)
+        return original(ga, gb, sign, *skew)
 
     monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
     return signs
@@ -320,6 +320,94 @@ class TestKernelRouting:
         for x, y in ((a, e), (e, a), (a, random_matrix(rng, 3, ring))):
             assert commutator(x, y) == entrywise_bracket(x, y)
         assert len(generic_calls) == 3
+
+
+def _walk_modes(monkeypatch):
+    """(sign, skew) of each per-point walk commutator makes from now on."""
+    modes = []
+    original = matrices._grid_sparse_commutator
+
+    def recording(ga, gb, sign, skew=False):
+        modes.append((sign, skew))
+        return original(ga, gb, sign, skew)
+
+    monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
+    return modes
+
+
+def _unflagged(x):
+    """x without its cached facts, so is_skew_adjoint reads the entries."""
+    if x.grids is None:
+        return Matrix._of_rows(x.ring, x.rows)
+    return Matrix._of_grids(x.ring, x.grids)
+
+
+class TestSkewBracket:
+    """Two skew-adjoint factors whose walked factor has more than n
+    nonzeros take the one-product walk, [a, b] = P - P* for P = ab; every
+    other grid bracket walks both sides. Results known to be skew-adjoint
+    carry the flag, and no flag is ever wrong."""
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_one_product_matches_the_reference(self, ring, monkeypatch):
+        modes = _walk_modes(monkeypatch)
+        rng = random.Random(51)
+        points = len(zeros(1, ring).grids)
+        for n in range(3, 9):
+            x, y = random_skew(rng, n, ring), random_skew(rng, n, ring)
+            st = staircase(n, ring)
+            # the staircase is walked in either argument order; a dense
+            # factor drawn with a zero entry may be walked against another;
+            # an unflagged factor is checked on its grids
+            for a, b in ((x, y), (y, x), (x, st), (st, x),
+                         (_unflagged(x), y), (st, _unflagged(y))):
+                sign = -1 if n < b._nnz() > a._nnz() else 1
+                modes.clear()
+                got = commutator(a, b)
+                assert got == entrywise_bracket(a, b)
+                assert modes == [(sign, True)] * points
+                assert got._cache.get("skew")
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_other_pairs_walk_both_sides(self, ring, monkeypatch):
+        modes = _walk_modes(monkeypatch)
+        rng = random.Random(52)
+        for n in range(3, 7):
+            m, x = random_matrix(rng, n, ring), random_skew(rng, n, ring)
+            assert not is_skew_adjoint(m)
+            e = canonical_basis(n, ring)[n]
+            for a, b in ((m, random_matrix(rng, n, ring)), (m, x), (x, m),
+                         (x, e), (e, x)):
+                modes.clear()
+                got = commutator(a, b)
+                assert got == entrywise_bracket(a, b)
+                assert modes and not any(skew for _, skew in modes)
+                if m is a or m is b:
+                    assert not got._cache.get("skew")
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_skew_flags_are_never_wrong(self, ring):
+        rng = random.Random(53)
+        n = 4
+        skews = [random_skew(rng, n, ring) for _ in range(3)]
+        factors = skews + [random_matrix(rng, n, ring), staircase(n, ring),
+                           canonical_basis(n, ring)[0], _unflagged(skews[0])]
+        made = list(skews)
+        for a in factors:
+            made.append(matrices._shift_diagonal(a, lambda t: t + 2))
+            for b in factors:
+                made += [commutator(a, b), a + b, a - b]
+        # between known skew-adjoint factors the flag travels
+        assert all(m._cache.get("skew") for a in skews for b in skews
+                   for m in (commutator(a, b), a + b, a - b,
+                             matrices._shift_diagonal(a, lambda t: -t)))
+        table = LinearLieMap.tabulate(lambda x: bracket(skews[0], x), n, ring)
+        made += [table.apply(x) for x in skews + [staircase(n, ring)]]
+        for m in made:
+            if m._cache.get("skew"):
+                assert is_skew_adjoint(_unflagged(m)) and _star_rule(m)
 
 
 def _scalar_factors(ring, rng, n):
