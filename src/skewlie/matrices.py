@@ -29,12 +29,12 @@ grid mapped over the points:
     than n nonzeros and a has fewer. Nonzeros are counted once per
     bracket over the support at all points, so brackets against basis
     elements and central differences cost O(n^2) per point and two dense
-    factors O(n^3). Every result grid is reduced by one common gcd. A
-    factor about to be walked that has exactly n nonzeros and is scalar
-    at every point (a central difference) is central, so the bracket
-    returns the ring's zero matrix of that size, built once, without a
-    walk; the scalar check is the same per-grid kernel that is_central
-    reads
+    factors O(n^3). Every result grid is reduced by one common gcd
+  * differ_by_scalar tells whether a - b is scalar at every point
+    without forming a - b: over equal denominators it subtracts the
+    flattened numerators with map and counts zeros, by the same
+    per-grid scalar rule that is_central reads, so a caller can skip a
+    bracket with a central difference
   * when the walked factor has more than n nonzeros and both factors
     are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
     is P - P*, formed on the flattened numerators with map. Whether a
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, or_, sub
+from operator import add, floordiv, mul, neg, or_, sub
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
 from .rings import (
@@ -421,10 +421,8 @@ def _sparse_commutator(a, b):
 def commutator(a, b):
     """The bracket ab - ba in one pass over the nonzeros of one factor:
     b, unless b has more than n nonzeros and a has fewer, in which case
-    a is walked and the sign of [b, a] = -[a, b] folded in. On grids, a
-    walked factor with exactly n nonzeros that is scalar at every point
-    is central, and the bracket is the zero matrix without a walk. When
-    the walked factor has more than n nonzeros and both factors are
+    a is walked and the sign of [b, a] = -[a, b] folded in. On grids,
+    when the walked factor has more than n nonzeros and both factors are
     skew-adjoint, only their product is walked (_grid_sparse_commutator
     with skew). The bracket of two known skew-adjoint factors is known
     skew-adjoint."""
@@ -439,10 +437,8 @@ def commutator(a, b):
             else _sparse_commutator(a, b)
     else:
         walked = a if swap else b
-        nnz = walked._nnz()
-        if nnz == n and all(map(_grid_is_scalar, walked.grids)):
-            return _zero_like(a)
-        skew = repeat(nnz > n and is_skew_adjoint(a) and is_skew_adjoint(b))
+        skew = repeat(walked._nnz() > n and is_skew_adjoint(a)
+                      and is_skew_adjoint(b))
         if swap:
             grids = map(_grid_sparse_commutator, b.grids, a.grids,
                         repeat(-1), skew)
@@ -453,20 +449,6 @@ def commutator(a, b):
     if a._cache.get("skew") and b._cache.get("skew"):
         out._cache["skew"] = True
     return out
-
-
-# the zero matrix of each ring with grids and size, built on first use
-_zeros = {}
-
-
-def _zero_like(x):
-    """The zero matrix of x's ring (one with grids) and size."""
-    z = _zeros.get((x.ring, x.n))
-    if z is None:
-        empty = ((0,) * x.n,) * x.n
-        z = _zeros[x.ring, x.n] = Matrix._of_grids(
-            x.ring, ((1, empty, empty),) * len(x.grids))
-    return z
 
 
 def from_entries(n, entries, ring=GAUSS):
@@ -531,14 +513,44 @@ def _is_scalar(x):
 
 
 def _grid_is_scalar(grid):
-    """Whether a grid is a multiple of the identity at its point: every
-    diagonal entry equals the first, and a row holds no other nonzero."""
+    """Whether a grid is a multiple of the identity at its point."""
     _, re, im = grid
-    a, b = re[0][0], im[0][0]
-    zeros_re, zeros_im = len(re) - (a != 0), len(re) - (b != 0)
-    return all(r[i] == a and s[i] == b
-               and r.count(0) == zeros_re and s.count(0) == zeros_im
-               for i, (r, s) in enumerate(zip(re, im)))
+    flat = chain.from_iterable
+    return _flat_is_scalar(len(re), list(flat(re)), list(flat(im)))
+
+
+def _flat_is_scalar(n, re, im):
+    """Whether the flat row-major numerators re and im of n*n entries are
+    a multiple of the identity: the diagonal slice holds one value n
+    times, and every zero off it is counted, n*n - n of them."""
+    off = n * n - n
+    for flat in (re, im):
+        diag = flat[::n + 1]
+        if diag.count(diag[0]) != n or flat.count(0) - diag.count(0) != off:
+            return False
+    return True
+
+
+def differ_by_scalar(a, b):
+    """Whether a and b (compatible matrices) have the same denominator at
+    every point and a - b is a multiple of the identity there, decided on
+    the flattened numerators without forming a - b. False over a ring
+    without grids, and wherever the denominators differ: a - b may still
+    be scalar there, and a caller that needs to know forms it."""
+    a._check_compatible(b)
+    return a.grids is not None and all(map(_grids_differ_by_scalar,
+                                           a.grids, b.grids))
+
+
+def _grids_differ_by_scalar(ga, gb):
+    """differ_by_scalar at one point, for the grids of a and b there."""
+    da, are, aim = ga
+    db, bre, bim = gb
+    if da != db:
+        return False
+    flat = chain.from_iterable
+    return _flat_is_scalar(len(are), list(map(sub, flat(are), flat(bre))),
+                           list(map(sub, flat(aim), flat(bim))))
 
 
 def _add_diagonal(rows, v):
@@ -686,27 +698,30 @@ def _apply_tables(tables, x):
 
 def _random_skew_grids(rng, n, ring):
     """lie.random_skew over a ring with grids: the draws go straight into
-    the integer grid of each point, entry by entry with all points of an
-    entry in a row, in the order in which the ring's random_real and
-    random_element take them."""
+    flat row-major numerator and denominator lists of each point, entry
+    by entry with all points of an entry in a row, in the order in which
+    the ring's random_real and random_element take them; each point is
+    then scaled to the lcm of its denominators and reduced once."""
     parts = GAUSS.random_parts
     npoints = ring.npoints if isinstance(ring, FunctionRing) else 1
-    cells = [[[None] * n for _ in range(n)] for _ in range(npoints)]
+    size = n * n
+    cells = [([0] * size, [0] * size, [1] * size) for _ in range(npoints)]
     for i in range(n):
-        for cell in cells:
-            a, _, d = parts(rng, real=True)
-            cell[i][i] = (0, a, d)
-        for j in range(i + 1, n):
-            for cell in cells:
-                a, b, d = parts(rng)
-                cell[i][j] = (a, b, d)
-                cell[j][i] = (-a, b, d)
+        ii = i * (n + 1)
+        for _, im, d in cells:
+            im[ii], _, d[ii] = parts(rng, real=True)
+        for ij, ji in zip(range(ii + 1, (i + 1) * n), range(ii + n, size, n)):
+            for re, im, d in cells:
+                a, b, e = parts(rng)
+                re[ij], re[ji] = a, -a
+                im[ij] = im[ji] = b
+                d[ij] = d[ji] = e
     grids = []
-    for cell in cells:
-        den = lcm(*(d for row in cell for _, _, d in row))
-        grids.append(_grid(
-            den, [[a * (den // d) for a, _, d in row] for row in cell],
-            [[b * (den // d) for _, b, d in row] for row in cell]))
+    for re, im, d in cells:
+        den = lcm(*d)
+        scale = list(map(floordiv, repeat(den), d))
+        grids.append(_flat_grid(n, den, list(map(mul, re, scale)),
+                                list(map(mul, im, scale))))
     out = Matrix._of_grids(ring, tuple(grids))
     out._cache["skew"] = True
     return out

@@ -39,6 +39,7 @@ from .lie import (
 from .matrices import (
     Matrix,
     at_point,
+    differ_by_scalar,
     from_points,
     require_skew_adjoint,
 )
@@ -152,15 +153,16 @@ def reconstruct_implementer(oracle):
 
 def verify_implementer(oracle, abar, elements):
     """Labels of the elements z with [w - abar, z] != 0 for w the witness
-    of (z, z), i.e. mapped value != [abar, z]: one query and one bracket
-    per element. The bracket walks a basis element z itself; against a
-    denser z it walks w - abar, and when that is central (n nonzeros,
-    scalar) the bracket is zero without a walk. The bracket's nonzeros
-    are counted on its grids."""
+    of (z, z), i.e. mapped value != [abar, z]: one query per element.
+    When w - abar is scalar at every point over equal denominators
+    (differ_by_scalar, read off w and abar without forming w - abar) it
+    is central, and the element passes without a bracket; this reads
+    only the two matrices, whatever the oracle's gauge. Otherwise the
+    bracket decides, its nonzeros counted on its grids."""
     bad = []
     for label, z in elements:
         w = oracle.query(require_skew_adjoint(z, "argument"), z)
-        if bracket(w - abar, z)._nnz():
+        if not differ_by_scalar(w, abar) and bracket(w - abar, z)._nnz():
             bad.append(label)
     return bad
 

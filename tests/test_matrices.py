@@ -27,6 +27,7 @@ from skewlie.matrices import (
     Matrix,
     at_point,
     commutator,
+    differ_by_scalar,
     from_entries,
     from_points,
     is_skew_adjoint,
@@ -40,7 +41,11 @@ from skewlie.rings import (
     GaussianRational,
     PolynomialRing,
 )
-from skewlie.twolocal import GaugedInnerTwoLocal, twolocal_campaign
+from skewlie.twolocal import (
+    GaugedInnerTwoLocal,
+    reconstruct_implementer,
+    twolocal_campaign,
+)
 
 RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z", "zc"), ((0, 1),))]
 RING_IDS = ["gauss", "fnring", "poly"]
@@ -421,10 +426,20 @@ def _scalar_factors(ring, rng, n):
     return out
 
 
+def _scalar_gap(a, b):
+    """The reference for differ_by_scalar, read off a - b: equal
+    denominators at every point and a scalar difference."""
+    return (all(ga[0] == gb[0] for ga, gb in zip(a.grids, b.grids))
+            and is_central(a - b))
+
+
 class TestScalarShortcut:
-    """A walked factor with exactly n nonzeros that is scalar at every
-    point makes the bracket zero without a walk; any other factor with n
-    nonzeros is walked."""
+    """differ_by_scalar(a, b) is True only when a and b have the same
+    denominator at every point and a - b is scalar there, read without
+    forming a - b; two-local verification skips its bracket on it. The
+    bracket itself has no scalar shortcut: a scalar factor is walked,
+    to the reference zero, and so is any other factor with n
+    nonzeros."""
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
@@ -437,14 +452,21 @@ class TestScalarShortcut:
             assert c._nnz() == n
             for other in (random_skew(rng, n, ring),
                           random_matrix(rng, n, ring)):
+                shifted = matrices._shift_diagonal(other, lambda t: t - 1)
+                assert differ_by_scalar(shifted, other)
+                assert differ_by_scalar(other, shifted)
+                x = other + c
+                for a, b in ((x, other), (other, x), (x, x)):
+                    assert differ_by_scalar(a, b) == _scalar_gap(a, b)
                 for a, b in ((c, other), (other, c)):
+                    signs.clear()
                     ref = entrywise_bracket(a, b)
                     got = commutator(a, b)
                     assert got == ref == zeros(n, ring)
                     assert hash(got) == hash(ref)
                     assert got.cache_key() == ref.cache_key()
                     assert is_skew_adjoint(got)
-        assert signs == []
+                    assert signs == [-1 if a is c else 1] * len(c.grids)
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
@@ -470,11 +492,61 @@ class TestScalarShortcut:
         for d in factors:
             assert d._nnz() == n
             other = random_skew(rng, n, ring)
+            assert not differ_by_scalar(other + d, other)
             for a, b in ((d, other), (other, d)):
                 signs.clear()
                 got = commutator(a, b)
                 assert got == entrywise_bracket(a, b) != zeros(n, ring)
                 assert signs == [-1 if a is d else 1] * len(d.grids)
+
+    def test_unequal_denominators_give_false(self):
+        n = 3
+        x = canonical_basis(n)[0]
+        half = _diagonal(GAUSS, [G(0, 1, 2)] * n)
+        # the gap I/2 * 1 is scalar, but x + half is over 2 and x over 1
+        assert is_central((x + half) - x)
+        assert not differ_by_scalar(x + half, x)
+        assert not differ_by_scalar(x, x + half)
+        # equal numerators over 2 and over 1: the gap -x/2 is not scalar
+        half_x = x * G(1, 0, 2)
+        assert half_x.grids[0][1:] == x.grids[0][1:]
+        assert not differ_by_scalar(half_x, x)
+
+    def test_incompatible_matrices_are_refused(self):
+        with pytest.raises(DimensionMismatch):
+            differ_by_scalar(zeros(4), zeros(3))
+        with pytest.raises(DimensionMismatch):
+            differ_by_scalar(zeros(3), zeros(3, FunctionRing(2)))
+
+    def test_function_ring_gap_must_be_scalar_at_every_point(self):
+        ring = FunctionRing(3)
+        n = 3
+        other = random_skew(random.Random(43), n, ring)
+        diagonals = [[1, 1, 1], [-2, -2, -2], [1, 2, 3]]
+        last_off = from_points(_diagonal(GAUSS, [G(0, k) for k in ks])
+                               for ks in diagonals)
+        assert not differ_by_scalar(other + last_off, other)
+        everywhere = from_points(_diagonal(GAUSS, [G(0, ks[0])] * n)
+                                 for ks in diagonals)
+        assert differ_by_scalar(other + everywhere, other)
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_ungauged_witness_has_a_zero_gap(self, ring):
+        n = 4
+        a0 = random_skew(random.Random(44), n, ring)
+        oracle = GaugedInnerTwoLocal(a0, seed=44, gauge="none")
+        abar = reconstruct_implementer(oracle)
+        for z in canonical_basis(n, ring)[::5] + [staircase(n, ring)]:
+            w = oracle.query(z, z)
+            assert w - abar == zeros(n, ring)
+            assert differ_by_scalar(w, abar)
+
+    def test_polynomial_ring_gives_false(self):
+        ring = RINGS[2]
+        x = random_matrix(random.Random(45), 3, ring)
+        assert x.grids is None and is_central(x - x)
+        assert not differ_by_scalar(x, x)
 
 
 class TestGridSums:
@@ -543,7 +615,9 @@ def _perturbed(x, i, j, delta):
 class TestSkewAdjointCheck:
     def _inputs(self):
         rng = random.Random(21)
-        skew = [random_skew(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
+        # unflagged, so that is_skew_adjoint checks the grids
+        skew = [_unflagged(random_skew(rng, n))
+                for n in (1, 2, 3, 4, 5) for _ in range(3)]
         # one denominator per entry: 1, 2, 3, 5, 7 over the upper triangle
         mixed = Matrix(GAUSS, [[G(0, 1, 2), G(1, 2, 3), G(3, 0, 5)],
                                [G(-1, 2, 3), G(0, 0), G(2, -1, 7)],
@@ -563,6 +637,7 @@ class TestSkewAdjointCheck:
     def test_integer_grids_agree_with_the_star_rule(self):
         skew, broken = self._inputs()
         for x in skew:
+            assert "skew" not in x._cache
             assert is_skew_adjoint(x) and _star_rule(x)
         for x in broken:
             assert not is_skew_adjoint(x) and not _star_rule(x)

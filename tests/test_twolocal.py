@@ -189,6 +189,18 @@ def checked_elements(n, ring, seed, count=6):
             + [("r%d" % k, random_skew(rng, n, ring)) for k in range(count)])
 
 
+def _recorded_brackets(monkeypatch):
+    """The second factors of the brackets twolocal takes from now on."""
+    brackets = []
+
+    def recording(a, b):
+        brackets.append(b)
+        return bracket(a, b)
+
+    monkeypatch.setattr(twolocal, "bracket", recording)
+    return brackets
+
+
 class TestVerifyImplementer:
     RINGS = [GAUSS, FunctionRing(2)]
 
@@ -221,22 +233,32 @@ class TestVerifyImplementer:
                                checked_elements(4, GAUSS, 55))
 
     @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
-    def test_one_query_and_one_bracket_per_element(self, ring, monkeypatch):
+    def test_one_query_and_no_bracket_per_element(self, ring, monkeypatch):
         n = 4
         _, base = make_oracle(56, n, ring)
         abar = reconstruct_implementer(base)
         oracle = CountingOracle(base)
-        brackets = []
-
-        def counting_bracket(a, b):
-            brackets.append(b)
-            return bracket(a, b)
-
-        monkeypatch.setattr(twolocal, "bracket", counting_bracket)
+        brackets = _recorded_brackets(monkeypatch)
         elements = checked_elements(n, ring, 57)
         assert verify_implementer(oracle, abar, elements) == []
         assert oracle.calls == len(elements)
-        assert len(brackets) == len(elements)
+        # every honest witness differs from abar by a scalar
+        assert brackets == []
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_brackets_fall_on_the_non_scalar_gaps(self, ring, monkeypatch):
+        n = 4
+        _, base = make_oracle(58, n, ring)
+        abar = reconstruct_implementer(base)
+        elements = checked_elements(n, ring, 59)
+        for k in (2, -1):
+            label, z = elements[k]
+            bad = TamperedPairOracle(base, z, z, s_elem(n, 1, 2, ring))
+            gaps = [y for _, y in elements
+                    if not is_central(bad.query(y, y) - abar)]
+            brackets = _recorded_brackets(monkeypatch)
+            assert verify_implementer(bad, abar, elements) == [label]
+            assert brackets == gaps == [z]
 
 
 class TestConsistencySweep:
