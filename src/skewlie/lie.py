@@ -4,12 +4,20 @@ Elements are n x n matrices x with star_transpose(x) == -x over a ring
 containing an imaginary unit and 1/2. The canonical basis has n^2 members,
 listed in a fixed order used everywhere coefficients travel as flat lists:
 
-    s[i,j]    = e_{i,j} - e_{j,i}          for i < j, lexicographic
-    Ibar[i,j] = I*(e_{i,j} + e_{j,i})      for i < j, lexicographic
+    s[i,j]    = e_{i,j} - e_{j,i}          for i < j, in upper_pairs order
+    Ibar[i,j] = I*(e_{i,j} + e_{j,i})      for i < j, in upper_pairs order
     Idiag[i]  = I*e_{i,i}                  for i = 1..n
 
 Every skew-adjoint matrix decomposes over this basis with star-fixed
 coefficients, provided the ring contains 1/2.
+
+The order is a contract, not a convention: LinearLieMap stores the image
+of basis element k in column k of its coordinate table, and apply reads
+an argument's coordinates (decompose, matrices._gauss_coeff_ints) in the
+same order, so two orders would compute a different map. It is written
+once, in matrices.upper_pairs; basis_labels, block_basis (and with it
+canonical_basis), decompose and the grid layout of the tables all read
+it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .matrices import (
     commutator,
     from_entries,
     require_skew_adjoint,
+    upper_pairs,
 )
 from .rings import GAUSS, FunctionRing, GaussianField, imaginary_unit
 
@@ -70,31 +79,27 @@ def ie_diag(n, i, ring=GAUSS):
 
 
 def basis_labels(n):
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append("s[%d,%d]" % (i, j))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append("Ibar[%d,%d]" % (i, j))
-    for i in range(1, n + 1):
-        out.append("Idiag[%d]" % i)
-    return out
+    pairs = upper_pairs(range(1, n + 1))
+    return (["s[%d,%d]" % pq for pq in pairs]
+            + ["Ibar[%d,%d]" % pq for pq in pairs]
+            + ["Idiag[%d]" % i for i in range(1, n + 1)])
+
+
+def block_basis(S, n, ring=GAUSS):
+    """The canonical basis elements of K_n on the block of sorted indices
+    S, in the block's basis order: s[p,q], then Ibar[p,q] over the
+    upper_pairs of S, then Idiag[p]. These are the memoized objects
+    whose images a LinearLieMap stores; they are the embeddings of the
+    block's own basis, member by member."""
+    pairs = upper_pairs(S)
+    return ([s_elem(n, p, q, ring) for p, q in pairs]
+            + [ie_bar(n, p, q, ring) for p, q in pairs]
+            + [ie_diag(n, p, ring) for p in S])
 
 
 def canonical_basis(n, ring=GAUSS):
-    def build():
-        out = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out.append(s_elem(n, i, j, ring))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out.append(ie_bar(n, i, j, ring))
-        for i in range(1, n + 1):
-            out.append(ie_diag(n, i, ring))
-        return tuple(out)
-    return list(_memoized("basis", n, ring, (), build))
+    return list(_memoized("basis", n, ring, (), lambda: tuple(
+        block_basis(range(1, n + 1), n, ring))))
 
 
 def staircase(n, ring=GAUSS):
@@ -107,9 +112,8 @@ def staircase(n, ring=GAUSS):
     return _memoized("staircase", n, ring, (), build)
 
 
-def bracket(a, b):
-    """[a, b] = ab - ba."""
-    return commutator(a, b)
+# [a, b] = ab - ba
+bracket = commutator
 
 
 def decompose(x):
@@ -123,19 +127,13 @@ def decompose(x):
     ring = x.ring
     if isinstance(ring, GaussianField):
         return _gauss_decompose(x)
-    n = x.n
+    rows = x.rows
     minus_i = -imaginary_unit(ring)
     half = ring.one / 2
-    coeffs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs.append((x.rows[i][j] - x.rows[j][i]) * half)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs.append(minus_i * (x.rows[i][j] + x.rows[j][i]) * half)
-    for i in range(n):
-        coeffs.append(minus_i * x.rows[i][i])
-    return coeffs
+    pairs = upper_pairs(range(x.n))
+    return ([(rows[i][j] - rows[j][i]) * half for i, j in pairs]
+            + [minus_i * (rows[i][j] + rows[j][i]) * half for i, j in pairs]
+            + [minus_i * rows[i][i] for i in range(x.n)])
 
 
 class LinearLieMap:

@@ -33,6 +33,7 @@ from .lie import (
     GaugedInnerOracle,
     LinearLieMap,
     basis_labels,
+    block_basis,
     bracket,
     canonical_basis,
     ie_bar,
@@ -224,18 +225,6 @@ def _embed_block(y, S, n):
     return Matrix(ring, grid)
 
 
-def _embedded_basis(S, n, ring):
-    """The embedding of each basis element of the block S (sorted) into
-    size n, in the block's basis order: s[a,b], Ibar[a,b] and Idiag[a]
-    of the block embed as the canonical basis elements s[S_a,S_b],
-    Ibar[S_a,S_b] and Idiag[S_a] of K_n, the memoized objects whose
-    images a LinearLieMap stores."""
-    pairs = [(p, q) for a, p in enumerate(S) for q in S[a + 1:]]
-    return ([s_elem(n, p, q, ring) for p, q in pairs]
-            + [ie_bar(n, p, q, ring) for p, q in pairs]
-            + [ie_diag(n, p, ring) for p in S])
-
-
 def corner_implementer(lmap, indices):
     """An implementer of the map compressed to a block of indices.
 
@@ -246,7 +235,7 @@ def corner_implementer(lmap, indices):
     block size, as the brute-force implementers are, on the block of the
     map's value at each embedded block basis element and probe. A block
     basis element embeds as a canonical basis element of K_n
-    (_embedded_basis), so its value is the map's stored image, cut to
+    (block_basis), so its value is the map's stored image, cut to
     the block; only the staircase probe of a block of three or more
     indices is embedded and applied. Raises Infeasible, naming the
     block, when no such matrix exists, which is how incoherent oracles
@@ -261,7 +250,7 @@ def corner_implementer(lmap, indices):
             raise DimensionMismatch("block index %d outside 1..%d" % (p, n))
     ring = lmap.ring
     embedded = {id(b): e for b, e in zip(canonical_basis(len(S), ring),
-                                         _embedded_basis(S, n, ring))}
+                                         block_basis(S, n, ring))}
 
     def nabla(b):
         e = embedded.get(id(b))

@@ -576,6 +576,13 @@ def _shift_diagonal(x, lam):
     return out
 
 
+def upper_pairs(S):
+    """The pairs p < q of the sorted indices S, in lexicographic order:
+    the order of the s and Ibar members of lie's canonical basis, and so
+    of every coordinate list read or written against it."""
+    return [(p, q) for a, p in enumerate(S) for q in S[a + 1:]]
+
+
 # per size n, the flat row-major positions that the n^2 coordinates of a
 # skew-adjoint grid are read from and written back to; see _skew_layout
 _layouts = {}
@@ -583,18 +590,19 @@ _layouts = {}
 
 def _skew_layout(n):
     """Index lists that move the n^2 coordinates of a skew-adjoint grid
-    (lie's basis order: Re x^{ij} for i < j, Im x^{ij} for i < j, Im
-    x^{ii}) to and from its flat row-major numerators, built once per n.
+    (lie's basis order: Re x^{ij}, then Im x^{ij}, over upper_pairs,
+    then Im x^{ii}) to and from its flat row-major numerators, built
+    once per n.
 
-    The coordinates are read as Re at the positions upper (i < j,
-    lexicographic) and Im at coords_im (upper, then the diagonal).
+    The coordinates are read as Re at the positions upper (the
+    upper_pairs) and Im at coords_im (upper, then the diagonal).
     re_from and im_from write them back: flat entry f of re is
     ext[re_from[f]] for ext = s + (-s) + [0], s the Re coordinates, and
     flat entry f of im is t[im_from[f]], t the Im coordinates.
     """
     out = _layouts.get(n)
     if out is None:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = upper_pairs(range(n))
         index = {pq: k for k, pq in enumerate(pairs)}
         half = len(pairs)
         upper = [i * n + j for i, j in pairs]
@@ -615,8 +623,9 @@ def _skew_layout(n):
 
 def _gauss_coeff_ints(grid):
     """lie.decompose of a skew-adjoint grid as (den, numerators) in basis
-    order: skew-adjointness makes the coefficients Re x^{ij} and Im x^{ij}
-    for i < j and Im x^{ii}, so they are read straight off the grid."""
+    order, Re then Im of the entries at upper_pairs, then Im of the
+    diagonal: skew-adjointness makes those the coefficients, so they are
+    read straight off the grid."""
     den, re, im = grid
     upper, coords_im, _, _ = _skew_layout(len(re))
     flat = chain.from_iterable

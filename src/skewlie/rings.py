@@ -27,7 +27,24 @@ def _frac_str(fr):
         else str(fr.numerator)
 
 
-class GaussianRational:
+class _Element:
+    """What the three element classes share: they are immutable (each
+    __init__ sets its slots through object.__setattr__) and take
+    other - self from their own _coerce and __sub__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+
+class GaussianRational(_Element):
     """a/d + (b/d)*i with integer a, b and positive integer d, gcd-reduced.
 
     Immutable. Arithmetic accepts int and Fraction on either side, so code
@@ -49,9 +66,6 @@ class GaussianRational:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def _raw(a, b, d):
@@ -105,12 +119,6 @@ class GaussianRational:
             return self._raw(self.a - o.a, self.b - o.b, 1)
         return GaussianRational(self.a * o.d - o.a * self.d,
                                 self.b * o.d - o.b * self.d, self.d * o.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -266,16 +274,13 @@ class GaussianField:
 GAUSS = GaussianField()
 
 
-class FunctionElement:
+class FunctionElement(_Element):
     """A tuple of Gaussian rationals under pointwise operations."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(values))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FunctionElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, FunctionElement):
@@ -305,12 +310,6 @@ class FunctionElement:
         if o is None:
             return NotImplemented
         return FunctionElement(a - b for a, b in zip(self.values, o.values))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -403,7 +402,7 @@ class FunctionRing:
         return "|".join(GAUSS.element_key(v) for v in x.values)
 
 
-class PolyElement:
+class PolyElement(_Element):
     """Sparse polynomial: monomial (sorted tuple of variable indices,
     repetition encodes powers) mapped to a nonzero Gaussian coefficient."""
 
@@ -413,9 +412,6 @@ class PolyElement:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms",
                            {m: c for m, c in terms.items() if c})
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolyElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, PolyElement):
@@ -446,12 +442,6 @@ class PolyElement:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -84,10 +84,14 @@ class TestBasis:
         elems = canonical_basis(n)
         labels = basis_labels(n)
         assert len(elems) == len(labels) == n * n
-        named = dict(zip(labels, elems))
-        assert named["s[1,2]"] == s_elem(n, 1, 2)
-        assert named["Ibar[1,2]"] == ie_bar(n, 1, 2)
-        assert named["Idiag[%d]" % n] == ie_diag(n, n)
+        build = {"s": s_elem, "Ibar": ie_bar, "Idiag": ie_diag}
+        for label, elem in zip(labels, elems):
+            kind, idx = label[:-1].split("[")
+            assert elem is build[kind](n, *map(int, idx.split(",")))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        assert labels == (["s[%d,%d]" % pq for pq in pairs]
+                          + ["Ibar[%d,%d]" % pq for pq in pairs]
+                          + ["Idiag[%d]" % i for i in range(1, n + 1)])
 
 
 class TestBracket:
@@ -135,11 +139,13 @@ class TestDecompose:
             assert sum((c * b for c, b in zip(coeffs, basis)),
                        zeros(3, ring)) == x
 
-    def test_basis_decomposes_to_unit_vectors(self):
-        elems = canonical_basis(3)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_basis_decomposes_to_unit_vectors(self, ring, n):
+        elems = canonical_basis(n, ring)
         for k, b in enumerate(elems):
             coeffs = decompose(b)
-            assert coeffs[k] == GAUSS.one
+            assert coeffs[k] == ring.one
             assert all(not c for m, c in enumerate(coeffs) if m != k)
 
     def test_rejects_non_skew(self):

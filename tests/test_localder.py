@@ -18,6 +18,7 @@ from skewlie.errors import (
     WitnessContractError,
 )
 from skewlie.lie import (
+    block_basis,
     bracket,
     canonical_basis,
     ie_diag,
@@ -224,7 +225,7 @@ class TestBlockReads:
         for n in (3, 4, 6):
             basis = canonical_basis(n, ring)
             for S in ((1, 2), (2, n), (1, 3), (1, 2, n)):
-                embedded = localder._embedded_basis(S, n, ring)
+                embedded = block_basis(S, n, ring)
                 assert embedded == [localder._embed_block(b, S, n) for b in
                                     canonical_basis(len(S), ring)]
                 assert all(any(e is b for b in basis) for e in embedded)

@@ -217,3 +217,18 @@ def test_hash_agrees_with_equality(elem, value):
     assert elem == value
     assert hash(elem) == hash(value)
     assert len({elem, value}) == 1
+
+
+@pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3), _POLY],
+                         ids=lambda r: r.name)
+def test_elements_are_immutable_and_take_plain_minus_element(ring):
+    x = ring.random_element(random.Random(5))
+    for value in (2, Fraction(-1, 3)):
+        out = value - x
+        assert type(out) is type(x)
+        assert out == ring.scalar(value) - x
+        assert out + x == value
+    with pytest.raises(AttributeError, match="immutable"):
+        x.anything = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(x, type(x).__slots__[0], None)
