@@ -21,7 +21,7 @@ from .twolocal import twolocal_campaign
 
 # the largest --n and --omega accepted by the campaigns, twice the largest
 # size the tests, demos and benchmark use; a campaign holds the canonical
-# basis, n^4 entries (55 MB at n = 32), so a larger run would spend its
+# basis, n^4 entries (45 MB at n = 32), so a larger run would spend its
 # memory before any check
 SIZE_LIMIT = 32
 # the largest --n accepted wherever symcheck runs; certifying the catalog

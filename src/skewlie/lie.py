@@ -253,12 +253,18 @@ class GaugedInnerOracle:
         """The witness answered for a query on elements."""
         if self.gauge == "none":
             return self.a0
-        key = tuple(sorted(z.cache_key() for z in elements))
+        key = query_key(*elements)
         w = self._witnesses.get(key)
         if w is None:
             w = _shift_diagonal(self.a0, lambda t: self._draw(key, t))
             self._witnesses[key] = w
         return w
+
+
+def query_key(*elements):
+    """The order-free identity of a query on elements: their sorted
+    cache keys."""
+    return tuple(sorted(z.cache_key() for z in elements))
 
 
 def is_central(x):

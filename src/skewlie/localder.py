@@ -39,6 +39,7 @@ from .lie import (
     ie_bar,
     ie_diag,
     is_central,
+    query_key,
     random_skew,
     require_gauge,
     s_elem,
@@ -89,12 +90,12 @@ class TamperedLocalOracle:
         self.base = base
         self.ring = base.ring
         self.n = base.n
-        self._key = x.cache_key()
+        self._key = query_key(x)
         self.perturbation = require_skew_adjoint(perturbation, "perturbation")
 
     def query(self, x):
         value, w = self.base.query(x)
-        if x.cache_key() == self._key:
+        if query_key(x) == self._key:
             return value + bracket(self.perturbation, x), w + self.perturbation
         return value, w
 

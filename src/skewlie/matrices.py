@@ -9,8 +9,9 @@ What a matrix stores depends on its ring:
 
   * Gaussian rationals and function rings: grids, a tuple of integer
     grids (den, re, im), one per point of the domain: one for the
-    Gaussian rationals, k for FunctionRing(k). At a point, entry (i, j)
-    is (re[i][j] + im[i][j]*i) / den. The denominator den > 0 is the
+    Gaussian rationals, k for FunctionRing(k). re and im are row-major
+    tuples of n*n numerators: at a point, the 0-based entry (i, j) is
+    (re[i*n + j] + im[i*n + j]*i) / den. The denominator den > 0 is the
     lcm of that point's entry denominators, so gcd(den, every
     numerator) == 1 and equal matrices have equal grids
   * any other ring (polynomials, and the linear forms of symcheck's
@@ -22,7 +23,7 @@ own. The grid format is private to this module. Brackets, sums,
 differences, equality, hashing, the skew-adjoint and scalar checks,
 cache keys, the tables of linear maps, the witness diagonal shift and
 random draws read or write the grids here, each as one kernel on one
-grid mapped over the points:
+grid mapped over the points, reading the numerators as stored:
 
   * a bracket walks the nonzeros of one factor entry by entry,
     accumulating integer real and imaginary parts: b, unless b has more
@@ -32,23 +33,23 @@ grid mapped over the points:
     factors O(n^3). Every result grid is reduced by one common gcd
   * differ_by_scalar tells whether a - b is scalar at every point
     without forming a - b: over equal denominators it subtracts the
-    flattened numerators with map and counts zeros, by the same
-    per-grid scalar rule that is_central reads, so a caller can skip a
-    bracket with a central difference
+    numerators with map and counts zeros, by the same per-grid scalar
+    rule that is_central reads, so a caller can skip a bracket with a
+    central difference
   * when the walked factor has more than n nonzeros and both factors
     are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
-    is P - P*, formed on the flattened numerators with map. Whether a
-    matrix is skew-adjoint is cached with it, and set without a check
-    on random_skew draws, on brackets, sums and differences of two
-    known skew-adjoint factors, on _shift_diagonal of one and on the
-    images that linear-map tables return; an unknown factor is checked
-    once, on its grids in C
+    is P - P*, formed on the numerators with map and one memoized
+    transpose per n. Whether a matrix is skew-adjoint is cached with
+    it, and set without a check on random_skew draws, on brackets, sums
+    and differences of two known skew-adjoint factors, on
+    _shift_diagonal of one and on the images that linear-map tables
+    return; an unknown factor is checked once, on its grids in C
   * the table of a linear map on K_n holds the n^2 real coordinates
     (the lie.decompose coefficients) of every basis image, n^2 x n^2
     integers per point, and apply rebuilds the skew-adjoint image grid
     from the n^2 coordinates it computes
-  * sums and differences work on the flattened numerators of both
-    grids with map, so the arithmetic and the one gcd run in C
+  * sums and differences work on the numerators of both grids with
+    map, so the arithmetic and the one gcd run in C
   * brackets over other rings walk the same factor with the ring's own
     + and *; symcheck brackets its unknowns through _sparse_commutator
     directly, with a Gaussian second factor
@@ -60,8 +61,8 @@ fraction in its inner loop.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import gcd, lcm
-from operator import add, floordiv, mul, neg, or_, sub
+from math import gcd, isqrt, lcm
+from operator import add, floordiv, itemgetter, mul, neg, or_, sub
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotSkewAdjoint
 from .rings import (
@@ -79,67 +80,55 @@ def _check_index(n, i):
         raise IndexOutOfRange("index %d outside 1..%d" % (i, n))
 
 
-def _flat_grid(n, den, re, im):
+def _flat_grid(den, re, im):
     """The grid (re + im*i) / den for den > 0 after one common gcd
-    reduction; re and im are flat row-major lists of n*n numerators."""
+    reduction; re and im are row-major sequences of n*n numerators."""
     if den != 1:
         g = gcd(den, *re, *im)
         if g > 1:
-            den //= g
-            re = [v // g for v in re]
-            im = [v // g for v in im]
-    return den, _split_rows(re, n), _split_rows(im, n)
+            return (den // g, tuple(map(floordiv, re, repeat(g))),
+                    tuple(map(floordiv, im, repeat(g))))
+    return den, tuple(re), tuple(im)
 
 
 def _split_rows(flat, n):
-    """The rows of n entries each of a flat list, as a tuple of tuples."""
+    """The rows of n entries each of a row-major iterable, as a tuple of
+    tuples."""
     return tuple(zip(*[iter(flat)] * n))
-
-
-def _grid(den, re, im):
-    """_flat_grid for re and im given as sequences of integer rows."""
-    if den != 1:
-        flat = chain.from_iterable
-        return _flat_grid(len(re), den, list(flat(re)), list(flat(im)))
-    return den, tuple(map(tuple, re)), tuple(map(tuple, im))
 
 
 def _lcm_grid(rows):
     """The grid of rows of GaussianRationals, over the lcm of their
     denominators."""
-    den = lcm(*(v.d for r in rows for v in r))
-    return (den,
-            tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
-            tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
+    flat = list(chain.from_iterable(rows))
+    den = lcm(*(v.d for v in flat))
+    return (den, tuple([v.a * (den // v.d) for v in flat]),
+            tuple([v.b * (den // v.d) for v in flat]))
 
 
 def _gauss_entries(grid):
-    """The GaussianRational rows of a grid; zero entries share GAUSS.zero."""
+    """The GaussianRational entries of a grid, row-major; zero entries
+    share GAUSS.zero."""
     den, re, im = grid
     zero = GAUSS.zero
     # over den == 1 every nonzero entry is already reduced
     make = GaussianRational._raw if den == 1 else GaussianRational
-    return tuple(tuple(make(a, b, den) if a or b else zero
-                       for a, b in zip(ra, ia))
-                 for ra, ia in zip(re, im))
+    return [make(a, b, den) if a or b else zero for a, b in zip(re, im)]
 
 
-def _gauss_entry(grid, i, j):
+def _gauss_entry(grid, k):
     den, re, im = grid
-    a, b = re[i][j], im[i][j]
+    a, b = re[k], im[k]
     return GaussianRational(a, b, den) if a or b else GAUSS.zero
 
 
 def _entry_keys(grid):
-    """GAUSS.element_key of every entry of a grid, as rows of strings."""
+    """GAUSS.element_key of every entry of a grid, row-major."""
     den, re, im = grid
     out = []
-    for ra, ia in zip(re, im):
-        row = []
-        for a, b in zip(ra, ia):
-            g = gcd(a, b, den)
-            row.append("%d,%d,%d" % (a // g, b // g, den // g))
-        out.append(row)
+    for a, b in zip(re, im):
+        g = gcd(a, b, den)
+        out.append("%d,%d,%d" % (a // g, b // g, den // g))
     return out
 
 
@@ -198,19 +187,17 @@ class Matrix:
     @staticmethod
     def _of_grids(ring, grids):
         # internal: grids must be reduced, one per point of ring
-        return Matrix._init(object.__new__(Matrix), ring, len(grids[0][1]),
-                            grids, None)
+        return Matrix._init(object.__new__(Matrix), ring,
+                            isqrt(len(grids[0][1])), grids, None)
 
     @property
     def rows(self):
         rows = self._rows
         if rows is None:
             points = [_gauss_entries(g) for g in self.grids]
-            if isinstance(self.ring, FunctionRing):
-                rows = tuple(tuple(map(FunctionElement, zip(*point_rows)))
-                             for point_rows in zip(*points))
-            else:
-                rows = points[0]
+            entries = (map(FunctionElement, zip(*points))
+                       if isinstance(self.ring, FunctionRing) else points[0])
+            rows = _split_rows(entries, self.n)
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -220,10 +207,10 @@ class Matrix:
         _check_index(self.n, j)
         if self._rows is not None:
             return self._rows[i - 1][j - 1]
+        k = (i - 1) * self.n + j - 1
         if isinstance(self.ring, FunctionRing):
-            return FunctionElement(_gauss_entry(g, i - 1, j - 1)
-                                   for g in self.grids)
-        return _gauss_entry(self.grids[0], i - 1, j - 1)
+            return FunctionElement(_gauss_entry(g, k) for g in self.grids)
+        return _gauss_entry(self.grids[0], k)
 
     def _nnz(self):
         """How many entries are nonzero at some point."""
@@ -234,11 +221,9 @@ class Matrix:
             else:
                 # x | y == 0 only when x == y == 0
                 (_, re, im), *rest = self.grids
-                support = map(or_, chain.from_iterable(re),
-                              chain.from_iterable(im))
+                support = map(or_, re, im)
                 for _, re, im in rest:
-                    support = map(or_, support, chain.from_iterable(re))
-                    support = map(or_, support, chain.from_iterable(im))
+                    support = map(or_, map(or_, support, re), im)
                 nnz = self.n * self.n - list(support).count(0)
             self._cache["nnz"] = nnz
         return nnz
@@ -262,9 +247,8 @@ class Matrix:
             else:
                 # a function element's key joins its point keys with "|"
                 keys = [_entry_keys(g) for g in self.grids]
-                rows = keys[0] if len(keys) == 1 else [
-                    map("|".join, zip(*point_rows))
-                    for point_rows in zip(*keys)]
+                rows = _split_rows(keys[0] if len(keys) == 1
+                                   else map("|".join, zip(*keys)), self.n)
             key = ";".join(map(",".join, rows))
             self._cache["key"] = key
         return key
@@ -297,8 +281,7 @@ class Matrix:
                                                     for r in self.rows))
         # negation keeps a grid reduced
         return Matrix._of_grids(self.ring, tuple(
-            (den, tuple(tuple(-v for v in r) for r in re),
-             tuple(tuple(-v for v in r) for r in im))
+            (den, tuple(map(neg, re)), tuple(map(neg, im)))
             for den, re, im in self.grids))
 
     def __mul__(self, other):
@@ -350,16 +333,14 @@ def _combine(a, b, sign):
 
 def _grid_combine(ga, gb, sign):
     """a + sign*b for the grids of a and b at one point, summed on their
-    flattened numerators."""
+    numerators."""
     da, are, aim = ga
     db, bre, bim = gb
     d = lcm(da, db)
     fa, fb = repeat(d // da), repeat(sign * (d // db))
-    flat = chain.from_iterable
     return _flat_grid(
-        len(are), d,
-        list(map(add, map(mul, flat(are), fa), map(mul, flat(bre), fb))),
-        list(map(add, map(mul, flat(aim), fa), map(mul, flat(bim), fb))))
+        d, tuple(map(add, map(mul, are, fa), map(mul, bre, fb))),
+        tuple(map(add, map(mul, aim, fa), map(mul, bim, fb))))
 
 
 def _grid_sparse_commutator(ga, gb, sign, skew=False):
@@ -369,31 +350,34 @@ def _grid_sparse_commutator(ga, gb, sign, skew=False):
     so the bracket is P - P*, re = P_re - P_re^T and im = P_im + P_im^T."""
     da, are, aim = ga
     db, bre, bim = gb
-    n = len(are)
-    nz = [(p, q, sign * r, sign * s)
-          for p, (rr, ri) in enumerate(zip(bre, bim))
-          for q, (r, s) in enumerate(zip(rr, ri)) if r or s]
-    cre = [[0] * n for _ in range(n)]
-    cim = [[0] * n for _ in range(n)]
+    size = len(are)
+    n = isqrt(size)
+    nz = [(k // n, k % n, sign * r, sign * s)
+          for k, (r, s) in enumerate(zip(bre, bim)) if r or s]
+    cre = [0] * size
+    cim = [0] * size
     for p, j, r, s in nz:
-        # column j of a*b gains column p of a times b^{pj}
-        for i in range(n):
-            x = are[i][p]
-            y = aim[i][p]
-            cre[i][j] += x * r - y * s
-            cim[i][j] += x * s + y * r
+        # column j of a*b gains column p of a times b^{pj}: entry ip of
+        # that column of a goes to entry ip + j - p of the product
+        d = j - p
+        for ip in range(p, size, n):
+            x = are[ip]
+            y = aim[ip]
+            cre[ip + d] += x * r - y * s
+            cim[ip + d] += x * s + y * r
     if skew:
-        flat = chain.from_iterable
-        return _flat_grid(n, da * db,
-                          list(map(sub, flat(cre), flat(zip(*cre)))),
-                          list(map(add, flat(cim), flat(zip(*cim)))))
+        tr = _transpose(n)
+        return _flat_grid(da * db, tuple(map(sub, cre, tr(cre))),
+                          tuple(map(add, cim, tr(cim))))
     for i, p, r, s in nz:
         # row i of b*a gains b^{ip} times row p of a
-        ore, oim = cre[i], cim[i]
-        for j, (x, y) in enumerate(zip(are[p], aim[p])):
-            ore[j] -= r * x - s * y
-            oim[j] -= r * y + s * x
-    return _grid(da * db, cre, cim)
+        d = (i - p) * n
+        for pj in range(p * n, p * n + n):
+            x = are[pj]
+            y = aim[pj]
+            cre[pj + d] -= r * x - s * y
+            cim[pj + d] -= r * y + s * x
+    return _flat_grid(da * db, cre, cim)
 
 
 def _sparse_commutator(a, b):
@@ -491,11 +475,10 @@ def is_skew_adjoint(x):
 
 def _grid_is_skew(grid):
     """x^{ji} = -conj(x^{ij}) on a grid over one denominator: re + re^T
-    is zero and im^T == im, compared on the flattened numerators."""
+    is zero and im^T == im, compared on the numerators."""
     _, re, im = grid
-    flat = chain.from_iterable
-    return tuple(zip(*im)) == im and not any(map(add, flat(re),
-                                                 flat(zip(*re))))
+    tr = _transpose(isqrt(len(re)))
+    return tr(im) == im and not any(map(add, re, tr(re)))
 
 
 def require_skew_adjoint(x, what="matrix"):
@@ -509,21 +492,15 @@ def _is_scalar(x):
     if x.grids is None:
         return all(v == x.rows[0][0] if i == j else not v
                    for i, r in enumerate(x.rows) for j, v in enumerate(r))
-    return all(map(_grid_is_scalar, x.grids))
+    return all(_grid_is_scalar(re, im) for _, re, im in x.grids)
 
 
-def _grid_is_scalar(grid):
-    """Whether a grid is a multiple of the identity at its point."""
-    _, re, im = grid
-    flat = chain.from_iterable
-    return _flat_is_scalar(len(re), list(flat(re)), list(flat(im)))
-
-
-def _flat_is_scalar(n, re, im):
-    """Whether the flat row-major numerators re and im of n*n entries are
-    a multiple of the identity: the diagonal slice holds one value n
+def _grid_is_scalar(re, im):
+    """Whether the row-major numerators re and im of n*n entries are a
+    multiple of the identity: the diagonal slice holds one value n
     times, and every zero off it is counted, n*n - n of them."""
-    off = n * n - n
+    n = isqrt(len(re))
+    off = len(re) - n
     for flat in (re, im):
         diag = flat[::n + 1]
         if diag.count(diag[0]) != n or flat.count(0) - diag.count(0) != off:
@@ -534,9 +511,9 @@ def _flat_is_scalar(n, re, im):
 def differ_by_scalar(a, b):
     """Whether a and b (compatible matrices) have the same denominator at
     every point and a - b is a multiple of the identity there, decided on
-    the flattened numerators without forming a - b. False over a ring
-    without grids, and wherever the denominators differ: a - b may still
-    be scalar there, and a caller that needs to know forms it."""
+    the numerators without forming a - b. False over a ring without
+    grids, and wherever the denominators differ: a - b may still be
+    scalar there, and a caller that needs to know forms it."""
     a._check_compatible(b)
     return a.grids is not None and all(map(_grids_differ_by_scalar,
                                            a.grids, b.grids))
@@ -548,14 +525,7 @@ def _grids_differ_by_scalar(ga, gb):
     db, bre, bim = gb
     if da != db:
         return False
-    flat = chain.from_iterable
-    return _flat_is_scalar(len(are), list(map(sub, flat(are), flat(bre))),
-                           list(map(sub, flat(aim), flat(bim))))
-
-
-def _add_diagonal(rows, v):
-    """rows with v added to every diagonal entry."""
-    return tuple(r[:i] + (r[i] + v,) + r[i + 1:] for i, r in enumerate(rows))
+    return _grid_is_scalar(list(map(sub, are, bre)), list(map(sub, aim, bim)))
 
 
 def _shift_diagonal(x, lam):
@@ -565,12 +535,17 @@ def _shift_diagonal(x, lam):
     The shift is skew-adjoint, so the result is known skew-adjoint when
     x is."""
     if x.grids is None:
-        out = Matrix(x.ring, _add_diagonal(
-            x.rows, x.ring.scalar(lam(0)) * imaginary_unit(x.ring)))
+        v = x.ring.scalar(lam(0)) * imaginary_unit(x.ring)
+        out = Matrix(x.ring, (r[:i] + (r[i] + v,) + r[i + 1:]
+                              for i, r in enumerate(x.rows)))
     else:
-        out = Matrix._of_grids(x.ring, tuple(
-            (den, re, _add_diagonal(im, lam(t) * den))
-            for t, (den, re, im) in enumerate(x.grids)))
+        step = x.n + 1
+        grids = []
+        for t, (den, re, im) in enumerate(x.grids):
+            im = list(im)
+            im[::step] = map(add, im[::step], repeat(lam(t) * den))
+            grids.append((den, re, tuple(im)))
+        out = Matrix._of_grids(x.ring, tuple(grids))
     if x._cache.get("skew"):
         out._cache["skew"] = True
     return out
@@ -583,22 +558,36 @@ def upper_pairs(S):
     return [(p, q) for a, p in enumerate(S) for q in S[a + 1:]]
 
 
-# per size n, the flat row-major positions that the n^2 coordinates of a
+# per size n, the row-major positions that the n^2 coordinates of a
 # skew-adjoint grid are read from and written back to; see _skew_layout
 _layouts = {}
+# per size n, the transpose of row-major n x n entries; see _transpose
+_transposes = {}
+
+
+def _transpose(n):
+    """The transpose of row-major n x n entries, as a function that
+    returns a tuple: an itemgetter over the positions of x^T, built once
+    per n (tuple itself at n = 1, where itemgetter returns a bare
+    item)."""
+    tr = _transposes.get(n)
+    if tr is None:
+        tr = _transposes[n] = tuple if n == 1 else itemgetter(
+            *[j * n + i for i in range(n) for j in range(n)])
+    return tr
 
 
 def _skew_layout(n):
     """Index lists that move the n^2 coordinates of a skew-adjoint grid
     (lie's basis order: Re x^{ij}, then Im x^{ij}, over upper_pairs,
-    then Im x^{ii}) to and from its flat row-major numerators, built
-    once per n.
+    then Im x^{ii}) to and from its row-major numerators, built once
+    per n.
 
     The coordinates are read as Re at the positions upper (the
     upper_pairs) and Im at coords_im (upper, then the diagonal).
-    re_from and im_from write them back: flat entry f of re is
+    re_from and im_from write them back: entry f of re is
     ext[re_from[f]] for ext = s + (-s) + [0], s the Re coordinates, and
-    flat entry f of im is t[im_from[f]], t the Im coordinates.
+    entry f of im is t[im_from[f]], t the Im coordinates.
     """
     out = _layouts.get(n)
     if out is None:
@@ -627,16 +616,16 @@ def _gauss_coeff_ints(grid):
     diagonal: skew-adjointness makes those the coefficients, so they are
     read straight off the grid."""
     den, re, im = grid
-    upper, coords_im, _, _ = _skew_layout(len(re))
-    flat = chain.from_iterable
-    fre, fim = list(flat(re)), list(flat(im))
-    return den, (list(map(fre.__getitem__, upper))
-                 + list(map(fim.__getitem__, coords_im)))
+    upper, coords_im, _, _ = _skew_layout(isqrt(len(re)))
+    return den, (list(map(re.__getitem__, upper))
+                 + list(map(im.__getitem__, coords_im)))
 
 
-def _skew_grid(n, den, coords):
-    """The reduced grid of the skew-adjoint matrix with coordinates
-    coords / den in basis order (the inverse of _gauss_coeff_ints)."""
+def _skew_grid(den, coords):
+    """The reduced grid of the skew-adjoint matrix with the n^2
+    coordinates coords / den in basis order (the inverse of
+    _gauss_coeff_ints)."""
+    n = isqrt(len(coords))
     if den != 1:
         g = gcd(den, *coords)
         if g > 1:
@@ -646,8 +635,8 @@ def _skew_grid(n, den, coords):
     half = n * (n - 1) // 2
     s = coords[:half]
     ext = s + list(map(neg, s)) + [0]
-    return (den, _split_rows(list(map(ext.__getitem__, re_from)), n),
-            _split_rows(list(map(coords[half:].__getitem__, im_from)), n))
+    return (den, tuple(map(ext.__getitem__, re_from)),
+            tuple(map(coords[half:].__getitem__, im_from)))
 
 
 def _gauss_decompose(x):
@@ -694,7 +683,7 @@ def _apply_table(table, grid):
             out = map(add, out, map(mul, cols[k], repeat(c[k])))
     else:
         out = [sum(map(mul, c, row)) for row in rows]
-    return _skew_grid(len(grid[1]), den * den_x, list(out))
+    return _skew_grid(den * den_x, list(out))
 
 
 def _apply_tables(tables, x):
@@ -707,7 +696,7 @@ def _apply_tables(tables, x):
 
 def _random_skew_grids(rng, n, ring):
     """lie.random_skew over a ring with grids: the draws go straight into
-    flat row-major numerator and denominator lists of each point, entry
+    row-major numerator and denominator lists of each point, entry
     by entry with all points of an entry in a row, in the order in which
     the ring's random_real and random_element take them; each point is
     then scaled to the lcm of its denominators and reduced once."""
@@ -729,7 +718,7 @@ def _random_skew_grids(rng, n, ring):
     for re, im, d in cells:
         den = lcm(*d)
         scale = list(map(floordiv, repeat(den), d))
-        grids.append(_flat_grid(n, den, list(map(mul, re, scale)),
+        grids.append(_flat_grid(den, list(map(mul, re, scale)),
                                 list(map(mul, im, scale))))
     out = Matrix._of_grids(ring, tuple(grids))
     out._cache["skew"] = True

@@ -31,6 +31,7 @@ from .lie import (
     canonical_basis,
     ie_diag,
     is_central,
+    query_key,
     random_skew,
     require_gauge,
     s_elem,
@@ -45,11 +46,6 @@ from .matrices import (
 )
 from .reporting import VerificationReport, require_campaign_args, seeded_trials
 from .rings import GAUSS, FunctionRing, imaginary_unit
-
-
-def pair_key(x, y):
-    """Order-free identity of a query pair."""
-    return tuple(sorted((x.cache_key(), y.cache_key())))
 
 
 class GaugedInnerTwoLocal(GaugedInnerOracle):
@@ -79,12 +75,12 @@ class TamperedPairOracle:
         self.base = base
         self.ring = base.ring
         self.n = base.n
-        self._key = pair_key(x, y)
+        self._key = query_key(x, y)
         self.perturbation = require_skew_adjoint(perturbation, "perturbation")
 
     def query(self, x, y):
         w = self.base.query(x, y)
-        if pair_key(x, y) == self._key:
+        if query_key(x, y) == self._key:
             return w + self.perturbation
         return w
 

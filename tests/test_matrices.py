@@ -226,7 +226,7 @@ class TestCommutator:
         # both argument orders: the kernel folds the sign of [b, a] = -[a, b]
         # into whichever factor it walks
         rng = random.Random(11)
-        for n in (3, 4):
+        for n in (2, 3, 4):
             for a, b in _shape_pairs(shape, rng, n, ring):
                 assert commutator(a, b) == entrywise_bracket(a, b)
                 assert commutator(b, a) == entrywise_bracket(b, a)
@@ -237,7 +237,7 @@ class TestCommutator:
         # cache_key() renders a, b, d, so an unreduced entry would give an
         # equal matrix a second key
         rng = random.Random(12)
-        for n in (3, 4):
+        for n in (2, 3, 4):
             for a, b in _shape_pairs(shape, rng, n, ring):
                 for m in (commutator(a, b), commutator(b, a), a - b, b - a):
                     assert _entries_reduced(m)
@@ -581,7 +581,7 @@ class TestGridSums:
                                                  sign)
                     assert got == _lcm_form(ref.rows) == ref.grids[0]
                     results.append(got)
-            assert (1, ((0,) * n,) * n, ((0,) * n,) * n) in results
+            assert (1, (0,) * (n * n), (0,) * (n * n)) in results
             dens.update(den for den, _, _ in results)
         assert {1, 30, 42} <= dens
 
@@ -674,11 +674,12 @@ class TestPointValues:
 
 
 def _lcm_form(rows):
-    """(den, re, im) of Gaussian rows over the lcm of their denominators."""
+    """(den, re, im) of Gaussian rows over the lcm of their denominators,
+    re and im row-major."""
     den = lcm(*(v.d for r in rows for v in r))
     return (den,
-            tuple(tuple(v.a * (den // v.d) for v in r) for r in rows),
-            tuple(tuple(v.b * (den // v.d) for v in r) for r in rows))
+            tuple(v.a * (den // v.d) for r in rows for v in r),
+            tuple(v.b * (den // v.d) for r in rows for v in r))
 
 
 def _gauged_witness(a0, seed, *elements):
@@ -719,7 +720,8 @@ class TestStoredGrid:
         for how, m in self._made_every_way().items():
             (den, re, im), = m.grids
             assert den > 0, how
-            assert gcd(den, *(v for r in re + im for v in r)) == 1, how
+            assert len(re) == len(im) == m.n * m.n, how
+            assert gcd(den, *re, *im) == 1, how
             assert m.grids == (_lcm_form(m.rows),), how
 
     def test_equal_matrices_have_equal_grids_and_hashes(self):
@@ -729,7 +731,7 @@ class TestStoredGrid:
             same = Matrix(GAUSS, a.rows)
             assert a - a == zeros(n)
             assert (a - a).grids == zeros(n).grids == (
-                (1, ((0,) * n,) * n, ((0,) * n,) * n),)
+                (1, (0,) * (n * n), (0,) * (n * n)),)
             assert same == a and same.grids == a.grids
             assert hash(same) == hash(a)
             twice = a + a

@@ -25,6 +25,7 @@ from skewlie.lie import (
     canonical_basis,
     ie_diag,
     is_central,
+    query_key,
     random_skew,
     s_elem,
     staircase,
@@ -41,7 +42,6 @@ from skewlie.twolocal import (
     extract_diagonal,
     extract_offdiagonal,
     omega_instantiate,
-    pair_key,
     reconstruct_implementer,
     twolocal_campaign,
     verify_implementer,
@@ -108,9 +108,9 @@ class TestOracle:
             z = random_skew(rng, 3)
             assert delta_eval(oracle, z) == bracket(a0, z)
 
-    def test_pair_key_unordered(self):
+    def test_query_key_unordered(self):
         x, y = s_elem(3, 1, 2), ie_diag(3, 1)
-        assert pair_key(x, y) == pair_key(y, x)
+        assert query_key(x, y) == query_key(y, x)
 
 
 class TestExtraction:
@@ -361,7 +361,7 @@ class TestBruteForce:
             n = 3
 
             def query(self, x, y):
-                rng = random.Random("|".join(pair_key(x, y)))
+                rng = random.Random("|".join(query_key(x, y)))
                 return random_skew(rng, 3)
 
         with pytest.raises(Infeasible):
