@@ -8,10 +8,10 @@ reduction keeps an elimination record: the steps (pivot col,
 multiplier) it took and, for a new pivot, the factor that normalised
 its lead to 1. express expands its combination over the original rows
 from these records, touching only the pivots it reaches; nullvector
-back-substitutes; solve runs the records forward on the right hand side
-and then back-substitutes. The right hand sides may live in a larger
-ring than the coefficients: solving only ever multiplies ring elements
-by Gaussian rational scalars.
+back-substitutes on integers; solve runs the records forward on the
+right hand side and then back-substitutes. The right hand sides may
+live in a larger ring than the coefficients: solving only ever
+multiplies ring elements by Gaussian rational scalars.
 
 Rows are reduced on Gaussian integers, stored as sparse numerators
 (re, im) over one shared positive denominator, kept gcd-reduced as
@@ -200,12 +200,40 @@ class ReducedSystem:
 
     def nullvector(self, free_col):
         """The kernel basis vector attached to one free column."""
-        if free_col in self._pivots or not 0 <= free_col < self.ncols:
+        den, nums = self.int_nullvector(free_col)
+        return _gauss(nums, den)
+
+    def int_nullvector(self, free_col):
+        """nullvector as (den, {col: (re, im)}), gcd-reduced as _int_row
+        returns a row, back-substituted on (re, im, den) triples."""
+        pivots = self._pivots
+        if free_col in pivots or not 0 <= free_col < self.ncols:
             raise DimensionMismatch("column %d is not free" % free_col)
-        x = [GAUSS.zero] * self.ncols
-        x[free_col] = GAUSS.one
-        self._back_substitute(x, GAUSS.zero)
-        return {c: v for c, v in enumerate(x) if v}
+        x = {free_col: (1, 0, 1)}
+        # a pivot row's other columns all lie right of its pivot
+        for pc in sorted(pivots, reverse=True):
+            pden, prow, _ = pivots[pc]
+            re, im, den = 0, 0, 1
+            for c, (a, b) in prow.items():
+                t = x.get(c)
+                if t is None:
+                    continue
+                xa, xb, xd = t
+                ta, tb = a * xa - b * xb, a * xb + b * xa
+                if xd != den:
+                    m = lcm(den, xd)
+                    re, im, den = re * (m // den), im * (m // den), m
+                    ta, tb = ta * (m // xd), tb * (m // xd)
+                re += ta
+                im += tb
+            if re or im:
+                # x[pc] = -(sum of prow[c] * x[c]) / pden
+                den *= pden
+                g = gcd(re, im, den)
+                x[pc] = (-re // g, -im // g, den // g)
+        den = lcm(*(d for _, _, d in x.values()))
+        return den, {c: (a * (den // d), b * (den // d))
+                     for c, (a, b, d) in sorted(x.items())}
 
     def _back_substitute(self, x, zero):
         """Solve the pivot rows for their pivot variables in place. On

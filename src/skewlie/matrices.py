@@ -51,8 +51,9 @@ grid mapped over the points, reading the numerators as stored:
   * sums and differences work on the numerators of both grids with
     map, so the arithmetic and the one gcd run in C
   * brackets over other rings walk the same factor with the ring's own
-    + and *; symcheck brackets its unknowns through _sparse_commutator
-    directly, with a Gaussian second factor
+    + and *; symcheck brackets its unknowns (matrices of linear forms)
+    with its own kernel, symcheck.bracket, which reads a Gaussian-integer
+    second factor off its grid and accumulates each entry in one dict
 
 so no bracket over the Gaussian rationals or a function ring reduces a
 fraction in its inner loop.
@@ -382,7 +383,8 @@ def _grid_sparse_commutator(ga, gb, sign, skew=False):
 
 def _sparse_commutator(a, b):
     """a*b - b*a over a's ring, accumulated in one grid; only b's nonzeros
-    are walked. b may be a Gaussian matrix whose entries scale a's."""
+    are walked. b may be a Gaussian matrix whose entries scale a's, the
+    reference that symcheck.bracket is tested against."""
     zero = a.ring.zero
     n = a.n
     out = [[zero] * n for _ in range(n)]

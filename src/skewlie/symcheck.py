@@ -33,9 +33,9 @@ from .errors import (
     UnknownLemma,
 )
 from .lie import ie_bar, ie_diag, s_elem, staircase
-from .linsolve import ReducedSystem, _int_row
+from .linsolve import ReducedSystem
 from .localder import assemble_d
-from .matrices import Matrix, _sparse_commutator
+from .matrices import Matrix, _split_rows
 from .rings import GAUSS, GaussianRational
 
 
@@ -87,14 +87,67 @@ class Form(dict):
 
     def evaluate(self, values):
         """The value (re, im) at a list of (re, im) values by variable."""
-        terms = [(a, b) + values[v] for v, (a, b) in self.items()]
-        return (sum(a * c - b * d for a, b, c, d in terms),
-                sum(a * d + b * c for a, b, c, d in terms))
+        re = im = 0
+        for v, (a, b) in self.items():
+            c, d = values[v]
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
 
 
-# [x, g] for a matrix x of forms and a Gaussian matrix g: the ring-generic
-# walk over g's nonzeros, where every product is a form times a scalar
-bracket = _sparse_commutator
+def _add_times(acc, form, r, s):
+    """acc += (r + s*i)*form in place on a dict of (re, im) values: each
+    variable of form, in form's order, is popped and re-inserted at the
+    end unless its sum is zero."""
+    for v, (a, b) in form.items():
+        c, d = acc.pop(v, (0, 0))
+        c += r * a - s * b
+        d += r * b + s * a
+        if c or d:
+            acc[v] = (c, d)
+
+
+def bracket(x, g):
+    """[x, g] = x*g - g*x for a matrix x of forms and a Gaussian-integer
+    matrix g, walking g's nonzeros as integer pairs (r, s) off its grid.
+
+    Each output entry accumulates (r + s*i)*form in one dict that pops
+    and re-inserts a variable as Form.__add__ does, so every entry has
+    the values and the item order of the ring-generic walk
+    (matrices._sparse_commutator) without a Form per product or sum.
+    Raises TypeError unless g has exactly one grid over denominator 1:
+    a form has no product with a form, a function element or a
+    non-integer."""
+    grids = g.grids
+    if grids is None:
+        raise TypeError("bracket needs a Gaussian second factor, got a "
+                        "matrix over %s" % g.ring.name)
+    if len(grids) != 1:
+        raise TypeError("bracket needs a Gaussian second factor, got one "
+                        "with %d points" % len(grids))
+    (den, re, im), = grids
+    if den != 1:
+        raise TypeError("bracket needs Gaussian-integer entries, got a "
+                        "denominator %d" % den)
+    n = x.n
+    xrows = x.rows
+    nz = [(k // n, k % n, r, s)
+          for k, (r, s) in enumerate(zip(re, im)) if r or s]
+    out = [{} for _ in range(n * n)]
+    for p, j, r, s in nz:
+        # column j of x*g gains column p of x times g^{pj}
+        for i in range(n):
+            f = xrows[i][p]
+            if f:
+                _add_times(out[i * n + j], f, r, s)
+    for i, p, r, s in nz:
+        # row i of g*x loses g^{ip} times row p of x
+        for j, f in enumerate(xrows[p]):
+            if f:
+                _add_times(out[i * n + j], f, -r, -s)
+    zero = x.ring.zero
+    return Matrix._of_rows(x.ring, _split_rows(
+        [Form(acc) if acc else zero for acc in out], n))
 
 
 class SkewSymbols:
@@ -146,7 +199,7 @@ class SkewSymbols:
                     perm.append(len(names))
                     grid[i - 1][i - 1] = Form({len(names): (0, 1)})
                     names.append("%s_d%d" % (name, i))
-            mats[name] = Matrix(self, grid)
+            mats[name] = Matrix._of_rows(self, tuple(map(tuple, grid)))
         # declare rejects equal names; this catches derived ones, such as
         # the partner "ac_1_2" of unknown "a" against unknown "ac"
         if len(set(names)) != len(names):
@@ -260,7 +313,7 @@ def _counterexample(ring, sys, hyps, label, form, free):
     conj(x[star v]) solves them too; x + x' and (x - x')/I then satisfy
     value[star v] = conj(value[v]) and add up to 2x with weights 1 and
     I, so form is nonzero on at least one of them."""
-    den, kernel = _int_row(sys.nullvector(free), sys.ncols)
+    den, kernel = sys.int_nullvector(free)
     x = [kernel.get(v, (0, 0)) for v in range(sys.ncols)]
     x_star = [x[p] for p in ring.star_perm]
     for values in ([(a + c, b - d) for (a, b), (c, d) in zip(x, x_star)],
@@ -586,11 +639,14 @@ def _build_58_59(n, indices, pos, sign):
 
 def _build_5_7(n, indices):
     i, k = indices
-    sym = SkewSymbols(n).declare("A").declare("a2")
+    sym = SkewSymbols(n)
     for t in range(1, n):
         sym.declare("w%d" % t, support=(t, t + 1))
         sym.declare("b%d" % t)
-    ring, m = sym.build()
+    # every chain hypothesis shares A and a2: declared last, their columns
+    # come last, so a row does not cascade through the earlier chains'
+    # pivots
+    ring, m = sym.declare("A").declare("a2").build()
     x0 = staircase(n)
     hyps = []
     for t in range(1, n):

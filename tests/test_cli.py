@@ -146,10 +146,10 @@ class TestMainExitCodes:
         (["--mode", "local", "--ring", "fnring", "--omega", "100000000000"],
          cli.SIZE_LIMIT),
         (["--mode", "twolocal", "--n", "3..100000000000"], cli.SIZE_LIMIT),
-        (["--mode", "symcheck", "--n", str(cli.SYMCHECK_LIMIT + 1)],
-         cli.SYMCHECK_LIMIT),
-        (["--mode", "all", "--n", "3..%d" % (cli.SYMCHECK_LIMIT + 1)],
-         cli.SYMCHECK_LIMIT)],
+        (["--mode", "symcheck", "--n", str(cli.SIZE_LIMIT + 1)],
+         cli.SIZE_LIMIT),
+        (["--mode", "all", "--n", "3..%d" % (cli.SIZE_LIMIT + 1)],
+         cli.SIZE_LIMIT)],
         ids=["omega", "n", "symcheck", "all-symcheck"])
     def test_oversize_is_2(self, argv, limit, capsys):
         # refused before anything is allocated: exit 2, a typed error
@@ -160,7 +160,7 @@ class TestMainExitCodes:
 
     def test_symcheck_limit_is_inclusive(self):
         args = cli.build_parser().parse_args(
-            ["--mode", "symcheck", "--n", str(cli.SYMCHECK_LIMIT),
+            ["--mode", "symcheck", "--n", str(cli.SIZE_LIMIT),
              "--lemma", "3.41"])
         assert cli.run(args).passed
 

@@ -11,16 +11,21 @@ from fractions import Fraction
 
 import pytest
 
-from skewlie import GAUSS, lie
+from skewlie import GAUSS, lie, matrices, symcheck
 from skewlie.errors import (
     DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
     UnknownLemma,
 )
-from skewlie.lie import bracket, staircase
-from skewlie.matrices import Matrix, star_transpose
-from skewlie.rings import GaussianField, GaussianRational, PolyElement
+from skewlie.lie import bracket, ie_diag, s_elem, staircase
+from skewlie.matrices import Matrix, from_entries, star_transpose
+from skewlie.rings import (
+    FunctionRing,
+    GaussianField,
+    GaussianRational,
+    PolyElement,
+)
 from skewlie.symcheck import (
     VARIANT_LEMMAS,
     SkewSymbols,
@@ -140,6 +145,68 @@ class TestHypothesisComponents:
                            for c in range(3)] for r in range(3)])
         with pytest.raises(TypeError):
             ring.scalar(GAUSS.one)
+
+
+def _bracket_factors(n):
+    """The Gaussian factors the catalog brackets unknowns with: every
+    canonical basis element, the staircase, the eq 5.7 chain elements
+    x_t, e + sign*s for e = I*e_t at both ends of s = s[i,k], and an
+    integer matrix of non-unit entries such as 2 - i."""
+    x0 = staircase(n)
+    chain = []
+    for t in range(1, n):
+        x_t = x0 - s_elem(n, t, t + 1)
+        if t > 1:
+            x_t = x_t - s_elem(n, t - 1, t)
+        if t + 2 <= n:
+            x_t = x_t - s_elem(n, t + 1, t + 2)
+        chain.append(x_t)
+    displays = [ie_diag(n, (i, k)[pos]) + sign * s_elem(n, i, k)
+                for i, k in ((1, 2), (1, n), (2, n))
+                for pos, sign in ((0, 1), (1, -1))]
+    non_units = from_entries(n, {
+        (i, j): GaussianRational(3 + i - 2 * j, i * j - 2)
+        for i in range(1, n + 1) for j in range(1, n + 1)})
+    assert non_units.entry(1, 1) == 2 - GAUSS.imag
+    return (list(lie.canonical_basis(n)) + [x0] + chain + displays
+            + [(2 - GAUSS.imag) * x0, non_units])
+
+
+class TestBracketKernel:
+    """symcheck.bracket against the ring-generic walk it replaces."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_generic_walk_form_by_form(self, n):
+        sym = SkewSymbols(n).declare("a").declare("w", support=(2, n)) \
+                            .declare("z", "zero")
+        ring, m = sym.build()
+        factors = _bracket_factors(n)
+        for name in ("a", "w", "z"):
+            # a difference of unknowns has forms of two terms
+            for x in (m[name], m[name] - m["a" if name != "a" else "z"]):
+                for g in factors:
+                    got = symcheck.bracket(x, g)
+                    want = matrices._sparse_commutator(x, g)
+                    assert got.ring is ring and got.n == n
+                    assert [[list(f.items()) for f in r] for r in got.rows] \
+                        == [[list(f.items()) for f in r] for r in want.rows]
+
+    def test_two_unknowns_rejected(self):
+        ring, m = SkewSymbols(3).declare("a").declare("b").build()
+        with pytest.raises(TypeError, match="Gaussian second factor"):
+            symcheck.bracket(m["a"], m["b"])
+
+    def test_function_ring_factor_rejected(self):
+        ring, m = SkewSymbols(3).declare("a").build()
+        with pytest.raises(TypeError, match="2 points"):
+            symcheck.bracket(m["a"], staircase(3, FunctionRing(2)))
+
+    def test_denominator_rejected(self):
+        # the rule of Form * GaussianRational(1, 0, 2)
+        ring, m = SkewSymbols(3).declare("a").build()
+        with pytest.raises(TypeError, match="denominator 2"):
+            symcheck.bracket(m["a"], GaussianRational(1, 0, 2)
+                             * s_elem(3, 1, 2))
 
 
 class TestCertifyCore:
