@@ -224,8 +224,9 @@ class GaugedInnerOracle:
     by shifting a0's diagonal only: lam*den is added to the imaginary
     diagonal of a0's grid at each point, and the other rows are shared.
     The scale lam is an integer drawn from sha256 of the seed, the
-    order-free key of the queried elements and, over a function ring,
-    the point, so it varies from query to query and from point to point.
+    order-free key of the queried elements (query_key, the reprs of
+    what they store) and, over a function ring, the point, so it varies
+    from query to query and from point to point.
     The mapped values are those of [a0, .]; the gauges exercise exactly
     the freedom reconstruction has to cope with. Witnesses are memoized
     per key, so a repeated query returns the same object. gauge="none"
@@ -263,7 +264,8 @@ class GaugedInnerOracle:
 
 def query_key(*elements):
     """The order-free identity of a query on elements: their sorted
-    cache keys."""
+    cache keys, the reprs of what each stores. Two queries get one key
+    exactly when they are on equal elements."""
     return tuple(sorted(z.cache_key() for z in elements))
 
 

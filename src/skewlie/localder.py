@@ -24,6 +24,7 @@ import random
 from .errors import (
     DimensionMismatch,
     EqualIndices,
+    IndexOutOfRange,
     Infeasible,
     NeedThreeIndices,
     UnsupportedRing,
@@ -248,7 +249,7 @@ def corner_implementer(lmap, indices):
     n = lmap.n
     for p in S:
         if not 1 <= p <= n:
-            raise DimensionMismatch("block index %d outside 1..%d" % (p, n))
+            raise IndexOutOfRange("block index %d outside 1..%d" % (p, n))
     ring = lmap.ring
     embedded = {id(b): e for b, e in zip(canonical_basis(len(S), ring),
                                          block_basis(S, n, ring))}

@@ -17,11 +17,15 @@ What a matrix stores depends on its ring:
   * any other ring (polynomials, and the linear forms of symcheck's
     unknowns): the rows of ring elements
 
-For the first, rows builds the entry objects (GaussianRational,
+cache_key is the repr of the stored form. Reduced grids and polynomial
+rows are canonical, so over those rings two matrices have equal keys
+exactly when they are equal.
+
+With grids, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
 own. The grid format is private to this module. Brackets, sums,
-differences, equality, hashing, the skew-adjoint and scalar checks,
-cache keys, the tables of linear maps, the witness diagonal shift and
+differences, equality, hashing, cache keys, the skew-adjoint and scalar
+checks, the tables of linear maps, the witness diagonal shift and
 random draws read or write the grids here, each as one kernel on one
 grid mapped over the points, reading the numerators as stored:
 
@@ -121,16 +125,6 @@ def _gauss_entry(grid, k):
     den, re, im = grid
     a, b = re[k], im[k]
     return GaussianRational(a, b, den) if a or b else GAUSS.zero
-
-
-def _entry_keys(grid):
-    """GAUSS.element_key of every entry of a grid, row-major."""
-    den, re, im = grid
-    out = []
-    for a, b in zip(re, im):
-        g = gcd(a, b, den)
-        out.append("%d,%d,%d" % (a // g, b // g, den // g))
-    return out
 
 
 class Matrix:
@@ -238,19 +232,14 @@ class Matrix:
         return out
 
     def cache_key(self):
-        """The entries' ring.element_key texts, joined by "," within a row
-        and ";" between rows."""
+        """repr of what the matrix stores: its grids, or its rows over a
+        ring without grids. Over one ring, equal keys mean equal
+        matrices; over the Gaussian rationals, function rings and
+        polynomial rings, whose stored forms are canonical, equal
+        matrices have equal keys too."""
         key = self._cache.get("key")
         if key is None:
-            if self.grids is None:
-                ek = self.ring.element_key
-                rows = [map(ek, r) for r in self.rows]
-            else:
-                # a function element's key joins its point keys with "|"
-                keys = [_entry_keys(g) for g in self.grids]
-                rows = _split_rows(keys[0] if len(keys) == 1
-                                   else map("|".join, zip(*keys)), self.n)
-            key = ";".join(map(",".join, rows))
+            key = repr(self._rows if self.grids is None else self.grids)
             self._cache["key"] = key
         return key
 

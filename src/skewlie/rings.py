@@ -8,9 +8,10 @@ I*I == -1 and star(I) == -I, and all containing 1/2:
   * PolynomialRing(...)  polynomials over the Gaussian rationals whose star
                          conjugates coefficients and permutes the variables
 
-Ring instances expose a uniform surface (zero, one, imag, star, scalar,
-random_element, format, ...) so the matrix and Lie layers never care
-which ring they run over. Elements overload +, -, *, / and compare by value.
+Ring instances expose a uniform surface (name, zero, one, imag, star,
+scalar, random_element, random_real, format) so the matrix and Lie layers
+never care which ring they run over. Elements overload +, -, *, / and
+compare by value.
 """
 
 from __future__ import annotations
@@ -267,9 +268,6 @@ class GaussianField:
     def parse(self, text):
         return _gauss_parse(text)
 
-    def element_key(self, x):
-        return "%d,%d,%d" % (x.a, x.b, x.d)
-
 
 GAUSS = GaussianField()
 
@@ -397,9 +395,6 @@ class FunctionRing:
 
     def format(self, x):
         return "[%s]" % ",".join(GAUSS.format(v) for v in x.values)
-
-    def element_key(self, x):
-        return "|".join(GAUSS.element_key(v) for v in x.values)
 
 
 class PolyElement(_Element):
@@ -601,9 +596,6 @@ class PolynomialRing:
         for sign, body in chunks[1:]:
             text += " %s %s" % (sign, body)
         return text
-
-    def element_key(self, x):
-        return self.format(x)
 
 
 def imaginary_unit(ring):

@@ -1,5 +1,7 @@
 """Every demo script runs to the end as __main__, with warnings as errors,
-so a deletion or rename of a public name that a demo uses fails here."""
+so a deletion or rename of a public name that a demo uses fails here.
+Every "...: True/False" line a demo prints states a property that must
+hold, so no printed line may end in False."""
 
 import runpy
 import warnings
@@ -20,4 +22,8 @@ def test_demo_runs(path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    false_claims = [line for line in out.splitlines()
+                    if line.rstrip().endswith("False")]
+    assert not false_claims

@@ -232,7 +232,7 @@ class TestGauge:
         # shift is lam, not lam / den, on a grid over den
         rows = [[0, 1, 0], [-1, 0, 2], [0, -2, 0]]
         fn = FunctionRing(2)
-        cases = ((GAUSS, 8, -4), (fn, fn.lift((0, 7)), fn.lift((3, -5))))
+        cases = ((GAUSS, 5, 7), (fn, fn.lift((-7, 8)), fn.lift((0, 2))))
         for den in (1, 6):
             for ring, pair_lam, local_lam in cases:
                 a0 = Matrix(ring, [[ring.scalar(Fraction(v, den)) for v in r]

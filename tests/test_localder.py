@@ -13,6 +13,8 @@ import pytest
 from skewlie import localder
 from skewlie.errors import (
     ConfigError,
+    EqualIndices,
+    IndexOutOfRange,
     Infeasible,
     NeedThreeIndices,
     WitnessContractError,
@@ -189,6 +191,15 @@ class TestBlockImplementers:
             for q in (1, 3, 5):
                 if p != q:
                     assert w.entry(p, q) == a0.entry(p, q)
+
+    def test_block_index_outside_1_to_n(self):
+        # a typed index error, as matrices, symcheck and at_point raise
+        _, lmap = make_map(43, 4)
+        for S in ((0, 2), (2, 5), (1, 3, 7)):
+            with pytest.raises(IndexOutOfRange, match="block index"):
+                corner_implementer(lmap, S)
+        with pytest.raises(EqualIndices):
+            corner_implementer(lmap, (2, 2))
 
     def test_assemble_abar_layout(self):
         a0, lmap = make_map(42, 4)

@@ -1,13 +1,15 @@
 """Matrix layer: the bracket against its entrywise definition on every
 kernel, reduced entries out of the integer-grid kernels, which kernel
 each ring takes, star transpose and the skew-adjoint check, point
-values, and the stored form: canonical integer grids, one per point, and
-entry objects built only when rows is read.
+values, and the stored form: canonical integer grids, one per point,
+cache keys equal exactly when the matrices are, and entry objects built
+only when rows is read.
 
 Matrices have no associative product: commutator is the only one.
 """
 
 import random
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -219,6 +221,12 @@ def _entries_reduced(m):
     return all(_reduced(p) for r in m.rows for v in r for p in v.values)
 
 
+def _grids_reduced(m):
+    """Every grid of m over den >= 1 with gcd(den, every numerator) == 1."""
+    return all(den >= 1 and gcd(den, *re, *im) == 1
+               for den, re, im in m.grids)
+
+
 class TestCommutator:
     @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
     @pytest.mark.parametrize("shape", SHAPES)
@@ -234,13 +242,14 @@ class TestCommutator:
     @pytest.mark.parametrize("ring", RINGS[:2], ids=RING_IDS[:2])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_integer_grid_results_are_reduced(self, ring, shape):
-        # cache_key() renders a, b, d, so an unreduced entry would give an
-        # equal matrix a second key
+        # cache_key() is the repr of the grids, so an unreduced grid would
+        # give an equal matrix a second key
         rng = random.Random(12)
         for n in (2, 3, 4):
             for a, b in _shape_pairs(shape, rng, n, ring):
                 for m in (commutator(a, b), commutator(b, a), a - b, b - a):
                     assert _entries_reduced(m)
+                    assert _grids_reduced(m)
 
     def test_non_matrix_arguments(self):
         m = from_entries(2, {(1, 1): 1})
@@ -761,8 +770,8 @@ class TestPointStorage:
         assert x == from_points(points)
         assert Matrix(ring, x.rows) == x
         assert Matrix(ring, x.rows).grids == x.grids
-        assert x.cache_key() == ";".join(
-            ",".join(ring.element_key(v) for v in r) for r in x.rows)
+        assert x.cache_key() == from_points(points).cache_key() \
+            == Matrix(ring, x.rows).cache_key() != (-x).cache_key()
 
     def test_one_point_ring_stays_a_function_ring(self):
         # one grid, as over the Gaussian rationals, but function-ring entries
@@ -772,8 +781,8 @@ class TestPointStorage:
         assert x.grids == g.grids
         assert isinstance(x.entry(1, 2), FunctionElement)
         assert all(isinstance(v, FunctionElement) for r in x.rows for v in r)
-        assert x.cache_key() == ";".join(
-            ",".join(ring.element_key(v) for v in r) for r in x.rows)
+        assert x.cache_key() == from_points([g]).cache_key() \
+            == Matrix(ring, x.rows).cache_key() != (-x).cache_key()
         assert x != g and g != x
         assert from_points([g]) == x
         assert localder_campaign(ring, 3, 1, 38).passed
@@ -804,6 +813,77 @@ class TestGridDraws:
                 assert rng.getstate() == ref_rng.getstate()
                 assert x == ref and x.rows == ref.rows
                 assert x.cache_key() == ref.cache_key()
+
+
+class TestCacheKey:
+    """cache_key() is the repr of the stored form. It is canonical only
+    because every grid is reduced over den >= 1, however it was made."""
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_every_path_keeps_grids_reduced(self, ring):
+        rng = random.Random(36)
+        made = []
+        for n in (1, 2, 3, 4):
+            a, b = random_skew(rng, n, ring), random_skew(rng, n, ring)
+            half = a * (ring.one / 2)
+            made += [a, b, half]
+            made += [matrices._shift_diagonal(x, lam) for x in (a, half)
+                     for lam in (lambda t: 0, lambda t: t - 1,
+                                 lambda t: 3 * t + 2)]
+            table = LinearLieMap.tabulate(lambda x: bracket(half, x), n, ring)
+            made += [table.apply(b), table.apply(half)]
+            if isinstance(ring, FunctionRing):
+                points = [at_point(half, k) for k in range(ring.npoints)]
+            else:
+                points = [half, a, b * G(1, 0, 3)]
+            joined = from_points(points)
+            made += points + [joined]
+            made += [at_point(joined, k) for k in range(len(points))]
+        # entries given as unreduced fractions and Gaussian triples
+        made.append(Matrix(ring, [[Fraction(6, 4), Fraction(-10, 15)],
+                                  [Fraction(4, 2), 0]]))
+        made.append(Matrix(ring, [[Fraction(2, 6), Fraction(3, 6)],
+                                  [Fraction(9, 6), Fraction(12, 6)]]))
+        made.append(Matrix(ring, [[G(2, 4, 6), G(0, 3, 9)],
+                                  [G(-4, 0, 6), G(5, 5, 10)]]))
+        for m in made:
+            assert _grids_reduced(m), m.grids
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3), RINGS[2]],
+                             ids=["gauss", "fnring3", "poly"])
+    def test_keys_equal_exactly_when_matrices_are(self, ring):
+        rng = random.Random(37)
+        n = 3
+        a, b = random_skew(rng, n, ring), random_skew(rng, n, ring)
+        e = canonical_basis(n, ring)[0]
+        half = ring.one / 2
+        # matrices in one group are equal, built by different paths;
+        # matrices in different groups differ
+        groups = [
+            [a, Matrix(ring, a.rows), (a + b) - b, b - (b - a), -(-a),
+             a * ring.one, (a + a) * half,
+             matrices._shift_diagonal(a, lambda t: 0)],
+            [b],
+            [zeros(n, ring), a - a],
+            [commutator(a, b), -commutator(b, a), entrywise_bracket(a, b)],
+            [commutator(a, e)],
+            [e],
+            [e + e, e * 2],
+            [matrices._shift_diagonal(a, lambda t: t + 1) - a,
+             matrices._shift_diagonal(zeros(n, ring), lambda t: t + 1)],
+        ]
+        if isinstance(ring, FunctionRing):
+            points = [at_point(a, k) for k in range(ring.npoints)]
+            groups[0].append(from_points(points))
+            # a at point 0 only, so a key that read one point would match
+            groups.append([from_points(points[:1] + [
+                at_point(b, k) for k in range(1, ring.npoints)])])
+        made = [(k, m) for k, group in enumerate(groups) for m in group]
+        for k, p in made:
+            for j, q in made:
+                assert (p == q) == (k == j)
+                assert (p.cache_key() == q.cache_key()) == (k == j)
 
 
 class TestNoMaterialization:
