@@ -221,8 +221,9 @@ class GaugedInnerOracle:
     """The witness-gauge model shared by the gauged inner-derivation oracles.
 
     Every witness is a0 plus a central summand lam * I * identity, made
-    by shifting a0's diagonal only: lam*den is added to the imaginary
-    diagonal of a0's grid at each point, and the other rows are shared.
+    by shifting a0's diagonal only: at each point the witness shares
+    a0's re numerators and copies its im numerators with lam*den added
+    to the diagonal.
     The scale lam is an integer drawn from sha256 of the seed, the
     order-free key of the queried elements (query_key, the reprs of
     what they store) and, over a function ring, the point, so it varies
@@ -280,8 +281,7 @@ def is_central(x):
 def random_skew(rng, n, ring=GAUSS):
     """A random skew-adjoint matrix: free entries above the diagonal,
     imaginary-unit multiples of star-fixed samples on it, in the order
-    in which the ring's random_element and random_real take them. The
-    result is known skew-adjoint to the bracket, without a check.
+    in which the ring's random_element and random_real take them.
     """
     if isinstance(ring, (GaussianField, FunctionRing)):
         return _random_skew_grids(rng, n, ring)
@@ -293,6 +293,4 @@ def random_skew(rng, n, ring=GAUSS):
             v = ring.random_element(rng)
             grid[i][j] = v
             grid[j][i] = -ring.star(v)
-    out = Matrix(ring, grid)
-    out._cache["skew"] = True
-    return out
+    return Matrix(ring, grid)

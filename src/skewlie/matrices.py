@@ -43,11 +43,9 @@ grid mapped over the points, reading the numerators as stored:
   * when the walked factor has more than n nonzeros and both factors
     are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
     is P - P*, formed on the numerators with map and one memoized
-    transpose per n. Whether a matrix is skew-adjoint is cached with
-    it, and set without a check on random_skew draws, on brackets, sums
-    and differences of two known skew-adjoint factors, on
-    _shift_diagonal of one and on the images that linear-map tables
-    return; an unknown factor is checked once, on its grids in C
+    transpose per n. is_skew_adjoint reads a matrix's grids once, in C,
+    and caches the answer with it; only random_skew draws, skew-adjoint
+    by construction, are cached as such without a check
   * the table of a linear map on K_n holds the n^2 real coordinates
     (the lie.decompose coefficients) of every basis image, n^2 x n^2
     integers per point, and apply rebuilds the skew-adjoint image grid
@@ -223,14 +221,6 @@ class Matrix:
             self._cache["nnz"] = nnz
         return nnz
 
-    def _nonzeros(self):
-        out = []
-        for i, r in enumerate(self.rows):
-            for j, v in enumerate(r):
-                if v:
-                    out.append((i, j, v))
-        return out
-
     def cache_key(self):
         """repr of what the matrix stores: its grids, or its rows over a
         ring without grids. Over one ring, equal keys mean equal
@@ -307,18 +297,13 @@ class Matrix:
 
 
 def _combine(a, b, sign):
-    """a + sign*b for compatible a and b, sign = 1 or -1; known
-    skew-adjoint when a and b are."""
+    """a + sign*b for compatible a and b, sign = 1 or -1."""
     if a.grids is None:
         op = add if sign > 0 else sub
-        out = Matrix._of_rows(a.ring, tuple(
+        return Matrix._of_rows(a.ring, tuple(
             tuple(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows)))
-    else:
-        out = Matrix._of_grids(a.ring, tuple(
-            map(_grid_combine, a.grids, b.grids, repeat(sign))))
-    if a._cache.get("skew") and b._cache.get("skew"):
-        out._cache["skew"] = True
-    return out
+    return Matrix._of_grids(a.ring, tuple(
+        map(_grid_combine, a.grids, b.grids, repeat(sign))))
 
 
 def _grid_combine(ga, gb, sign):
@@ -371,14 +356,15 @@ def _grid_sparse_commutator(ga, gb, sign, skew=False):
 
 
 def _sparse_commutator(a, b):
-    """a*b - b*a over a's ring, accumulated in one grid; only b's nonzeros
-    are walked. b may be a Gaussian matrix whose entries scale a's, the
-    reference that symcheck.bracket is tested against."""
+    """a*b - b*a over a's ring, accumulated in rows of ring elements; only
+    b's nonzeros are walked. b may be a Gaussian matrix whose entries
+    scale a's, the reference that symcheck.bracket is tested against."""
     zero = a.ring.zero
     n = a.n
     out = [[zero] * n for _ in range(n)]
     arows = a.rows
-    nz = b._nonzeros()
+    nz = [(i, j, v) for i, r in enumerate(b.rows)
+          for j, v in enumerate(r) if v]
     for p, j, v in nz:
         for i in range(n):
             x = arows[i][p]
@@ -399,8 +385,7 @@ def commutator(a, b):
     a is walked and the sign of [b, a] = -[a, b] folded in. On grids,
     when the walked factor has more than n nonzeros and both factors are
     skew-adjoint, only their product is walked (_grid_sparse_commutator
-    with skew). The bracket of two known skew-adjoint factors is known
-    skew-adjoint."""
+    with skew)."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
@@ -408,22 +393,17 @@ def commutator(a, b):
     nnz_b = b._nnz()
     swap = nnz_b > n and a._nnz() < nnz_b
     if a.grids is None:
-        out = -_sparse_commutator(b, a) if swap \
-            else _sparse_commutator(a, b)
+        return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
+    walked = a if swap else b
+    skew = repeat(walked._nnz() > n and is_skew_adjoint(a)
+                  and is_skew_adjoint(b))
+    if swap:
+        grids = map(_grid_sparse_commutator, b.grids, a.grids,
+                    repeat(-1), skew)
     else:
-        walked = a if swap else b
-        skew = repeat(walked._nnz() > n and is_skew_adjoint(a)
-                      and is_skew_adjoint(b))
-        if swap:
-            grids = map(_grid_sparse_commutator, b.grids, a.grids,
-                        repeat(-1), skew)
-        else:
-            grids = map(_grid_sparse_commutator, a.grids, b.grids,
-                        repeat(1), skew)
-        out = Matrix._of_grids(a.ring, tuple(grids))
-    if a._cache.get("skew") and b._cache.get("skew"):
-        out._cache["skew"] = True
-    return out
+        grids = map(_grid_sparse_commutator, a.grids, b.grids,
+                    repeat(1), skew)
+    return Matrix._of_grids(a.ring, tuple(grids))
 
 
 def from_entries(n, entries, ring=GAUSS):
@@ -450,6 +430,8 @@ def star_transpose(x):
 
 
 def is_skew_adjoint(x):
+    """Whether x* == -x, read off x's grids (its rows over other rings)
+    on the first call and cached with x."""
     ok = x._cache.get("skew")
     if ok is None:
         n = x.n
@@ -522,24 +504,18 @@ def _grids_differ_by_scalar(ga, gb):
 def _shift_diagonal(x, lam):
     """x + lam(t) * I * identity at each point t, for integers lam(t):
     lam(t)*den added to the imaginary diagonal of point t's grid, which
-    keeps it reduced. Over a ring without grids, lam(0) is the scale.
-    The shift is skew-adjoint, so the result is known skew-adjoint when
-    x is."""
+    keeps it reduced. Over a ring without grids, lam(0) is the scale."""
     if x.grids is None:
         v = x.ring.scalar(lam(0)) * imaginary_unit(x.ring)
-        out = Matrix(x.ring, (r[:i] + (r[i] + v,) + r[i + 1:]
-                              for i, r in enumerate(x.rows)))
-    else:
-        step = x.n + 1
-        grids = []
-        for t, (den, re, im) in enumerate(x.grids):
-            im = list(im)
-            im[::step] = map(add, im[::step], repeat(lam(t) * den))
-            grids.append((den, re, tuple(im)))
-        out = Matrix._of_grids(x.ring, tuple(grids))
-    if x._cache.get("skew"):
-        out._cache["skew"] = True
-    return out
+        return Matrix(x.ring, (r[:i] + (r[i] + v,) + r[i + 1:]
+                               for i, r in enumerate(x.rows)))
+    step = x.n + 1
+    grids = []
+    for t, (den, re, im) in enumerate(x.grids):
+        im = list(im)
+        im[::step] = map(add, im[::step], repeat(lam(t) * den))
+        grids.append((den, re, tuple(im)))
+    return Matrix._of_grids(x.ring, tuple(grids))
 
 
 def upper_pairs(S):
@@ -678,11 +654,8 @@ def _apply_table(table, grid):
 
 
 def _apply_tables(tables, x):
-    """The image of a skew-adjoint x under the map _map_tables tabulated,
-    known skew-adjoint."""
-    out = Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
-    out._cache["skew"] = True
-    return out
+    """The image of a skew-adjoint x under the map _map_tables tabulated."""
+    return Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
 
 
 def _random_skew_grids(rng, n, ring):
@@ -690,7 +663,9 @@ def _random_skew_grids(rng, n, ring):
     row-major numerator and denominator lists of each point, entry
     by entry with all points of an entry in a row, in the order in which
     the ring's random_real and random_element take them; each point is
-    then scaled to the lcm of its denominators and reduced once."""
+    then scaled to the lcm of its denominators and reduced once. The
+    draw is skew-adjoint by construction, so is_skew_adjoint's answer
+    is cached with it without a check."""
     parts = GAUSS.random_parts
     npoints = ring.npoints if isinstance(ring, FunctionRing) else 1
     size = n * n

@@ -282,7 +282,8 @@ def certify(ring, hypotheses, conclusions):
         key = frozenset(h.items())
         if key not in seen:
             fed.append((hid, h))
-            seen.update((key, frozenset((-h).items())))
+            neg = frozenset((v, (-a, -b)) for v, (a, b) in h.items())
+            seen.update((key, neg))
     sys = ReducedSystem((h for _, h in fed), len(ring.var_names))
     results = []
     for label, form in conclusions:
