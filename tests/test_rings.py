@@ -5,6 +5,7 @@ Expected values below were computed by hand from the defining formulas
 triple representation) and frozen here.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ import pytest
 from skewlie.errors import DimensionMismatch
 from skewlie.rings import (
     GAUSS,
+    FunctionElement,
     FunctionRing,
     GaussianRational,
+    PolyElement,
     PolynomialRing,
     check_ring_axioms,
     imaginary_unit,
@@ -232,3 +235,86 @@ def test_elements_are_immutable_and_take_plain_minus_element(ring):
         x.anything = 1
     with pytest.raises(AttributeError, match="immutable"):
         setattr(x, type(x).__slots__[0], None)
+
+
+_RINGS = [GAUSS, FunctionRing(3), _POLY]
+
+# the binary operators that lift their other operand through the class's
+# own _coerce, and so answer NotImplemented when it refuses
+_COERCING = [
+    (GaussianRational, "__add__"), (GaussianRational, "__sub__"),
+    (GaussianRational, "__mul__"), (GaussianRational, "__truediv__"),
+    (GaussianRational, "__rtruediv__"), (GaussianRational, "__eq__"),
+    (GaussianRational, "__rsub__"),
+    (FunctionElement, "__add__"), (FunctionElement, "__sub__"),
+    (FunctionElement, "__mul__"), (FunctionElement, "__truediv__"),
+    (FunctionElement, "__eq__"), (FunctionElement, "__rsub__"),
+    (PolyElement, "__add__"), (PolyElement, "__sub__"),
+    (PolyElement, "__mul__"), (PolyElement, "__eq__"),
+    (PolyElement, "__rsub__"),
+]
+
+
+def _nonzero_element(ring, seed=5):
+    rng = random.Random(seed)
+    x = ring.random_element(rng)
+    while not all(getattr(x, "values", (x,))):
+        x = ring.random_element(rng)
+    return x
+
+
+class TestOperandProtocol:
+    @pytest.mark.parametrize("cls,name", _COERCING,
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_unliftable_operand_answers_not_implemented(self, cls, name):
+        ring = {GaussianRational: GAUSS, FunctionElement: FunctionRing(3),
+                PolyElement: _POLY}[cls]
+        x = _nonzero_element(ring)
+        assert getattr(x, name)(object()) is NotImplemented
+
+    @pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv],
+                             ids=lambda op: op.__name__)
+    def test_unliftable_operand_raises_type_error(self, ring, op):
+        x = _nonzero_element(ring)
+        alien = object()
+        with pytest.raises(TypeError):
+            op(x, alien)
+        with pytest.raises(TypeError):
+            op(alien, x)
+
+    @pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.name)
+    def test_unliftable_operand_is_unequal(self, ring):
+        x = _nonzero_element(ring)
+        alien = object()
+        assert (x == alien) is False and (alien == x) is False
+        assert (x != alien) is True and (alien != x) is True
+
+    @pytest.mark.parametrize("ring", _RINGS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("value", [2, 1, Fraction(1, 2)], ids=repr)
+    def test_plain_value_on_the_left_gives_the_forward_result(self, ring,
+                                                              value):
+        x = _nonzero_element(ring)
+        c = ring.scalar(value)
+        ops = [operator.add, operator.sub, operator.mul]
+        if ring is GAUSS:
+            ops.append(operator.truediv)
+        for op in ops:
+            out = op(value, x)
+            assert type(out) is type(x)
+            assert out == op(c, x)
+
+    @pytest.mark.parametrize("ring", _RINGS[1:], ids=lambda r: r.name)
+    def test_gaussian_on_the_left_lifts_into_the_wider_ring(self, ring):
+        # GaussianRational's operator refuses the wider element, so Python
+        # runs the wider element's reflected operator
+        g = GaussianRational(1, -2, 3)
+        x = _nonzero_element(ring)
+        c = ring.scalar(g)
+        for op in (operator.add, operator.sub, operator.mul):
+            out = op(g, x)
+            assert type(out) is type(x)
+            assert out == op(c, x)
+        assert g == c and c == g
+        assert g != x and x != g
