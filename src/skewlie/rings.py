@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 from .errors import DimensionMismatch, UnsupportedRing
@@ -28,20 +29,32 @@ def _frac_str(fr):
         else str(fr.numerator)
 
 
+def _coerced(op):
+    """The binary operator op(self, o) on the other operand lifted by the
+    class's own _coerce; NotImplemented when _coerce refuses it (returns
+    None), so Python tries the reflected operator."""
+    @wraps(op)
+    def lifted(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else op(self, o)
+    return lifted
+
+
 class _Element:
     """What the three element classes share: they are immutable (each
-    __init__ sets its slots through object.__setattr__) and take
-    other - self from their own _coerce and __sub__."""
+    __init__ sets its slots through object.__setattr__), and their binary
+    operators are wrapped in _coerced, which lifts the other operand
+    through the class's own _coerce (PolyElement.__truediv__ lifts its
+    own, as it also divides by a constant polynomial). other - self is
+    the lifted other's __sub__."""
 
     __slots__ = ()
 
     def __setattr__(self, *_):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o - self
 
 
@@ -98,10 +111,8 @@ class GaussianRational(_Element):
             return GaussianRational(other.numerator, 0, other.denominator)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         if self.d == 1 and o.d == 1:
             return self._raw(self.a + o.a, self.b + o.b, 1)
         return GaussianRational(self.a * o.d + o.a * self.d,
@@ -112,19 +123,15 @@ class GaussianRational(_Element):
     def __neg__(self):
         return self._raw(-self.a, -self.b, self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         if self.d == 1 and o.d == 1:
             return self._raw(self.a - o.a, self.b - o.b, 1)
         return GaussianRational(self.a * o.d - o.a * self.d,
                                 self.b * o.d - o.b * self.d, self.d * o.d)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         if self.d == 1 and o.d == 1:
             return self._raw(self.a * o.a - self.b * o.b,
                              self.a * o.b + self.b * o.a, 1)
@@ -133,26 +140,20 @@ class GaussianRational(_Element):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         n = o.a * o.a + o.b * o.b
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         # 1/o = conj(o) * d / (a^2 + b^2)
         return self * GaussianRational(o.a * o.d, -o.b * o.d, n)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o / self
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
@@ -292,10 +293,8 @@ class FunctionElement(_Element):
             return None
         return FunctionElement((g,) * len(self.values))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return FunctionElement(a + b for a, b in zip(self.values, o.values))
 
     __radd__ = __add__
@@ -303,30 +302,22 @@ class FunctionElement(_Element):
     def __neg__(self):
         return FunctionElement(-v for v in self.values)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return FunctionElement(a - b for a, b in zip(self.values, o.values))
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return FunctionElement(a * b for a, b in zip(self.values, o.values))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         return FunctionElement(a / b for a, b in zip(self.values, o.values))
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.values == o.values
 
     def __hash__(self):
@@ -418,10 +409,8 @@ class PolyElement(_Element):
             return None
         return PolyElement(self.ring, {(): g})
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         out = dict(self.terms)
         for m, c in o.terms.items():
             out[m] = out.get(m, GAUSS.zero) + c
@@ -432,16 +421,12 @@ class PolyElement(_Element):
     def __neg__(self):
         return PolyElement(self.ring, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
@@ -465,10 +450,8 @@ class PolyElement(_Element):
             raise ZeroDivisionError("division by zero polynomial")
         return self * (GAUSS.one / g)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.terms == o.terms
 
     def __hash__(self):
