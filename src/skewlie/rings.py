@@ -16,7 +16,6 @@ compare by value.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import wraps
 from math import gcd
@@ -191,21 +190,6 @@ def _gauss_format(x):
     return "%s+%s" % (_frac_str(re), itxt)
 
 
-def _gauss_parse(text):
-    # every +/- after the first character starts a new term: fractions
-    # hold only digits and one slash
-    total = GaussianRational()
-    for t in re.split(r"(?<=.)(?=[+-])", text.replace(" ", "")):
-        if t.endswith("i"):
-            body = t[:-1].removesuffix("*")
-            fr = Fraction(body + "1" if body in ("", "+", "-") else body)
-            total = total + GaussianRational(0, fr.numerator, fr.denominator)
-        else:
-            fr = Fraction(t)
-            total = total + GaussianRational(fr.numerator, 0, fr.denominator)
-    return total
-
-
 class GaussianField:
     """The rational complex numbers. Every nonzero element is invertible."""
 
@@ -265,9 +249,6 @@ class GaussianField:
 
     def format(self, x):
         return _gauss_format(x)
-
-    def parse(self, text):
-        return _gauss_parse(text)
 
 
 GAUSS = GaussianField()
@@ -389,8 +370,8 @@ class FunctionRing:
 
 
 class PolyElement(_Element):
-    """Sparse polynomial: monomial (sorted tuple of variable indices,
-    repetition encodes powers) mapped to a nonzero Gaussian coefficient."""
+    """A polynomial as a dict: monomial (sorted tuple of variable indices,
+    repetition encodes powers) to its nonzero Gaussian coefficient."""
 
     __slots__ = ("ring", "terms")
 
