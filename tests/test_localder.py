@@ -309,6 +309,20 @@ class TestCorruption:
         with pytest.raises(Infeasible):
             corner_implementer(lmap, (2, 3))
 
+    def test_joint_witness_off_the_linear_extension_is_recorded(self):
+        # the value claimed at I*(e_11 + e_22) is shifted along with its
+        # witness: the witness contract holds, but the value is not the
+        # linear extension of the basis values, so the (1,2) read fails
+        _, clean = make_map(72, 3)
+        joint = ie_diag(3, 1) + ie_diag(3, 2)
+        lmap = WitnessedLocalMap(TamperedLocalOracle(clean.oracle, joint,
+                                                     s_elem(3, 1, 3)))
+        rep = check_eq_5_1(lmap)
+        assert [r.passed for r in rep.records] == [False, True, True]
+        assert rep.records[0].payload == {
+            "i": 1, "k": 2, "contract_error":
+                "claimed value disagrees with the linear extension"}
+
     def test_tampering_off_basis_trips_the_contract_gate(self):
         a0, clean = make_map(71, 3)
         oracle = TamperedLocalOracle(clean.oracle, staircase(3),
@@ -374,6 +388,25 @@ class TestCampaigns:
     def test_lift_campaign_passes(self):
         rep = lift_campaign(3, omega=2, trials=2, seed=4, random_checks=5)
         assert rep.passed, rep.summary()
+
+    def test_lift_campaign_reports_the_first_failure(self, monkeypatch):
+        # the first point map lies consistently about Idiag[2], so the
+        # lifted map is no inner derivation: the first random check fails
+        made = []
+
+        def tampered(a0, seed=0, gauge="central"):
+            lmap = make_gauged_local_map(a0, seed=seed, gauge=gauge)
+            if made:
+                return lmap
+            made.append(lmap)
+            return WitnessedLocalMap(TamperedLocalOracle(
+                lmap.oracle, ie_diag(3, 2), s_elem(3, 2, 3)))
+
+        monkeypatch.setattr(localder, "make_gauged_local_map", tampered)
+        rep = lift_campaign(3, omega=2, trials=1, seed=4, random_checks=5)
+        verified = rep.records[0]
+        assert not verified.passed
+        assert verified.payload["first_failure"] == 0
 
     def test_campaign_refuses_n2(self):
         with pytest.raises(NeedThreeIndices):

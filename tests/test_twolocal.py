@@ -384,6 +384,25 @@ class TestCampaign:
         with pytest.raises(NeedThreeIndices):
             twolocal_campaign(GAUSS, 2, trials=1, seed=0)
 
+    def test_tampered_pair_fails_verification_and_the_solver(self,
+                                                             monkeypatch):
+        # the witness of (s[1,2], s[1,2]) is off by s[1,3], so the mapped
+        # value at s[1,2] is wrong: verification names s[1,2], and no
+        # inner derivation solves the bracket equations
+        def tampered(a0, seed=0, gauge="central"):
+            s12 = s_elem(a0.n, 1, 2)
+            base = GaugedInnerTwoLocal(a0, seed=seed, gauge=gauge)
+            return TamperedPairOracle(base, s12, s12, s_elem(a0.n, 1, 3))
+
+        monkeypatch.setattr(twolocal, "GaugedInnerTwoLocal", tampered)
+        rep = twolocal_campaign(GAUSS, 3, trials=1, seed=3, random_checks=2)
+        verify, central, solver = rep.records
+        assert not verify.passed and verify.payload["failed_at"] == ["s[1,2]"]
+        assert central.passed
+        assert not solver.passed
+        assert solver.payload["error"] == \
+            "no inner derivation matches the map at s[1,2]"
+
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0), dict(trials=-1), dict(random_checks=-1),
         dict(gauge="bogus"), dict(trials=0, gauge="bogus")])
