@@ -23,11 +23,11 @@ exactly when they are equal.
 
 With grids, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
-own. The grid format is private to this module. Brackets, sums,
-differences, equality, hashing, cache keys, the skew-adjoint and scalar
-checks, the tables of linear maps, the witness diagonal shift and
-random draws read or write the grids here, each as one kernel on one
-grid mapped over the points, reading the numerators as stored:
+own. Outside this module, only symcheck.bracket reads grids. Brackets,
+sums, differences, equality, hashing, cache keys, the skew-adjoint and
+scalar checks, the tables of linear maps, the witness diagonal shift
+and random draws read or write the grids here, each as one kernel on
+one grid mapped over the points, reading the numerators as stored:
 
   * a bracket walks the nonzeros of one factor entry by entry,
     accumulating integer real and imaginary parts: b, unless b has more

@@ -41,11 +41,9 @@ def _coerced(op):
 
 class _Element:
     """What the three element classes share: they are immutable (each
-    __init__ sets its slots through object.__setattr__), and their binary
-    operators are wrapped in _coerced, which lifts the other operand
-    through the class's own _coerce (PolyElement.__truediv__ lifts its
-    own, as it also divides by a constant polynomial). other - self is
-    the lifted other's __sub__."""
+    __init__ sets its slots through object.__setattr__), every binary
+    operator but PolyElement.__truediv__ lifts its other operand through
+    _coerced, and other - self is the lifted other's __sub__."""
 
     __slots__ = ()
 

@@ -156,10 +156,10 @@ class SkewSymbols:
 
     diagonal modes: "imag" puts I times a star-fixed variable at (i, i),
     the diagonal of every skew-adjoint unknown the paper reads; "zero"
-    leaves the diagonal empty. support restricts nonzero entries to the
-    rows and columns of the given indices (used for block unknowns).
-    Off the diagonal, (i, j) holds the variable name_i_j and (j, i) minus
-    its star partner namec_i_j."""
+    leaves the diagonal empty. support keeps only the block S x S of the
+    given indices S, diagonal included, and zeroes every other entry
+    (used for block unknowns). Off the diagonal, (i, j) holds the
+    variable name_i_j and (j, i) minus its star partner namec_i_j."""
 
     name = "forms"
 
