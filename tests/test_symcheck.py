@@ -538,3 +538,17 @@ def test_catalog_fingerprint_n10_n12():
             digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
         "68f6f82f589f7b1ee37a61b49a55a80633e9cdc7d327b1ee696335eae9e6a0f8"
+
+
+def test_eq_5_3_fingerprint_every_index():
+    """One sha256 over n = 3..8, updated in order with the sorted-key JSON
+    of eq 5.3 at every index i = 1..n. The other pins take eq 5.3 at its
+    default index 1 only; this one covers the interior and last rows,
+    whose pair witnesses mix (p, i) and (i, q)."""
+    digest = hashlib.sha256()
+    for n in range(3, 9):
+        for i in range(1, n + 1):
+            cert = certify_lemma("5.3", n, (i,))
+            digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "be07fee54f5c172eb0ebe90a1fac723fdd8f7f1806960ee6f1d89252776e45ff"
