@@ -378,10 +378,8 @@ def verify_spanning_set(lmap, d=None):
     return rep
 
 
-def verify_full(lmap, d=None, random_checks=50, seed=0):
+def verify_full(lmap, d, random_checks=50, seed=0):
     """d implements the map on the basis and on random skew elements."""
-    if d is None:
-        d = build_d(lmap)
     rep = verify_spanning_set(lmap, d)
     rng = random.Random(seed)
     for t in range(random_checks):

@@ -421,8 +421,6 @@ class PolyElement(_Element):
 
     def __truediv__(self, other):
         g = GaussianRational._coerce(other)
-        if g is None and isinstance(other, PolyElement) and set(other.terms) <= {()}:
-            g = other.terms.get((), GAUSS.zero)
         if g is None:
             return NotImplemented
         if not g:

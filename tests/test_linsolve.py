@@ -95,6 +95,14 @@ class TestEchelon:
         sys = ReducedSystem(self.rows, ncols=3)
         assert sys.nullvector(2) == {2: G(1), 1: G(-1), 0: G(1)}
 
+    @pytest.mark.parametrize("col", [0, 1, 3])
+    def test_int_nullvector_needs_a_free_column(self, col):
+        # columns 0 and 1 hold pivots, and 3 is past the last column
+        sys = ReducedSystem(self.rows, ncols=3)
+        with pytest.raises(DimensionMismatch, match="column %d is not free"
+                           % col):
+            sys.int_nullvector(col)
+
     def test_function_ring_rhs(self):
         # x0 + x1 = f, x1 + x2 = g with x2 free: x1 = g, x0 = f - g
         r = FunctionRing(2)

@@ -13,10 +13,12 @@ import pytest
 from skewlie import localder
 from skewlie.errors import (
     ConfigError,
+    DimensionMismatch,
     EqualIndices,
     IndexOutOfRange,
     Infeasible,
     NeedThreeIndices,
+    UnsupportedRing,
     WitnessContractError,
 )
 from skewlie.lie import (
@@ -323,6 +325,28 @@ class TestCorruption:
             "i": 1, "k": 2, "contract_error":
                 "claimed value disagrees with the linear extension"}
 
+    def test_joint_witness_off_its_value_is_recorded(self):
+        # the value claimed at I*(e_11 + e_22) is honest, but its witness
+        # is shifted by s[1,3], which does not commute with the query:
+        # the witness contract fails at the (1,2) read
+        _, clean = make_map(72, 3)
+        joint = ie_diag(3, 1) + ie_diag(3, 2)
+        shift = s_elem(3, 1, 3)
+
+        class ShiftedWitness:
+            ring = GAUSS
+            n = 3
+
+            def query(self, x):
+                value, w = clean.oracle.query(x)
+                return value, (w + shift if x == joint else w)
+
+        rep = check_eq_5_1(WitnessedLocalMap(ShiftedWitness()))
+        assert [r.passed for r in rep.records] == [False, True, True]
+        assert rep.records[0].payload == {
+            "i": 1, "k": 2, "contract_error":
+                "witness does not implement the claimed value"}
+
     def test_tampering_off_basis_trips_the_contract_gate(self):
         a0, clean = make_map(71, 3)
         oracle = TamperedLocalOracle(clean.oracle, staircase(3),
@@ -360,6 +384,18 @@ class TestPointwiseLift:
         out = lifted.nabla(x)
         for t in range(3):
             assert at_point(out, t) == maps[t].nabla(at_point(x, t))
+
+    def test_lift_needs_gaussian_point_maps_of_one_size(self):
+        rng = random.Random(84)
+        small = make_gauged_local_map(random_skew(rng, 3), seed=85)
+        large = make_gauged_local_map(random_skew(rng, 4), seed=86)
+        with pytest.raises(DimensionMismatch, match="at least one"):
+            pointwise_lift([])
+        with pytest.raises(DimensionMismatch, match="disagree on size"):
+            pointwise_lift([small, large])
+        lifted = pointwise_lift([small, small])
+        with pytest.raises(UnsupportedRing, match="Gaussian rationals"):
+            pointwise_lift([small, lifted])
 
     def test_lifted_reconstruction_verifies(self):
         rng = random.Random(82)

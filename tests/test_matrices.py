@@ -688,6 +688,23 @@ class TestPointValues:
         assert first.ring == FunctionRing(3)
         assert from_points([a, a]).ring == FunctionRing(2)
 
+    def test_at_point_needs_a_function_ring_point(self):
+        x = random_matrix(random.Random(3), 2, FunctionRing(2))
+        with pytest.raises(DimensionMismatch, match="function ring"):
+            at_point(gmat([[1, 2], [3, 4]]), 0)
+        for k in (-1, 2):
+            with pytest.raises(IndexOutOfRange, match="outside 0..1"):
+                at_point(x, k)
+
+    def test_from_points_needs_gaussian_points_of_one_size(self):
+        a = gmat([[1, 2], [3, 4]])
+        with pytest.raises(DimensionMismatch, match="at least one"):
+            from_points([])
+        with pytest.raises(DimensionMismatch, match="disagree on size"):
+            from_points([a, zeros(3)])
+        with pytest.raises(DimensionMismatch, match="must be Gaussian"):
+            from_points([a, from_points([a, a])])
+
 
 
 def _lcm_form(rows):

@@ -142,6 +142,19 @@ class TestPolynomialRing:
             with pytest.raises(DimensionMismatch):
                 r.var(0) == other.var(0)
 
+    def test_division_takes_only_gaussian_scalars(self):
+        r = self.make()
+        p = 2 * r.var(0) + r.var(2)
+        i = GaussianRational(0, 1)
+        assert p / 2 == r.var(0) + r.scalar(Fraction(1, 2)) * r.var(2)
+        assert p / Fraction(1, 3) == 3 * p
+        assert p / i == -i * p
+        with pytest.raises(ZeroDivisionError):
+            p / 0
+        # a polynomial divisor, even a constant one, is refused
+        with pytest.raises(TypeError):
+            p / r.one
+
     def test_real_samples_are_star_fixed(self):
         r = self.make()
         rng = random.Random(5)
