@@ -147,11 +147,9 @@ class TestHypothesisComponents:
             ring.scalar(GAUSS.one)
 
 
-def _bracket_factors(n):
-    """The Gaussian factors the catalog brackets unknowns with: every
-    canonical basis element, the staircase, the eq 5.7 chain elements
-    x_t, e + sign*s for e = I*e_t at both ends of s = s[i,k], and an
-    integer matrix of non-unit entries such as 2 - i."""
+def _chain_elements(n):
+    """The eq 5.7 chain elements x_t = x0 - s[t-1,t] - s[t,t+1] -
+    s[t+1,t+2] for t = 1..n-1, dropping the terms outside 1..n."""
     x0 = staircase(n)
     chain = []
     for t in range(1, n):
@@ -161,6 +159,16 @@ def _bracket_factors(n):
         if t + 2 <= n:
             x_t = x_t - s_elem(n, t + 1, t + 2)
         chain.append(x_t)
+    return chain
+
+
+def _bracket_factors(n):
+    """The Gaussian factors the catalog brackets unknowns with: every
+    canonical basis element, the staircase, the eq 5.7 chain elements
+    x_t, e + sign*s for e = I*e_t at both ends of s = s[i,k], and an
+    integer matrix of non-unit entries such as 2 - i."""
+    x0 = staircase(n)
+    chain = _chain_elements(n)
     displays = [ie_diag(n, (i, k)[pos]) + sign * s_elem(n, i, k)
                 for i, k in ((1, 2), (1, n), (2, n))
                 for pos, sign in ((0, 1), (1, -1))]
@@ -404,6 +412,37 @@ class TestProbes:
         assert certify_lemma(lemma, 3).all_implied
 
 
+class TestEq57Chain:
+    """The staircase chain behind eq 5.7."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_verdict_at_every_pair(self, n):
+        # the chain telescopes only over the full walk: exactly the
+        # extreme pairs (1,n) and (n,1) are implied, and every other
+        # ordered pair comes back with a concrete counterexample
+        for i in range(1, n + 1):
+            for k in range(1, n + 1):
+                if i == k:
+                    continue
+                cert = certify_lemma("5.7", n, (i, k))
+                assert cert.all_implied == ({i, k} == {1, n}), (i, k)
+                for ce in cert.counterexamples():
+                    assert ce.conclusion_value != GAUSS.zero, (i, k)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_link_unknown_misses_the_read_entry(self, n):
+        # x_t has a zero row t and a zero column t+1, so [b, x_t] vanishes
+        # at (t, t+1) for every skew-adjoint b: a link's own unknown never
+        # reaches the one entry the certificate reads
+        ring, m = SkewSymbols(n).declare("b").build()
+        for t, x_t in enumerate(_chain_elements(n), 1):
+            assert all(x_t.entry(t, j) == GAUSS.zero
+                       for j in range(1, n + 1))
+            assert all(x_t.entry(j, t + 1) == GAUSS.zero
+                       for j in range(1, n + 1))
+            assert symcheck.bracket(m["b"], x_t).entry(t, t + 1) == ring.zero
+
+
 class TestLemmaInterface:
     def test_unknown_lemma(self):
         with pytest.raises(UnknownLemma):
@@ -552,3 +591,21 @@ def test_eq_5_3_fingerprint_every_index():
             digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
         "be07fee54f5c172eb0ebe90a1fac723fdd8f7f1806960ee6f1d89252776e45ff"
+
+
+def test_implied_certificates_fingerprint():
+    """One sha256 over the implied certificates alone, updated in order
+    with the sorted-key JSON of every registered certificate at its
+    defaults for n = 3..12, then eq 5.7 at (n, 1) for n = 3..16 and at
+    (1, n) for n = 13..16. No counterexample enters it, so it holds
+    across a change that only trims unknowns a certificate never reads."""
+    digest = hashlib.sha256()
+    runs = [(lemma, n, None) for n in range(3, 13) for lemma in known_lemmas()]
+    runs += [("5.7", n, (n, 1)) for n in range(3, 17)]
+    runs += [("5.7", n, (1, n)) for n in range(13, 17)]
+    for lemma, n, idx in runs:
+        cert = certify_lemma(lemma, n, idx)
+        assert cert.all_implied, (lemma, n, idx)
+        digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "9c9d3392d1a7615d26afebbf601496f0a9547de74fc7984a11a83551ba0ad169"
