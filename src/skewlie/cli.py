@@ -22,8 +22,8 @@ from .twolocal import twolocal_campaign
 # the largest --n and --omega accepted, twice the largest size the tests,
 # demos and benchmark use; a campaign holds the canonical basis, n^4
 # entries (45 MB at n = 32), so a larger run would spend its memory before
-# any check. Certifying the whole catalog took 1.5 s and 119 MB at n = 24,
-# and 4.6 to 5.5 s and 275 MB at n = 32, on a 2-vCPU VM
+# any check. Certifying the whole catalog took 0.3 s and 32 MB at n = 24,
+# and 0.7 to 0.8 s and 47 MB at n = 32, on a 2-vCPU VM
 SIZE_LIMIT = 32
 
 

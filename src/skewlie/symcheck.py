@@ -642,23 +642,19 @@ def _build_5_7(n, indices):
     sym = SkewSymbols(n)
     for t in range(1, n):
         sym.declare("w%d" % t, support=(t, t + 1))
-        sym.declare("b%d" % t)
-    # every chain hypothesis shares A and a2: declared last, their columns
-    # come last, so a row does not cascade through the earlier chains'
+    # the shared unknowns A and a2 are declared last, so their columns
+    # come last and a row does not cascade through the earlier links'
     # pivots
     ring, m = sym.declare("A").declare("a2").build()
-    x0 = staircase(n)
-    hyps = []
-    for t in range(1, n):
-        x_t = x0 - s_elem(n, t, t + 1)
-        if t > 1:
-            x_t = x_t - s_elem(n, t - 1, t)
-        if t + 2 <= n:
-            x_t = x_t - s_elem(n, t + 1, t + 2)
-        hyps += _eq("chain%d@%%s" % t,
-                    bracket(m["a2"], x0),
-                    bracket(m["w%d" % t], s_elem(n, t, t + 1))
-                    + bracket(m["b%d" % t], x_t))
+    lhs = bracket(m["a2"], staircase(n))
+    # link t reads [a2, x0] = [w_t, s[t,t+1]] + [b_t, x_t] at (t, t+1)
+    # only, where x_t = x0 - s[t-1,t] - s[t,t+1] - s[t+1,t+2] has a zero
+    # row t and a zero column t+1: [b_t, x_t] vanishes there, so the
+    # link's own unknown b_t is never stated
+    hyps = [("chain%d@(%d,%d)" % (t, t, t + 1),
+             lhs.entry(t, t + 1)
+             - bracket(m["w%d" % t], s_elem(n, t, t + 1)).entry(t, t + 1))
+            for t in range(1, n)]
     for t in range(1, n - 1):
         hyps.append(("coherence%d" % t,
                      m["w%d" % t].entry(t + 1, t + 1)

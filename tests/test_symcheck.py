@@ -511,14 +511,15 @@ def test_refuting_probes_fingerprint():
     text = json.dumps([certify_lemma(lemma, 4, idx, variant=v).to_dict()
                        for lemma, idx, v in probes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "539462b9cac4f89cf0bba7bfe27638c5ae0cfa154f6e635814b82f1cb5c67e78"
+        "0a4d5e7744538f0410a9d2aafe8dbfa41bbcdb4e0f5083b1f416d1a5460adffa"
 
 
 def test_catalog_fingerprint_n6():
     """The sha256 of every registered certificate at n = 6, as sorted-key
-    JSON. It covers the largest systems the catalog builds (5.7 reduces
-    372 rows over 272 variables, 5.3 180 rows over 432 variables), so any
-    change to a combination coefficient or a counterexample is seen."""
+    JSON. It covers the largest system the catalog builds (5.3 states 90
+    hypotheses over 432 variables; 5.5, 5.6 and 5.10 state 80 over 180),
+    so any change to a combination coefficient or a counterexample is
+    seen."""
     text = json.dumps([certify_lemma(lemma, 6).to_dict()
                        for lemma in known_lemmas()], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -559,13 +560,14 @@ def test_catalog_fingerprint_n3_to_n8():
             cert = certify_lemma(lemma, n, idx, variant=v)
             digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "56e29f864553417610016dfadf9192db483edba7863efecc1c98a531e47ac652"
+        "d3323bd98af930cc3274aabcd745a3412c63ee9035d2b6314f2f071778bc9d8f"
 
 
 def test_catalog_fingerprint_n10_n12():
     """One sha256 over n = 10 and 12, built as the n = 3..8 pin is. At
-    n = 12 the eq 5.7 system alone reduces 1,596 rows, so the pin covers
-    row reductions far longer than the bench and Tier-1 sizes reach."""
+    n = 12 the eq 5.3 system alone states 462 hypotheses over 3,456
+    variables, so the pin covers row reductions far longer than the bench
+    and the other Tier-1 tests reach."""
     digest = hashlib.sha256()
     for n in (10, 12):
         runs = [(lemma, None, None) for lemma in known_lemmas()]
@@ -576,7 +578,7 @@ def test_catalog_fingerprint_n10_n12():
             cert = certify_lemma(lemma, n, idx, variant=v)
             digest.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "68f6f82f589f7b1ee37a61b49a55a80633e9cdc7d327b1ee696335eae9e6a0f8"
+        "97e5c4a818ab11c81004af5a65ee3950d6b98aa8d697fedf7d621de250cf723b"
 
 
 def test_eq_5_3_fingerprint_every_index():
