@@ -151,13 +151,16 @@ class LinearLieMap:
     per point of the domain: the n^2 real coordinates of every image
     (its decomposition), over one shared denominator D. apply(x) reads
     the integer coordinates of x at each point off its grid there, over
-    its denominator den_x, takes n^2 integer dot products over D*den_x
-    for the coordinates of the image, and rebuilds its skew-adjoint
-    grid from them with one gcd reduction: n^4 integer multiply-adds per
-    point and call, where the entry-by-entry recombination pays a
-    reduction per multiply-add. An argument with fewer than n^2/2
-    nonzero coefficients at a point sums the image columns it picks
-    there instead, n^2 multiply-adds per coefficient. Polynomial rings
+    its denominator den_x, combines the image columns with them over
+    D*den_x for the coordinates of the image, and rebuilds its
+    skew-adjoint grid from those with one gcd reduction, where the
+    entry-by-entry recombination pays a reduction per multiply-add.
+    The columns are packed, per point, into n^2 integers of n^2
+    fixed-width slots, wide enough for every coordinate that the
+    argument's largest coefficient can reach, so a dense argument costs
+    n^2 big-integer multiply-adds in C; an argument with fewer than
+    n^2/2 nonzero coefficients at a point sums the image columns it
+    picks there instead, n^2 multiply-adds per coefficient. Polynomial rings
     recombine entry by entry (_apply_generic), which is also the
     reference the tables are tested against.
     """

@@ -31,10 +31,12 @@ one grid mapped over the points, reading the numerators as stored:
 
   * a bracket walks the nonzeros of one factor entry by entry,
     accumulating integer real and imaginary parts: b, unless b has more
-    than n nonzeros and a has fewer. Nonzeros are counted once per
-    bracket over the support at all points, so brackets against basis
-    elements and central differences cost O(n^2) per point and two dense
-    factors O(n^3). Every result grid is reduced by one common gcd
+    than n nonzeros and a has fewer. Each matrix reads its support (the
+    positions nonzero at some point) once and caches it, and the walk
+    visits only those positions, so a memoized basis element is scanned
+    once per process, brackets against basis elements and central
+    differences cost O(n^2) per point and two dense factors O(n^3).
+    Every result grid is reduced by one common gcd
   * differ_by_scalar tells whether a - b is scalar at every point
     without forming a - b: over equal denominators it subtracts the
     numerators with map and counts zeros, by the same per-grid scalar
@@ -49,7 +51,11 @@ one grid mapped over the points, reading the numerators as stored:
   * the table of a linear map on K_n holds the n^2 real coordinates
     (the lie.decompose coefficients) of every basis image, n^2 x n^2
     integers per point, and apply rebuilds the skew-adjoint image grid
-    from the n^2 coordinates it computes
+    from the n^2 coordinates it computes. A sparse argument sums the
+    image columns it picks; a dense one takes a single multiply-add
+    over the columns packed into integers of n^2 fixed-width slots,
+    each wide enough for its coordinate, and reads the coordinates
+    back off the bytes of the sum
   * sums and differences work on the numerators of both grids with
     map, so the arithmetic and the one gcd run in C
   * brackets over other rings walk the same factor with the ring's own
@@ -63,7 +69,7 @@ fraction in its inner loop.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt, lcm
 from operator import add, floordiv, itemgetter, mul, neg, or_, sub
 
@@ -205,21 +211,26 @@ class Matrix:
             return FunctionElement(_gauss_entry(g, k) for g in self.grids)
         return _gauss_entry(self.grids[0], k)
 
-    def _nnz(self):
-        """How many entries are nonzero at some point."""
-        nnz = self._cache.get("nnz")
-        if nnz is None:
+    def _support(self):
+        """The row-major positions of the entries nonzero at some point,
+        as a tuple, read once and cached with the matrix."""
+        support = self._cache.get("support")
+        if support is None:
             if self.grids is None:
-                nnz = sum(1 for r in self.rows for v in r if v)
+                flags = chain.from_iterable(self.rows)
             else:
                 # x | y == 0 only when x == y == 0
                 (_, re, im), *rest = self.grids
-                support = map(or_, re, im)
+                flags = map(or_, re, im)
                 for _, re, im in rest:
-                    support = map(or_, map(or_, support, re), im)
-                nnz = self.n * self.n - list(support).count(0)
-            self._cache["nnz"] = nnz
-        return nnz
+                    flags = map(or_, map(or_, flags, re), im)
+            support = tuple(compress(count(), flags))
+            self._cache["support"] = support
+        return support
+
+    def _nnz(self):
+        """How many entries are nonzero at some point."""
+        return len(self._support())
 
     def cache_key(self):
         """repr of what the matrix stores: its grids, or its rows over a
@@ -318,17 +329,19 @@ def _grid_combine(ga, gb, sign):
         tuple(map(add, map(mul, aim, fa), map(mul, bim, fb))))
 
 
-def _grid_sparse_commutator(ga, gb, sign, skew=False):
+def _grid_sparse_commutator(ga, gb, sign, support, skew=False):
     """sign * (a*b - b*a) for the grids of a and b at one point, walking
-    only b's nonzeros; the sign is folded into b's entries. With skew
-    (a and b skew-adjoint) only P = sign*a*b is walked: b*a = (a*b)*,
-    so the bracket is P - P*, re = P_re - P_re^T and im = P_im + P_im^T."""
+    only b's nonzeros, read at the row-major positions support (b's
+    Matrix._support, which covers them at every point); the sign is
+    folded into b's entries. With skew (a and b skew-adjoint) only
+    P = sign*a*b is walked: b*a = (a*b)*, so the bracket is P - P*,
+    re = P_re - P_re^T and im = P_im + P_im^T."""
     da, are, aim = ga
     db, bre, bim = gb
     size = len(are)
     n = isqrt(size)
-    nz = [(k // n, k % n, sign * r, sign * s)
-          for k, (r, s) in enumerate(zip(bre, bim)) if r or s]
+    nz = [(k // n, k % n, sign * bre[k], sign * bim[k])
+          for k in support if bre[k] or bim[k]]
     cre = [0] * size
     cim = [0] * size
     for p, j, r, s in nz:
@@ -382,10 +395,10 @@ def _sparse_commutator(a, b):
 def commutator(a, b):
     """The bracket ab - ba in one pass over the nonzeros of one factor:
     b, unless b has more than n nonzeros and a has fewer, in which case
-    a is walked and the sign of [b, a] = -[a, b] folded in. On grids,
-    when the walked factor has more than n nonzeros and both factors are
-    skew-adjoint, only their product is walked (_grid_sparse_commutator
-    with skew)."""
+    a is walked and the sign of [b, a] = -[a, b] folded in. On grids the
+    walk reads the walked factor's cached support, and when that factor
+    has more than n nonzeros and both factors are skew-adjoint, only
+    their product is walked (_grid_sparse_commutator with skew)."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
@@ -395,14 +408,15 @@ def commutator(a, b):
     if a.grids is None:
         return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
     walked = a if swap else b
-    skew = repeat(walked._nnz() > n and is_skew_adjoint(a)
+    support = walked._support()
+    skew = repeat(len(support) > n and is_skew_adjoint(a)
                   and is_skew_adjoint(b))
     if swap:
         grids = map(_grid_sparse_commutator, b.grids, a.grids,
-                    repeat(-1), skew)
+                    repeat(-1), repeat(support), skew)
     else:
         grids = map(_grid_sparse_commutator, a.grids, b.grids,
-                    repeat(1), skew)
+                    repeat(1), repeat(support), skew)
     return Matrix._of_grids(a.ring, tuple(grids))
 
 
@@ -617,15 +631,17 @@ def _coord_table(grids):
     skew-adjoint grids there, as the n^2 x n^2 integer matrix of their
     coordinates.
 
-    Returns (den, rows, cols), all numerators over den. cols[k] holds
-    the coordinates of image k; rows[m] holds coordinate m of every
-    image. Both layouts are kept so that apply can walk whichever is
-    shorter for its argument.
+    Returns (den, cols, l1, packs), numerators over den. cols[k] holds
+    the coordinates of image k; l1 is the largest sum of |cols[k][m]|
+    over k, for any coordinate m, so that no coordinate of an image
+    exceeds max|c| * l1 for integer coefficients c; packs caches
+    _packed_cols of cols per slot width.
     """
     coords = list(map(_gauss_coeff_ints, grids))
     den = lcm(*(d for d, _ in coords))
     cols = tuple(tuple(den // d * v for v in c) for d, c in coords)
-    return den, tuple(zip(*cols)), cols
+    l1 = max(sum(map(abs, row)) for row in zip(*cols))
+    return den, cols, l1, {}
 
 
 def _map_tables(values):
@@ -636,20 +652,48 @@ def _map_tables(values):
     return tuple(map(_coord_table, zip(*(v.grids for v in values))))
 
 
+def _packed_cols(cols, width):
+    """cols packed into integers of len(cols) slots of width bytes each:
+    column k as the sum of cols[k][m] * 256**(width*m). Returns those
+    integers, the bias that adds half a slot to every slot, and the
+    slices that cut the slots out of little-endian bytes. Every entry
+    must be below half a slot in absolute value."""
+    size = len(cols)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    packed = [int.from_bytes(b"".join(map(
+        int.to_bytes, map(add, col, repeat(half)), repeat(width),
+        repeat("little"))), "little") - bias for col in cols]
+    return packed, bias, [slice(m, m + width)
+                          for m in range(0, size * width, width)]
+
+
 def _apply_table(table, grid):
     """The image of a skew-adjoint grid under the map that _coord_table
     tabulated at its point."""
-    den, rows, cols = table
+    den, cols, l1, packs = table
     den_x, c = _gauss_coeff_ints(grid)
     picked = [k for k, ck in enumerate(c) if ck]
     if 2 * len(picked) < len(c):
         # a sparse argument (basis elements, staircases): summing the
-        # few image columns it picks beats n^2 full-length dot products
+        # few image columns it picks beats a product over all of them
         out = repeat(0, len(c))
         for k in picked:
             out = map(add, out, map(mul, cols[k], repeat(c[k])))
     else:
-        out = [sum(map(mul, c, row)) for row in rows]
+        # a dense argument: one multiply-add of the packed columns in C.
+        # Every coordinate of the image is at most max|c| * l1 < half a
+        # slot in absolute value, so slot m of the biased sum holds
+        # coordinate m plus half a slot, with no carry into slot m + 1
+        width = (max(map(abs, c)) * l1).bit_length() // 8 + 1
+        pack = packs.get(width)
+        if pack is None:
+            pack = packs[width] = _packed_cols(cols, width)
+        packed, bias, cuts = pack
+        raw = (sum(map(mul, c, packed)) + bias).to_bytes(
+            len(c) * width, "little")
+        out = map(sub, map(int.from_bytes, map(raw.__getitem__, cuts),
+                           repeat("little")), repeat(1 << (8 * width - 1)))
     return _skew_grid(den * den_x, list(out))
 
 

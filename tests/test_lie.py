@@ -32,6 +32,7 @@ from skewlie.localder import GaugedInnerLocal
 from skewlie.matrices import (
     Matrix,
     from_entries,
+    from_points,
     is_skew_adjoint,
     zeros,
 )
@@ -156,8 +157,8 @@ class TestDecompose:
 class TestLinearMaps:
     def test_tabulated_inner_derivation_agrees(self):
         # the integer table must reproduce the ring-generic recombination
-        # entry for entry, on dense (row dot products) and sparse (column
-        # sums) arguments alike
+        # entry for entry, on dense (one packed product) and sparse
+        # (column sums) arguments alike
         rng = random.Random(8)
         for n in range(3, 7):
             a = random_skew(rng, n)
@@ -213,6 +214,100 @@ class TestLinearMaps:
             m.apply(from_entries(2, {(1, 1): 1}))
         with pytest.raises(DimensionMismatch):
             LinearLieMap(GAUSS, 2, [zeros(2)])
+
+
+def _big_skew(rng, n, bits):
+    """A skew-adjoint Gaussian matrix with numerators and denominators
+    of about bits bits."""
+    def big():
+        return rng.getrandbits(bits) - (1 << (bits - 1))
+
+    rows = [[GAUSS.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussianRational(0, big(), rng.getrandbits(bits) + 1)
+        for j in range(i + 1, n):
+            v = GaussianRational(big(), big(), rng.getrandbits(bits) + 1)
+            rows[i][j], rows[j][i] = v, -GAUSS.star(v)
+    return Matrix(GAUSS, rows)
+
+
+def _widths(m):
+    """The slot widths, in bytes, that m's dense applies have packed its
+    table for, per point."""
+    return [sorted(packs) for _, _, _, packs in m._tables]
+
+
+class TestPackedApply:
+    """A dense argument is applied as one multiply-add of the table's
+    image columns packed into integers, with slots as wide as the
+    argument and the table need; the image must match the ring-generic
+    recombination entry for entry at every width, size and point."""
+
+    @staticmethod
+    def _agrees(m, x):
+        out = m.apply(x)
+        assert out.rows == m._apply_generic(x).rows
+        return out
+
+    def test_slots_wider_than_eight_bytes(self):
+        rng = random.Random(61)
+        for n in (3, 5):
+            a = _big_skew(rng, n, 80)
+            m = LinearLieMap.tabulate(lambda x: bracket(a, x), n)
+            for _ in range(3):
+                x = _big_skew(rng, n, 90)
+                assert self._agrees(m, x) == bracket(a, x)
+            assert max(_widths(m)[0]) > 8
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_small_and_large_sizes(self, n):
+        rng = random.Random(62 + n)
+        a = random_skew(rng, n)
+        m = LinearLieMap.tabulate(lambda x: bracket(a, x), n)
+        # K_1 is abelian, so at n = 1 the bracket is the zero map; the
+        # doubling map packs a nonzero table at every size
+        doubling = LinearLieMap.tabulate(lambda x: x + x, n)
+        for x in [random_skew(rng, n) for _ in range(3)] + [staircase(n)]:
+            assert self._agrees(m, x) == bracket(a, x)
+            assert self._agrees(doubling, x) == x + x
+        assert _widths(m)[0] and _widths(doubling)[0]
+
+    def test_zero_map(self):
+        rng = random.Random(63)
+        for n in (1, 3, 5):
+            m = LinearLieMap(GAUSS, n, [zeros(n)] * (n * n))
+            assert m._tables[0][2] == 0
+            for x in (random_skew(rng, n), _big_skew(rng, n, 70)):
+                assert self._agrees(m, x) == zeros(n)
+            assert _widths(m) == [[1]]
+
+    @pytest.mark.parametrize("big_first", [False, True])
+    def test_one_table_at_two_widths(self, big_first):
+        rng = random.Random(64)
+        n = 4
+        a = random_skew(rng, n)
+        m = LinearLieMap.tabulate(lambda x: bracket(a, x), n)
+        small = random_skew(rng, n)
+        args = [small, small * (3 ** 50), random_skew(rng, n)]
+        if big_first:
+            args.reverse()
+        for x in args + args:
+            assert self._agrees(m, x) == bracket(a, x)
+        assert len(_widths(m)[0]) >= 2
+
+    def test_function_ring_dense_at_one_point_only(self):
+        ring = FunctionRing(2)
+        rng = random.Random(65)
+        n = 4
+        a = random_skew(rng, n, ring)
+        m = LinearLieMap.tabulate(lambda x: bracket(a, x), n, ring)
+        dense = random_skew(rng, n)
+        for sparse in (staircase(n), canonical_basis(n)[2], zeros(n)):
+            for points in ((dense, sparse), (sparse, dense)):
+                x = from_points(points)
+                assert self._agrees(m, x) == bracket(a, x)
+        # each point's table packed only for the dense argument there
+        assert all(_widths(m))
 
 
 def central(lam, n, ring):

@@ -336,14 +336,81 @@ class TestKernelRouting:
         assert len(generic_calls) == 3
 
 
+class TestSupportCache:
+    """A matrix reads its support, the row-major positions nonzero at
+    some point, once and caches it; the bracket walks its factor at
+    those positions."""
+
+    def test_function_ring_support_is_the_union_of_its_points(self):
+        rng = random.Random(71)
+        n = 4
+        points = [canonical_basis(n)[1], staircase(n), zeros(n),
+                  from_entries(n, {(4, 4): GAUSS.imag})]
+        for k in range(1, len(points) + 1):
+            x = from_points(points[:k])
+            want = sorted({i * n + j for p in points[:k]
+                           for i in range(n) for j in range(n)
+                           if p.entry(i + 1, j + 1)})
+            assert x._support() == tuple(want)
+            assert x._cache["support"] is x._support()
+            assert x._nnz() == len(want)
+        dense = random_skew(rng, n, FunctionRing(3))
+        assert dense._support() == tuple(range(n * n))
+
+    def test_walking_a_factor_zero_at_some_points(self, monkeypatch):
+        signs = _walk_signs(monkeypatch)
+        rng = random.Random(72)
+        for n in (3, 4, 5):
+            e = canonical_basis(n)[n]
+            for points in ((e, zeros(n), staircase(n)),
+                           (zeros(n), zeros(n), e),
+                           (staircase(n), e, zeros(n))):
+                f = from_points(points)
+                other = random_skew(rng, n, f.ring)
+                # f has fewer nonzeros than the dense factor, so it is
+                # walked in either argument order, on every point
+                for a, b, sign in ((other, f, 1), (f, other, -1)):
+                    signs.clear()
+                    assert commutator(a, b) == entrywise_bracket(a, b)
+                    assert signs == [sign] * 3
+
+    def test_memoized_basis_support_is_read_once(self, monkeypatch):
+        rng = random.Random(73)
+        n = 5
+        basis = canonical_basis(n)
+        others = [random_skew(rng, n) for _ in range(3)] + [staircase(n)]
+        supports = {id(x): x._support() for x in basis + others}
+        seen = []
+        original = matrices._grid_sparse_commutator
+
+        def recording(ga, gb, sign, support, skew=False):
+            seen.append(support)
+            return original(ga, gb, sign, support, skew)
+
+        def no_rescan(*_):
+            raise AssertionError("a cached support was read again")
+
+        monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
+        monkeypatch.setattr(matrices, "compress", no_rescan)
+        for _ in range(2):
+            for e in basis:
+                for x in others:
+                    for a, b in ((x, e), (e, x)):
+                        seen.clear()
+                        assert commutator(a, b) == entrywise_bracket(a, b)
+                        # the basis element is walked, at its cached support
+                        assert seen == [supports[id(e)]]
+                        assert seen[0] is e._support()
+
+
 def _walk_modes(monkeypatch):
     """(sign, skew) of each per-point walk commutator makes from now on."""
     modes = []
     original = matrices._grid_sparse_commutator
 
-    def recording(ga, gb, sign, skew=False):
+    def recording(ga, gb, sign, support, skew=False):
         modes.append((sign, skew))
-        return original(ga, gb, sign, skew)
+        return original(ga, gb, sign, support, skew)
 
     monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
     return modes
