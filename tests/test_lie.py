@@ -306,7 +306,7 @@ class TestPackedApply:
             for points in ((dense, sparse), (sparse, dense)):
                 x = from_points(points)
                 assert self._agrees(m, x) == bracket(a, x)
-        # each point's table packed only for the dense argument there
+        # each point's table was packed by the argument dense there
         assert all(_widths(m))
 
 
