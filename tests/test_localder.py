@@ -6,6 +6,8 @@ to one central shift. Tampered oracles stay contract-consistent per
 query and must be caught by the cross-witness checks instead.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -286,11 +288,35 @@ class TestChecks:
 
 
 class TestCorruption:
-    def make_tampered(self, seed=70, n=4):
-        a0, clean = make_map(seed, n)
-        oracle = TamperedLocalOracle(clean.oracle, ie_diag(n, 2),
-                                     s_elem(n, 2, 3))
+    def make_tampered(self, seed=70, n=4, ring=GAUSS):
+        a0, clean = make_map(seed, n, ring=ring)
+        oracle = TamperedLocalOracle(clean.oracle, ie_diag(n, 2, ring),
+                                     s_elem(n, 2, 3, ring))
         return a0, WitnessedLocalMap(oracle)
+
+    @pytest.mark.parametrize("ring, digest", [
+        pytest.param(
+            GAUSS,
+            "b26e24ed23784cbd010d0b00d7b5534747fa45d76b8cc080b495d597ea51e67e",
+            id="gauss"),
+        pytest.param(
+            FunctionRing(2),
+            "717a65ceba04d22884f430bd481768b6a508f7f3ddb172077bea82ac942f0eca",
+            id="fnring2"),
+    ])
+    def test_failure_reports_pinned(self, ring, digest):
+        """The sha256 over the reports of the three checks on the
+        tampered map, each without duration_seconds as compact sorted-key
+        JSON, so the failure payloads (the pairs, entries and block
+        errors that name the damage) cannot change unnoticed."""
+        _, lmap = self.make_tampered(ring=ring)
+        h = hashlib.sha256()
+        for check in (check_eq_5_1, check_display_identities,
+                      verify_spanning_set):
+            data = check(lmap).to_dict()
+            data.pop("duration_seconds")
+            h.update(json.dumps(data, sort_keys=True).encode())
+        assert h.hexdigest() == digest
 
     def test_flipped_corner_breaks_spanning_locally(self):
         _, lmap = self.make_tampered()
