@@ -13,7 +13,8 @@ right hand side and then back-substitutes. The right hand sides may
 live in a larger ring than the coefficients: solving only ever
 multiplies ring elements by Gaussian rational scalars.
 
-Rows are reduced on Gaussian integers, stored as sparse numerators
+Rows come in as sparse Gaussian integers {col: (re, im)}, the format
+of symcheck's linear forms. They are reduced as sparse numerators
 (re, im) over one shared positive denominator, kept gcd-reduced as
 Matrix grids are, so a reduction step is the integer update
 r := r*den_p - (fa + fb*i)*p against a pivot row p with denominator
@@ -33,24 +34,12 @@ from .rings import GAUSS, GaussianRational
 
 
 def _int_row(row, ncols):
-    """A sparse row as (den, {col: (re, im)}), gcd-reduced, from int,
-    Fraction or GaussianRational coefficients or from (re, im) int pairs
-    only; raises DimensionMismatch on a column outside 0..ncols-1."""
+    """A copy of the sparse row {col: (re, im)} without its (0, 0)
+    entries; raises DimensionMismatch on a column outside 0..ncols-1."""
     for c in row:
         if not 0 <= c < ncols:
             raise DimensionMismatch("column %d outside 0..%d" % (c, ncols - 1))
-    if all(type(v) is tuple for v in row.values()):
-        return 1, {c: v for c, v in row.items() if v != (0, 0)}
-    parts = {}
-    for c, v in row.items():
-        g = GaussianRational._coerce(v)
-        if g is None:
-            raise TypeError("coefficient %r is not a Gaussian rational" % (v,))
-        if g:
-            parts[c] = g
-    den = lcm(*(g.d for g in parts.values()))
-    return den, {c: (g.a * (den // g.d), g.b * (den // g.d))
-                 for c, g in parts.items()}
+    return {c: v for c, v in row.items() if v != (0, 0)}
 
 
 def _reduced(den, nums):
@@ -73,9 +62,12 @@ def _gauss(nums, den):
 class ReducedSystem:
     """Row echelon form of a matrix, with an elimination record per row.
 
-    rows: iterable of sparse rows, each a dict column -> coefficient
-    (int, Fraction or GaussianRational), or column -> (re, im) for a row
-    of Gaussian integers. Columns are 0-based and must be below ncols.
+    rows: iterable of sparse rows of Gaussian integers, each a dict
+    column -> (re, im) of ints for the coefficient re + im*i. Columns
+    are 0-based and must be below ncols. A row with rational
+    coefficients is fed times the lcm of its denominators, which keeps
+    its kernel and span; solve then takes its right hand side times the
+    same factor.
     """
 
     def __init__(self, rows, ncols):
@@ -132,10 +124,10 @@ class ReducedSystem:
 
     def append(self, row):
         """Feed one more original row into the reduction."""
-        den, r = _int_row(row, self.ncols)
+        r = _int_row(row, self.ncols)
         orig = self.nrows
         self.nrows += 1
-        den, steps = self._eliminate(den, r)
+        den, steps = self._eliminate(1, r)
         if not r:
             self._null.append((orig, steps))
             return
@@ -165,8 +157,8 @@ class ReducedSystem:
         that row == sum(combination[j] * original_row_j) + residual.
         An empty residual certifies span membership.
         """
-        den, r = _int_row(row, self.ncols)
-        den, steps = self._eliminate(den, r)
+        r = _int_row(row, self.ncols)
+        den, steps = self._eliminate(1, r)
         # row - residual is sum(mult * pivot row); a pivot row is its
         # original row less its own steps, over its lead, and refers only
         # to pivots inserted before it, so expand the latest pivot first.
@@ -204,8 +196,8 @@ class ReducedSystem:
         return _gauss(nums, den)
 
     def int_nullvector(self, free_col):
-        """nullvector as (den, {col: (re, im)}), gcd-reduced as _int_row
-        returns a row, back-substituted on (re, im, den) triples."""
+        """nullvector as gcd-reduced (den, {col: (re, im)}),
+        back-substituted on (re, im, den) triples."""
         pivots = self._pivots
         if free_col in pivots or not 0 <= free_col < self.ncols:
             raise DimensionMismatch("column %d is not free" % free_col)

@@ -227,69 +227,62 @@ def _embed_block(y, S, n):
     return Matrix(ring, grid)
 
 
-def corner_implementer(lmap, indices):
-    """An implementer of the map compressed to a block of indices.
+def corner_implementer(lmap, i, k):
+    """An implementer of the map compressed to the block of indices i, k.
 
     Both sides of every bracket equation are compressed to the block, so
     the unknown is a block-supported skew-adjoint matrix; it exists for
     every restriction of a local derivation and is unique up to a central
-    summand of the block. It is solved by PreparedBracketSolver of the
-    block size, as the brute-force implementers are, on the block of the
-    map's value at each embedded block basis element and probe. A block
-    basis element embeds as a canonical basis element of K_n
-    (block_basis), so its value is the map's stored image, cut to
-    the block; only the staircase probe of a block of three or more
-    indices is embedded and applied. Raises Infeasible, naming the
-    block, when no such matrix exists, which is how incoherent oracles
-    surface here.
+    summand of the block. It is solved by the 2 x 2
+    PreparedBracketSolver, as the brute-force implementers are. Its
+    probes I*e_11 and staircase(2) = s[1,2] are block basis elements,
+    and a block basis element embeds as a canonical basis element of
+    K_n (block_basis), so every value it reads is the map's stored image,
+    cut to the block. Raises Infeasible, naming the block, when no such
+    matrix exists, which is how incoherent oracles surface here.
     """
-    S = sorted(set(indices))
-    if len(S) < 2:
-        raise EqualIndices("a block needs at least two distinct indices")
+    if i == k:
+        raise EqualIndices("a block needs two distinct indices")
+    S = sorted((i, k))
     n = lmap.n
     for p in S:
         if not 1 <= p <= n:
             raise IndexOutOfRange("block index %d outside 1..%d" % (p, n))
     ring = lmap.ring
-    embedded = {id(b): e for b, e in zip(canonical_basis(len(S), ring),
+    embedded = {id(b): e for b, e in zip(canonical_basis(2, ring),
                                          block_basis(S, n, ring))}
 
     def nabla(b):
-        e = embedded.get(id(b))
-        if e is None:
-            e = _embed_block(b, S, n)
-        return _extract_block(lmap.nabla(e), S)
+        return _extract_block(lmap.nabla(embedded[id(b)]), S)
 
-    solver = PreparedBracketSolver.for_size(len(S))
     try:
-        w_local = solver.solve_values(nabla, ring)
+        w_local = PreparedBracketSolver.for_size(2).solve_values(nabla, ring)
     except Infeasible as exc:
         raise Infeasible("no block implementer on indices %r" % (S,)) \
             from exc
     return _embed_block(w_local, S, n)
 
 
-def assemble_abar(lmap, i, k, block_cache=None):
+def assemble_abar(lmap, i, k, blocks):
     """The element carried by the rows and columns of i and k.
 
     Off-diagonal entries in those rows and columns are read from the
-    two-index block implementers of the corresponding pairs, each
-    position exactly once; the two diagonal entries both come from the
-    (i, k) block, so their difference is gauge-free. A shared block_cache
-    dict avoids re-solving blocks across several assemblies.
+    block implementers of the corresponding pairs, each position exactly
+    once; the two diagonal entries both come from the (i, k) block, so
+    their difference is gauge-free. blocks maps a pair (p, q), p < q, to
+    its block implementer; it is filled as blocks are solved, so
+    assemblies that share it solve each block once.
     """
     n = lmap.n
     if i == k:
         raise EqualIndices("assembly needs two distinct indices")
     ring = lmap.ring
-    blocks = block_cache if block_cache is not None else {}
 
     def block(p, q):
         key = (min(p, q), max(p, q))
         w = blocks.get(key)
         if w is None:
-            w = corner_implementer(lmap, key)
-            blocks[key] = w
+            w = blocks[key] = corner_implementer(lmap, *key)
         return w
 
     grid = [[ring.zero] * n for _ in range(n)]
@@ -333,8 +326,8 @@ def check_display_identities(lmap, d=None):
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             try:
-                abar = assemble_abar(lmap, i, k, block_cache=blocks)
-            except (Infeasible, WitnessContractError) as exc:
+                abar = assemble_abar(lmap, i, k, blocks)
+            except Infeasible as exc:
                 rep.add("assembled element exists (%d,%d)" % (i, k), False,
                         anchor="eq 5.4", i=i, k=k, error=str(exc))
                 continue

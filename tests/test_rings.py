@@ -13,9 +13,11 @@ import pytest
 
 from skewlie.errors import DimensionMismatch
 from skewlie.rings import (
+    AXIOM_SAMPLES,
     GAUSS,
     FunctionElement,
     FunctionRing,
+    GaussianField,
     GaussianRational,
     PolyElement,
     PolynomialRing,
@@ -190,6 +192,28 @@ class TestRandomParts:
 def test_ring_axioms_hold(ring):
     rep = check_ring_axioms(ring, seed=11)
     assert rep.passed, rep.summary()
+
+
+class _ShiftedStar(GaussianField):
+    """The Gaussian rationals with star(x) = conj(x) + 1, which is not
+    additive."""
+
+    def star(self, x):
+        return super().star(x) + 1
+
+
+def test_axiom_sweep_reports_a_broken_law():
+    rep = check_ring_axioms(_ShiftedStar(), seed=0)
+    assert not rep.passed
+    failed = [r.name for r in rep.failures()]
+    assert failed == ["star is additive", "star is multiplicative",
+                      "star is an involution",
+                      "imaginary unit is skew under star"]
+    additive = next(r for r in rep.records if r.name == "star is additive")
+    assert additive.payload == {"trials": AXIOM_SAMPLES}
+    # the ring's own laws do not read star, so they still pass
+    assert {r.name for r in rep.records if r.passed} >= {
+        "addition commutes", "multiplication distributes", "one half exists"}
 
 
 def test_axiom_report_shape():

@@ -19,6 +19,7 @@ from skewlie.errors import (
     UnknownLemma,
 )
 from skewlie.lie import bracket, ie_diag, s_elem, staircase
+from skewlie.linsolve import ReducedSystem
 from skewlie.matrices import Matrix, from_entries, star_transpose
 from skewlie.rings import (
     FunctionRing,
@@ -277,6 +278,37 @@ class TestCertifyCore:
         ring, m = SkewSymbols(3).declare("a").build()
         out = certify(ring, [], [("nothing", ring.zero)])
         assert out[0].implied and out[0].combination == []
+
+    def test_wrong_combination_fails_re_expansion(self, monkeypatch):
+        # a combination that does not add up to the conclusion is caught
+        # by the integer re-expansion, not returned as a certificate
+        ring, m = SkewSymbols(3).declare("a").build()
+        a = m["a"]
+        express = ReducedSystem.express
+
+        def doubled(self, row):
+            residual, comb = express(self, row)
+            return residual, {j: 2 * c for j, c in comb.items()}
+
+        monkeypatch.setattr(ReducedSystem, "express", doubled)
+        with pytest.raises(AssertionError, match="certificate for 'mirror' "
+                                                 "fails re-expansion"):
+            certify(ring, [("h", a.entry(1, 2))],
+                    [("mirror", a.entry(2, 1))])
+
+    def test_counterexample_breaking_a_hypothesis_is_caught(self,
+                                                            monkeypatch):
+        # a kernel vector that is nonzero on the hypothesis a_1_2 = 0
+        # gives a counterexample that breaks it, which is not returned
+        ring, m = SkewSymbols(3).declare("a").build()
+        a = m["a"]
+        monkeypatch.setattr(ReducedSystem, "int_nullvector",
+                            lambda self, free: (1, {v: (1, 0) for v in
+                                                    range(self.ncols)}))
+        with pytest.raises(AssertionError,
+                           match="counterexample violates hypothesis h$"):
+            certify(ring, [("h", a.entry(1, 2))],
+                    [("other", a.entry(1, 3))])
 
 
 class TestCanonicalCertificates:
