@@ -267,7 +267,32 @@ class TestInvariants:
 
 
 class TestGaussianIntegerPairs:
-    """A row's (0, 0) entries are dropped and its columns checked."""
+    """A row's (0, 0) entries are dropped and its columns checked, and a
+    row fed times a nonzero Gaussian integer keeps its reduction, which
+    is how a caller with rational coefficients clears denominators."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_rows_keep_the_reduction(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(1, 7), ncols)
+        factors = [G(*rng.choice(POOL)) for _ in rows]
+        scaled = [pairs({c: f * v for c, v in lift(row).items()})
+                  for f, row in zip(factors, rows)]
+        plain = ReducedSystem(rows, ncols)
+        sys = ReducedSystem(scaled, ncols)
+        assert (sys.rank, sys.free_cols) == (plain.rank, plain.free_cols)
+        assert sys.nullspace() == plain.nullspace()
+        for target in random_rows(rng, 3, ncols) + rows:
+            res, comb = sys.express(target)
+            plain_res, plain_comb = plain.express(target)
+            assert res == plain_res
+            # the combination over row j is divided by row j's factor
+            assert {j: c * factors[j] for j, c in comb.items()} == plain_comb
+        x0 = [GAUSS.random_element(rng) for _ in range(ncols)]
+        rhs = apply_rows(rows, x0)
+        assert sys.solve([f * v for f, v in zip(factors, rhs)]) == \
+            plain.solve(rhs)
 
     def test_zero_pair_is_dropped(self):
         sys = ReducedSystem([{0: (0, 0), 1: (0, 2)}], ncols=2)
