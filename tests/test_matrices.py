@@ -892,19 +892,81 @@ def _reference_skew(rng, n, ring):
     return Matrix(ring, grid)
 
 
+class _WordLog(random.Random):
+    """A generator that records, for each 32-bit word a draw takes, the
+    width asked for (5 bits for randint(-9, 9), 3 for randint(1, 5)) and
+    the word's top byte. It answers getrandbits(k) as CPython does for
+    k <= 32, which TestWordLayout pins."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        word = super().getrandbits(32)
+        self.log.append((k, word >> 24))
+        return word >> (32 - k)
+
+
+def _marginal_draws(log):
+    """The widths of the draws whose word has a top byte in [152, 160):
+    rejected by randint(-9, 9) (5 bits), accepted by randint(1, 5)
+    (3 bits)."""
+    return {k for k, top in log if 19 << 3 <= top < 5 << 5}
+
+
+DRAW_RINGS = [GAUSS, FunctionRing(1), FunctionRing(2), FunctionRing(3)]
+DRAW_RING_IDS = ["gauss", "fnring1", "fnring2", "fnring3"]
+DRAW_SIZES = (1, 2, 3, 4, 5, 6, 8)
+
+
 class TestGridDraws:
-    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(2),
-                                      FunctionRing(3)],
-                             ids=["gauss", "fnring2", "fnring3"])
+    @pytest.mark.parametrize("ring", DRAW_RINGS, ids=DRAW_RING_IDS)
     def test_same_values_and_same_rng_state(self, ring):
-        for seed in range(5):
-            for n in (1, 3, 4):
+        # two draws in a row off one generator, against the entry-object
+        # reference; the replayed words must show a top byte in
+        # [152, 160) on both kinds of draw, since randint(-9, 9) rejects
+        # it and randint(1, 5) takes it
+        marginal = set()
+        for seed in range(50):
+            for n in DRAW_SIZES:
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                x = random_skew(rng, n, ring)
-                ref = _reference_skew(ref_rng, n, ring)
-                assert rng.getstate() == ref_rng.getstate()
-                assert x == ref and x.rows == ref.rows
-                assert x.cache_key() == ref.cache_key()
+                replay = _WordLog(seed)
+                for _ in range(2):
+                    x = random_skew(rng, n, ring)
+                    ref = _reference_skew(ref_rng, n, ring)
+                    assert _reference_skew(replay, n, ring) == ref
+                    assert rng.getstate() == ref_rng.getstate() \
+                        == replay.getstate()
+                    assert x.grids == ref.grids and x.rows == ref.rows
+                    assert x.cache_key() == ref.cache_key()
+                marginal |= _marginal_draws(replay.log)
+        assert marginal == {3, 5}
+
+
+class TestWordLayout:
+    """The word layout of CPython's Mersenne Twister that the grid draw
+    reads: getrandbits(32 * k) is k successive 32-bit words, the first
+    in the low bits, and getrandbits(b) for b <= 32 is the top b bits of
+    one word."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 400])
+    def test_wide_draw_is_successive_words(self, k):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            wide = rng.getrandbits(32 * k)
+            words = [ref.getrandbits(32) for _ in range(k)]
+            assert wide == sum(w << (32 * i) for i, w in enumerate(words))
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("bits", [1, 3, 5, 8, 31, 32])
+    def test_narrow_draw_is_top_bits_of_a_word(self, bits):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            narrow = [rng.getrandbits(bits) for _ in range(30)]
+            assert narrow == [ref.getrandbits(32) >> (32 - bits)
+                              for _ in range(30)]
+            assert rng.getstate() == ref.getstate()
 
 
 class TestCacheKey:
