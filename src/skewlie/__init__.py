@@ -22,6 +22,7 @@ from .lie import (
     ie_diag,
     is_central,
     random_skew,
+    random_skews,
     s_elem,
     staircase,
 )

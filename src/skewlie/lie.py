@@ -282,18 +282,29 @@ def is_central(x):
 
 
 def random_skew(rng, n, ring=GAUSS):
-    """A random skew-adjoint matrix: free entries above the diagonal,
-    imaginary-unit multiples of star-fixed samples on it, in the order
-    in which the ring's random_element and random_real take them.
-    """
+    """A random skew-adjoint matrix: random_skews with count 1."""
+    return random_skews(rng, n, ring, 1)[0]
+
+
+def random_skews(rng, n, ring, count):
+    """count random skew-adjoint matrices: free entries above the
+    diagonal, imaginary-unit multiples of star-fixed samples on it, in
+    the order in which the ring's random_element and random_real take
+    them. Over the Gaussian rationals and function rings the count draws
+    are read off rng's 32-bit words in one pass
+    (matrices._random_skew_grids); the values, and the rng state after
+    them, are those of count sequential draws entry by entry."""
     if isinstance(ring, (GaussianField, FunctionRing)):
-        return _random_skew_grids(rng, n, ring)
+        return _random_skew_grids(rng, n, ring, count)
     i_unit = imaginary_unit(ring)
-    grid = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = i_unit * ring.random_real(rng)
-        for j in range(i + 1, n):
-            v = ring.random_element(rng)
-            grid[i][j] = v
-            grid[j][i] = -ring.star(v)
-    return Matrix(ring, grid)
+    out = []
+    for _ in range(count):
+        grid = [[ring.zero] * n for _ in range(n)]
+        for i in range(n):
+            grid[i][i] = i_unit * ring.random_real(rng)
+            for j in range(i + 1, n):
+                v = ring.random_element(rng)
+                grid[i][j] = v
+                grid[j][i] = -ring.star(v)
+        out.append(Matrix(ring, grid))
+    return out

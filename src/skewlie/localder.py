@@ -42,6 +42,7 @@ from .lie import (
     is_central,
     query_key,
     random_skew,
+    random_skews,
     require_gauge,
     s_elem,
     staircase,
@@ -374,9 +375,8 @@ def verify_spanning_set(lmap, d=None):
 def verify_full(lmap, d, random_checks=50, seed=0):
     """d implements the map on the basis and on random skew elements."""
     rep = verify_spanning_set(lmap, d)
-    rng = random.Random(seed)
-    for t in range(random_checks):
-        x = random_skew(rng, lmap.n, lmap.ring)
+    for t, x in enumerate(random_skews(random.Random(seed), lmap.n,
+                                       lmap.ring, random_checks)):
         rep.add("random element #%d" % t,
                 bracket(d, x) == lmap.nabla(x), anchor="theorem 4.4", index=t)
     return rep
@@ -470,8 +470,7 @@ def lift_campaign(n, omega, trials, seed, random_checks=50):
         lifted = pointwise_lift(point_maps)
         d = build_d(lifted)
         first_bad = None
-        for t in range(random_checks):
-            x = random_skew(rng, n, ring)
+        for t, x in enumerate(random_skews(rng, n, ring, random_checks)):
             lhs = lifted.nabla(x)
             if lhs != bracket(d, x) or any(
                     at_point(lhs, pt) != pm.nabla(at_point(x, pt))

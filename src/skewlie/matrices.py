@@ -702,36 +702,165 @@ def _apply_tables(tables, x):
     return Matrix._of_grids(x.ring, tuple(map(_apply_table, tables, x.grids)))
 
 
-def _random_skew_grids(rng, n, ring):
-    """lie.random_skew over a ring with grids: the draws go straight into
-    row-major numerator and denominator lists of each point, entry
-    by entry with all points of an entry in a row, in the order in which
-    the ring's random_real and random_element take them; each point is
-    then scaled to the lcm of its denominators and reduced once. The
-    draw is skew-adjoint by construction, so is_skew_adjoint's answer
-    is cached with it without a check."""
-    parts = GAUSS.random_parts
-    npoints = ring.npoints if isinstance(ring, FunctionRing) else 1
-    size = n * n
-    cells = [([0] * size, [0] * size, [1] * size) for _ in range(npoints)]
+def _word_draw(lo, hi):
+    """How randint(lo, hi) reads a 32-bit word with top byte t: CPython
+    takes lo + getrandbits(k), k the bit length of the width
+    w = hi - lo + 1, and draws again unless getrandbits(k) < w; and
+    getrandbits(k) is t >> (8 - k). So the word is taken exactly when
+    t < w << (8 - k), and then gives lo + (t >> (8 - k)). Returns
+    (lo, w, 8 - k)."""
+    width = hi - lo + 1
+    return lo, width, 8 - width.bit_length()
+
+
+# random_parts' ranges: a numerator takes a word whose top byte is below
+# 19 << 3 = 152, a denominator one below 5 << 5 = 160
+_NUM_LO, _NUM_WIDTH, _NUM_SHIFT = _word_draw(-9, 9)
+_DEN_LO, _DEN_WIDTH, _DEN_SHIFT = _word_draw(1, 5)
+_NUM_LIMIT = _NUM_WIDTH << _NUM_SHIFT
+_DEN_LIMIT = _DEN_WIDTH << _DEN_SHIFT
+# top bytes deleted as no draw takes them, and those marked as only a
+# denominator takes them
+_UNTAKEN = bytes(range(_DEN_LIMIT, 256))
+_MARGINAL = bytes(_NUM_LIMIT <= t < _DEN_LIMIT for t in range(256))
+# the key of a numerator byte t over a denominator byte u is
+# (t >> 3) * 5 + (u >> 5), one byte below _KEYS, summed as the two
+# translated byte strings' integers; a negated numerator's key is
+# _KEYS higher, and the key 2 * _KEYS reads zero
+_KEYS = _NUM_WIDTH * _DEN_WIDTH
+_NUM_KEY = bytes((t >> _NUM_SHIFT) * _DEN_WIDTH for t in range(256))
+_DEN_KEY = bytes(t >> _DEN_SHIFT for t in range(256))
+_DEN_OF = bytes((t >> _DEN_SHIFT) + _DEN_LO for t in range(256))
+_NEGATED = bytes((k + _KEYS) % 256 for k in range(256))
+_ZERO = bytes([2 * _KEYS])
+# per (n, points), where one draw's words go; see _draw_layout
+_draw_layouts = {}
+# per lcm of a point's denominators, the numerator of every key over it;
+# built on first use
+_key_tables = {}
+
+
+def _picker(positions):
+    """An itemgetter over positions that returns a tuple even for one."""
+    if len(positions) == 1:
+        return lambda seq, k=positions[0]: (seq[k],)
+    return itemgetter(*positions)
+
+
+def _key_table(den):
+    """The numerator over den of every key: a numerator byte's value
+    times den over its denominator's, negated from _KEYS on, then 0."""
+    table = _key_tables.get(den)
+    if table is None:
+        table = [(k // _DEN_WIDTH + _NUM_LO) * (den // (k % _DEN_WIDTH
+                                                          + _DEN_LO))
+                 for k in range(_KEYS)]
+        table = _key_tables[den] = table + list(map(neg, table)) + [0]
+    return table
+
+
+def _draw_layout(n, npoints):
+    """Where the words of one skew-adjoint draw go, built once per (n,
+    npoints). The draw takes, for each i, the diagonal (i, i) at every
+    point (a numerator, then a denominator), then for each j > i the
+    entry (i, j) at every point (real numerator, imaginary numerator,
+    denominator): the order of random_real and random_element. Returns
+    the kind of each word's draw (1 numerator, 0 denominator), and per
+    point three pickers over _random_skew_grids' block of one draw: its
+    denominators, and the keys of its row-major real and imaginary
+    numerators."""
+    layout = _draw_layouts.get((n, npoints))
+    if layout is not None:
+        return layout
+    kinds = bytearray()
+    at = [([], {}, {}) for _ in range(npoints)]
     for i in range(n):
-        ii = i * (n + 1)
-        for _, im, d in cells:
-            im[ii], _, d[ii] = parts(rng, real=True)
-        for ij, ji in zip(range(ii + 1, (i + 1) * n), range(ii + n, size, n)):
-            for re, im, d in cells:
-                a, b, e = parts(rng)
-                re[ij], re[ji] = a, -a
-                im[ij] = im[ji] = b
-                d[ij] = d[ji] = e
-    grids = []
-    for re, im, d in cells:
-        den = lcm(*d)
-        scale = list(map(floordiv, repeat(den), d))
-        grids.append(_flat_grid(den, list(map(mul, re, scale)),
-                                list(map(mul, im, scale))))
-    out = Matrix._of_grids(ring, tuple(grids))
-    out._cache["skew"] = True
+        for dens, num, _ in at:
+            num[i, i] = len(kinds)
+            dens.append(len(kinds) + 1)
+            kinds += b"\x01\x00"
+        for j in range(i + 1, n):
+            for dens, num, real in at:
+                real[i, j] = len(kinds)
+                num[i, j] = num[j, i] = len(kinds) + 1
+                dens.append(len(kinds) + 2)
+                kinds += b"\x01\x01\x00"
+    # the block: the keys over the next and over the second next
+    # denominator, the second negated, the denominators, a zero key
+    size = len(kinds)
+    square = [(i, j) for i in range(n) for j in range(n)]
+    points = tuple((
+        _picker([3 * size + k for k in dens]),
+        _picker([4 * size if i == j else size + real[i, j] if i < j
+                 else 2 * size + real[j, i] for i, j in square]),
+        _picker([num[ij] for ij in square]))
+        for dens, num, real in at)
+    layout = _draw_layouts[n, npoints] = (bytes(kinds), points)
+    return layout
+
+
+def _taken_top_bytes(rng, kinds, draws):
+    """The top bytes of the words that `draws` draws of kinds take, in
+    draw order, off rng exactly as randint would take them: every word a
+    draw rejects is read and dropped. The words come from
+    getrandbits(32 * k), k successive words with the first in the low
+    bits, k never more than the draws still owed, since each word makes
+    at most one draw; so rng ends where sequential draws leave it.
+    Bytes no draw takes are deleted with one translate; a byte only a
+    denominator takes is dropped where it falls on a numerator draw."""
+    size = len(kinds)
+    total = size * draws
+    taken = bytearray()
+    while len(taken) < total:
+        owed = total - len(taken)
+        tops = rng.getrandbits(32 * owed).to_bytes(4 * owed, "little")
+        tops = tops[3::4].translate(None, _UNTAKEN)
+        marks = tops.translate(_MARGINAL)
+        start = 0
+        q = marks.find(1)
+        while q >= 0:
+            if kinds[(len(taken) + q - start) % size]:
+                taken += tops[start:q]
+                start = q + 1
+            q = marks.find(1, q + 1)
+        taken += tops[start:]
+    return bytes(taken)
+
+
+def _random_skew_grids(rng, n, ring, draws):
+    """lie.random_skews over a ring with grids: `draws` draws read off
+    rng's words in one pass (_taken_top_bytes), with the values and the
+    rng state of as many sequential draws of random_real and
+    random_element entry by entry. Every numerator's byte is keyed with
+    its denominator's in two integer sums over the whole pass, and each
+    point reads its numerators off the table of the lcm of its
+    denominators, row-major, and is reduced once. The draws are
+    skew-adjoint by construction, so is_skew_adjoint's answer is cached
+    with them without a check."""
+    npoints = ring.npoints if isinstance(ring, FunctionRing) else 1
+    kinds, points = _draw_layout(n, npoints)
+    size = len(kinds)
+    tops = _taken_top_bytes(rng, kinds, draws)
+    nums = int.from_bytes(tops.translate(_NUM_KEY), "little")
+    dens = int.from_bytes(tops.translate(_DEN_KEY), "little")
+    over_next = (nums + (dens >> 8)).to_bytes(len(tops), "little")
+    over_second = (nums + (dens >> 16)).to_bytes(len(tops), "little")
+    streams = (over_next, over_second, over_second.translate(_NEGATED),
+               tops.translate(_DEN_OF))
+    out = []
+    for start in range(0, len(tops), size):
+        block = b"".join([s[start:start + size] for s in streams] + [_ZERO])
+        grids = []
+        for dens_at, re_at, im_at in points:
+            den = lcm(*set(dens_at(block)))
+            table = _key_table(den)
+            grids.append(_flat_grid(den, tuple(map(table.__getitem__,
+                                                   re_at(block))),
+                                    tuple(map(table.__getitem__,
+                                              im_at(block)))))
+        x = Matrix._of_grids(ring, tuple(grids))
+        x._cache["skew"] = True
+        out.append(x)
     return out
 
 

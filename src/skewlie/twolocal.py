@@ -33,6 +33,7 @@ from .lie import (
     is_central,
     query_key,
     random_skew,
+    random_skews,
     require_gauge,
     s_elem,
     staircase,
@@ -348,8 +349,8 @@ def twolocal_campaign(ring, n, trials, seed, gauge="central", p_sweep=False,
         oracle = GaugedInnerTwoLocal(a0, seed=trial_seed, gauge=gauge)
         abar = reconstruct_implementer(oracle)
         bad = verify_implementer(oracle, abar, basis + [
-            ("random#%d" % k, random_skew(rng, n, ring))
-            for k in range(random_checks)])
+            ("random#%d" % k, x) for k, x in
+            enumerate(random_skews(rng, n, ring, random_checks))])
         payload = {"trial": trial, "trial_seed": trial_seed}
         if bad:
             payload["failed_at"] = bad[:5]

@@ -22,6 +22,7 @@ from skewlie.lie import (
     canonical_basis,
     is_central,
     random_skew,
+    random_skews,
     staircase,
 )
 from skewlie.localder import localder_campaign
@@ -942,6 +943,30 @@ class TestGridDraws:
                     assert x.cache_key() == ref.cache_key()
                 marginal |= _marginal_draws(replay.log)
         assert marginal == {3, 5}
+
+    @pytest.mark.parametrize("ring", DRAW_RINGS, ids=DRAW_RING_IDS)
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
+    def test_many_draws_match_sequential_draws(self, ring, count):
+        # random_skews reads every draw off the words in one pass; it
+        # must leave the values and the state of count draws in a row
+        marginal = set()
+        for seed in range(20 if count < 7 else 3):
+            for n in DRAW_SIZES:
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                replay = _WordLog(seed)
+                xs = random_skews(rng, n, ring, count)
+                refs = [_reference_skew(ref_rng, n, ring)
+                        for _ in range(count)]
+                assert [_reference_skew(replay, n, ring)
+                        for _ in range(count)] == refs
+                assert rng.getstate() == ref_rng.getstate() \
+                    == replay.getstate()
+                assert [x.grids for x in xs] == [r.grids for r in refs]
+                assert [x.cache_key() for x in xs] \
+                    == [r.cache_key() for r in refs]
+                assert all(x._cache["skew"] for x in xs)
+                marginal |= _marginal_draws(replay.log)
+        assert marginal == ({3, 5} if count else set())
 
 
 class TestWordLayout:
