@@ -291,10 +291,11 @@ def certify(ring, hypotheses, conclusions):
         if not residual:
             combination = sorted(comb.items())
             den = lcm(*(c.d for _, c in combination))
-            total = sum((fed[j][1].times(c.a * (den // c.d),
-                                         c.b * (den // c.d))
-                         for j, c in combination), ring.zero)
-            if total != form.times(den, 0):
+            total = {}
+            for j, c in combination:
+                _add_times(total, fed[j][1], c.a * (den // c.d),
+                           c.b * (den // c.d))
+            if Form(total) != form.times(den, 0):
                 raise AssertionError("certificate for %r fails re-expansion"
                                      % label)
             results.append(ComponentCertificate(
