@@ -282,7 +282,10 @@ def is_central(x):
 
 
 def random_skew(rng, n, ring=GAUSS):
-    """A random skew-adjoint matrix: random_skews with count 1."""
+    """A random skew-adjoint matrix: random_skews with count 1, so over
+    the Gaussian rationals and function rings its entries are read off
+    the top bytes of rng's 32-bit words, with the values and the rng
+    state of randint draws entry by entry."""
     return random_skews(rng, n, ring, 1)[0]
 
 

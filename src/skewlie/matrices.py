@@ -46,7 +46,7 @@ one grid mapped over the points, reading the numerators as stored:
     are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
     is P - P*, formed on the numerators with map and one memoized
     transpose per n. is_skew_adjoint reads a matrix's grids once, in C,
-    and caches the answer with it; only random_skew draws, skew-adjoint
+    and caches the answer with it; only random_skews draws, skew-adjoint
     by construction, are cached as such without a check
   * the table of a linear map on K_n holds the n^2 real coordinates
     (the lie.decompose coefficients) of every basis image, n^2 x n^2
@@ -65,6 +65,15 @@ one grid mapped over the points, reading the numerators as stored:
 
 so no bracket over the Gaussian rationals or a function ring reduces a
 fraction in its inner loop.
+
+lie.random_skews draws its matrices in one pass over rng's 32-bit
+words, read from getrandbits(32 * k) with k never more than the draws
+still owed, so no word is drawn that is not used. A word's top byte t
+decides its draw as random_parts' randint does: a numerator
+(randint(-9, 9)) takes t < 152 as (t >> 3) - 9, a denominator
+(randint(1, 5)) takes t < 160 as (t >> 5) + 1, and any other t is
+rejected. The values and the rng state after them are those of the
+same draws made one by one, entry by entry.
 """
 
 from __future__ import annotations
@@ -703,30 +712,27 @@ def _apply_tables(tables, x):
 
 
 def _word_draw(lo, hi):
-    """How randint(lo, hi) reads a 32-bit word with top byte t: CPython
-    takes lo + getrandbits(k), k the bit length of the width
-    w = hi - lo + 1, and draws again unless getrandbits(k) < w; and
-    getrandbits(k) is t >> (8 - k). So the word is taken exactly when
-    t < w << (8 - k), and then gives lo + (t >> (8 - k)). Returns
-    (lo, w, 8 - k)."""
+    """(lo, w, s) for randint(lo, hi), of width w = hi - lo + 1 and
+    s = 8 - w.bit_length(): CPython's randint takes a 32-bit word whose
+    top byte t is below w << s, as lo + (t >> s), and otherwise draws
+    again, since getrandbits(8 - s) is t >> s."""
     width = hi - lo + 1
     return lo, width, 8 - width.bit_length()
 
 
-# random_parts' ranges: a numerator takes a word whose top byte is below
-# 19 << 3 = 152, a denominator one below 5 << 5 = 160
+# random_parts' ranges: a numerator takes a top byte below 19 << 3 = 152,
+# a denominator one below 5 << 5 = 160
 _NUM_LO, _NUM_WIDTH, _NUM_SHIFT = _word_draw(-9, 9)
 _DEN_LO, _DEN_WIDTH, _DEN_SHIFT = _word_draw(1, 5)
 _NUM_LIMIT = _NUM_WIDTH << _NUM_SHIFT
 _DEN_LIMIT = _DEN_WIDTH << _DEN_SHIFT
-# top bytes deleted as no draw takes them, and those marked as only a
-# denominator takes them
 _UNTAKEN = bytes(range(_DEN_LIMIT, 256))
 _MARGINAL = bytes(_NUM_LIMIT <= t < _DEN_LIMIT for t in range(256))
 # the key of a numerator byte t over a denominator byte u is
-# (t >> 3) * 5 + (u >> 5), one byte below _KEYS, summed as the two
-# translated byte strings' integers; a negated numerator's key is
-# _KEYS higher, and the key 2 * _KEYS reads zero
+# (t >> 3) * 5 + (u >> 5) < _KEYS, made for every numerator at once as
+# the sum of the integers of two translated byte strings: taken bytes
+# are below 160, so no byte of the sum exceeds 99 and none carries. A
+# negated numerator's key is _KEYS higher, and the key 2 * _KEYS reads 0
 _KEYS = _NUM_WIDTH * _DEN_WIDTH
 _NUM_KEY = bytes((t >> _NUM_SHIFT) * _DEN_WIDTH for t in range(256))
 _DEN_KEY = bytes(t >> _DEN_SHIFT for t in range(256))
@@ -735,8 +741,7 @@ _NEGATED = bytes((k + _KEYS) % 256 for k in range(256))
 _ZERO = bytes([2 * _KEYS])
 # per (n, points), where one draw's words go; see _draw_layout
 _draw_layouts = {}
-# per lcm of a point's denominators, the numerator of every key over it;
-# built on first use
+# per lcm of a point's denominators, the numerator of every key over it
 _key_tables = {}
 
 
@@ -748,26 +753,24 @@ def _picker(positions):
 
 
 def _key_table(den):
-    """The numerator over den of every key: a numerator byte's value
-    times den over its denominator's, negated from _KEYS on, then 0."""
+    """The numerators over den that _KEYS keys read, built on first use."""
     table = _key_tables.get(den)
     if table is None:
-        table = [(k // _DEN_WIDTH + _NUM_LO) * (den // (k % _DEN_WIDTH
-                                                          + _DEN_LO))
-                 for k in range(_KEYS)]
+        table = [(k // _DEN_WIDTH + _NUM_LO)
+                 * (den // (k % _DEN_WIDTH + _DEN_LO)) for k in range(_KEYS)]
         table = _key_tables[den] = table + list(map(neg, table)) + [0]
     return table
 
 
 def _draw_layout(n, npoints):
     """Where the words of one skew-adjoint draw go, built once per (n,
-    npoints). The draw takes, for each i, the diagonal (i, i) at every
-    point (a numerator, then a denominator), then for each j > i the
-    entry (i, j) at every point (real numerator, imaginary numerator,
+    npoints). For each i the draw takes the diagonal (i, i) at every
+    point (a numerator, a denominator), then for each j > i the entry
+    (i, j) at every point (real and imaginary numerators, a
     denominator): the order of random_real and random_element. Returns
-    the kind of each word's draw (1 numerator, 0 denominator), and per
-    point three pickers over _random_skew_grids' block of one draw: its
-    denominators, and the keys of its row-major real and imaginary
+    each word's kind (1 numerator, 0 denominator) and per point three
+    pickers over _random_skew_grids' block of one draw: of the
+    denominators, and of the keys of the row-major real and imaginary
     numerators."""
     layout = _draw_layouts.get((n, npoints))
     if layout is not None:
@@ -785,8 +788,8 @@ def _draw_layout(n, npoints):
                 num[i, j] = num[j, i] = len(kinds) + 1
                 dens.append(len(kinds) + 2)
                 kinds += b"\x01\x01\x00"
-    # the block: the keys over the next and over the second next
-    # denominator, the second negated, the denominators, a zero key
+    # the block: the keys over the next word and over the second next,
+    # the latter negated, the denominators, the zero key
     size = len(kinds)
     square = [(i, j) for i in range(n) for j in range(n)]
     points = tuple((
@@ -801,13 +804,13 @@ def _draw_layout(n, npoints):
 
 def _taken_top_bytes(rng, kinds, draws):
     """The top bytes of the words that `draws` draws of kinds take, in
-    draw order, off rng exactly as randint would take them: every word a
-    draw rejects is read and dropped. The words come from
+    draw order, read off rng as randint reads them. The words come from
     getrandbits(32 * k), k successive words with the first in the low
-    bits, k never more than the draws still owed, since each word makes
-    at most one draw; so rng ends where sequential draws leave it.
-    Bytes no draw takes are deleted with one translate; a byte only a
-    denominator takes is dropped where it falls on a numerator draw."""
+    bits, k never more than the draws still owed: a word makes at most
+    one draw, so none is left unread and rng ends where sequential
+    draws leave it. Bytes no draw takes are deleted with one translate;
+    one only a denominator takes is dropped where it falls on a
+    numerator."""
     size = len(kinds)
     total = size * draws
     taken = bytearray()
@@ -828,12 +831,12 @@ def _taken_top_bytes(rng, kinds, draws):
 
 
 def _random_skew_grids(rng, n, ring, draws):
-    """lie.random_skews over a ring with grids: `draws` draws read off
-    rng's words in one pass (_taken_top_bytes), with the values and the
-    rng state of as many sequential draws of random_real and
-    random_element entry by entry. Every numerator's byte is keyed with
-    its denominator's in two integer sums over the whole pass, and each
-    point reads its numerators off the table of the lcm of its
+    """lie.random_skews over a ring with grids: `draws` draws off rng's
+    words in one pass (_taken_top_bytes), each value decided by its
+    word's top byte t, (t >> 3) - 9 for a numerator and (t >> 5) + 1
+    for a denominator, so the values and the rng state are those of as
+    many draws of random_real and random_element entry by entry. Each
+    point reads its numerators off the key table of the lcm of its
     denominators, row-major, and is reduced once. The draws are
     skew-adjoint by construction, so is_skew_adjoint's answer is cached
     with them without a check."""
@@ -854,10 +857,9 @@ def _random_skew_grids(rng, n, ring, draws):
         for dens_at, re_at, im_at in points:
             den = lcm(*set(dens_at(block)))
             table = _key_table(den)
-            grids.append(_flat_grid(den, tuple(map(table.__getitem__,
-                                                   re_at(block))),
-                                    tuple(map(table.__getitem__,
-                                              im_at(block)))))
+            grids.append(_flat_grid(
+                den, tuple(map(table.__getitem__, re_at(block))),
+                tuple(map(table.__getitem__, im_at(block)))))
         x = Matrix._of_grids(ring, tuple(grids))
         x._cache["skew"] = True
         out.append(x)
