@@ -746,9 +746,10 @@ _key_tables = {}
 
 
 def _picker(positions):
-    """An itemgetter over positions that returns a tuple even for one."""
-    if len(positions) == 1:
-        return lambda seq, k=positions[0]: (seq[k],)
+    """An itemgetter over positions that returns a tuple however many
+    there are (none for a draw at n = 0)."""
+    if len(positions) < 2:
+        return lambda seq: tuple(seq[k] for k in positions)
     return itemgetter(*positions)
 
 
@@ -851,7 +852,8 @@ def _random_skew_grids(rng, n, ring, draws):
     streams = (over_next, over_second, over_second.translate(_NEGATED),
                tops.translate(_DEN_OF))
     out = []
-    for start in range(0, len(tops), size):
+    for k in range(draws):
+        start = k * size
         block = b"".join([s[start:start + size] for s in streams] + [_ZERO])
         grids = []
         for dens_at, re_at, im_at in points:

@@ -918,7 +918,7 @@ def _marginal_draws(log):
 
 DRAW_RINGS = [GAUSS, FunctionRing(1), FunctionRing(2), FunctionRing(3)]
 DRAW_RING_IDS = ["gauss", "fnring1", "fnring2", "fnring3"]
-DRAW_SIZES = (1, 2, 3, 4, 5, 6, 8)
+DRAW_SIZES = (0, 1, 2, 3, 4, 5, 6, 8)
 
 
 class TestGridDraws:
