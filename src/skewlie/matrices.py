@@ -754,7 +754,9 @@ def _picker(positions):
 
 
 def _key_table(den):
-    """The numerators over den that _KEYS keys read, built on first use."""
+    """The numerator over den that each key reads: a numerator byte's
+    value times den over its denominator byte's, negated from _KEYS on,
+    then 0. Built on first use."""
     table = _key_tables.get(den)
     if table is None:
         table = [(k // _DEN_WIDTH + _NUM_LO)
