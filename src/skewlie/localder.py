@@ -48,9 +48,9 @@ from .lie import (
     staircase,
 )
 from .matrices import (
-    Matrix,
     at_point,
     from_points,
+    gather,
     is_skew_adjoint,
     require_skew_adjoint,
     zeros,
@@ -176,23 +176,35 @@ def build_d(lmap):
 
 def assemble_d(diag_witness, row_witnesses):
     """The diagonal of diag_witness and, off the diagonal, row i of
-    row_witnesses[i] (1-based)."""
+    row_witnesses[i] (1-based), read as one matrices.gather: on the
+    witnesses' grids, or on their rows over other rings (symcheck's
+    matrices of linear forms)."""
     n = diag_witness.n
-    return Matrix(diag_witness.ring,
-                  ((diag_witness.entry(i, j) if i == j
-                    else row_witnesses[i].entry(i, j)
-                    for j in range(1, n + 1)) for i in range(1, n + 1)))
+    return gather(n, [((i, j), diag_witness if i == j else row_witnesses[i],
+                       (i, j))
+                      for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
 def check_eq_5_1(lmap):
     """Row reads are column-consistent: for every pair i != k the witness
     of I*(e_{i,i} + e_{k,k}) ties the (i,k) and (k,i) entries of the two
-    single-index witnesses together. One record per unordered pair."""
+    single-index witnesses together. One record per unordered pair.
+    Each single-index witness is bracketed with its own I*e_{i,i} once,
+    when a pair first reads it."""
     n = lmap.n
     ring = lmap.ring
     rep = VerificationReport("independence of row reads", anchor="eq 5.1",
                              config={"n": n, "ring": ring.name})
     rep.note(FINITE_NOTE)
+    # i -> [a_ii, I*e_ii]; witness memoizes a_ii once its contract holds
+    own = {}
+
+    def own_bracket(i, e, a):
+        v = own.get(i)
+        if v is None:
+            v = own[i] = bracket(a, e)
+        return v
+
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             try:
@@ -206,7 +218,7 @@ def check_eq_5_1(lmap):
                         i=i, k=k, contract_error=str(exc))
                 continue
             additive = bracket(a1, e_i + e_k) == \
-                bracket(a_ii, e_i) + bracket(a_kk, e_k)
+                own_bracket(i, e_i, a_ii) + own_bracket(k, e_k, a_kk)
             ik = a_ii.entry(i, k) == a_kk.entry(i, k)
             ki = a_ii.entry(k, i) == a_kk.entry(k, i)
             rep.add("entry reads agree (%d,%d)" % (i, k),
@@ -215,17 +227,19 @@ def check_eq_5_1(lmap):
     return rep
 
 
+def _block_reads(S):
+    """The pairs of positions (block, full) of the block on the sorted
+    indices S: entry (a, b) of the block is entry (S[a-1], S[b-1])."""
+    return [((a, b), (p, q)) for a, p in enumerate(S, 1)
+            for b, q in enumerate(S, 1)]
+
+
 def _extract_block(x, S):
-    return Matrix(x.ring, ((x.entry(p, q) for q in S) for p in S))
+    return gather(len(S), [(ab, x, pq) for ab, pq in _block_reads(S)])
 
 
 def _embed_block(y, S, n):
-    ring = y.ring
-    grid = [[ring.zero] * n for _ in range(n)]
-    for a, p in enumerate(S):
-        for b, q in enumerate(S):
-            grid[p - 1][q - 1] = y.rows[a][b]
-    return Matrix(ring, grid)
+    return gather(n, [(pq, y, ab) for ab, pq in _block_reads(S)])
 
 
 def corner_implementer(lmap, i, k):
@@ -277,7 +291,6 @@ def assemble_abar(lmap, i, k, blocks):
     n = lmap.n
     if i == k:
         raise EqualIndices("assembly needs two distinct indices")
-    ring = lmap.ring
 
     def block(p, q):
         key = (min(p, q), max(p, q))
@@ -286,16 +299,11 @@ def assemble_abar(lmap, i, k, blocks):
             w = blocks[key] = corner_implementer(lmap, *key)
         return w
 
-    grid = [[ring.zero] * n for _ in range(n)]
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            if p == q or (p not in (i, k) and q not in (i, k)):
-                continue
-            grid[p - 1][q - 1] = block(p, q).entry(p, q)
+    reads = [((p, q), block(p, q), (p, q))
+             for p in range(1, n + 1) for q in range(1, n + 1)
+             if p != q and (p in (i, k) or q in (i, k))]
     w_ik = block(i, k)
-    grid[i - 1][i - 1] = w_ik.entry(i, i)
-    grid[k - 1][k - 1] = w_ik.entry(k, k)
-    return Matrix(ring, grid)
+    return gather(n, reads + [((i, i), w_ik, (i, i)), ((k, k), w_ik, (k, k))])
 
 
 def check_display_identities(lmap, d=None):

@@ -445,6 +445,95 @@ def zeros(n, ring=GAUSS):
     return from_entries(n, {}, ring)
 
 
+def gather(n, reads):
+    """The n x n matrix whose 1-based entry (i, j) is source.entry(p, q)
+    for each read ((i, j), source, (p, q)), and zero everywhere else; of
+    two reads into one position the later wins. The sources share one
+    ring; their sizes need not be n.
+
+    On grids each point scales every read numerator to the lcm of the
+    read sources' denominators there and is reduced once, so no entry
+    object is built. Over other rings the entries are picked off the
+    sources' rows."""
+    picks = []
+    for (i, j), src, (p, q) in reads:
+        m = src.n
+        if not (0 < i <= n and 0 < j <= n and 0 < p <= m and 0 < q <= m):
+            raise IndexOutOfRange("read of (%d,%d) into (%d,%d) outside "
+                                  "1..%d into 1..%d" % (p, q, i, j, m, n))
+        picks.append(((i - 1) * n + j - 1, src, (p - 1) * m + q - 1))
+    if not picks:
+        raise DimensionMismatch("gather needs at least one read")
+    ring = picks[0][1].ring
+    if any(src.ring != ring for _, src, _ in picks):
+        raise DimensionMismatch("reads from matrices over different rings")
+    if picks[0][1].grids is None:
+        flat = [ring.zero] * (n * n)
+        for k, src, at in picks:
+            flat[k] = src.rows[at // src.n][at % src.n]
+        return Matrix._of_rows(ring, _split_rows(flat, n))
+    grids = []
+    for t in range(len(picks[0][1].grids)):
+        den = lcm(*{src.grids[t][0] for _, src, _ in picks})
+        re = [0] * (n * n)
+        im = [0] * (n * n)
+        for k, src, at in picks:
+            d, sre, sim = src.grids[t]
+            re[k] = sre[at] * (den // d)
+            im[k] = sim[at] * (den // d)
+        grids.append(_flat_grid(den, re, im))
+    return Matrix._of_grids(ring, tuple(grids))
+
+
+def _probe_rows(first, v, zero):
+    """The rows of c from its first row and the rows v of [c, staircase]:
+    entry (k, j) of v is c^{k,j-1} - c^{k,j+1} - c^{k+1,j} + c^{k-1,j},
+    entries out of range zero, which gives row k + 1 from rows k and
+    k - 1. Uses only + and -, so it runs on integers and on ring
+    elements alike."""
+    n = len(first)
+    prev, cur = [zero] * (n + 2), [zero, *first, zero]
+    rows = [first]
+    for vk in v[:n - 1]:
+        row = [cur[j - 1] - cur[j + 1] + prev[j] - vk[j - 1]
+               for j in range(1, n + 1)]
+        rows.append(row)
+        prev, cur = cur, [zero, *row, zero]
+    return rows
+
+
+def probe_read(u, v):
+    """The c with c^{11} = 0 read off u = [c, I*e_11] and v = [c,
+    staircase] (twolocal.PreparedBracketSolver): row 1 of c is
+    c^{1j} = I*u^{1j} for j >= 2, and _probe_rows gives the rest. On
+    grids the recurrence runs on the real and imaginary numerators of u
+    and v over the lcm of their denominators at each point, and each
+    point is reduced once; over other rings it runs on ring elements.
+    The read does not check that c matches u and v."""
+    u._check_compatible(v)
+    n = u.n
+    if u.grids is None:
+        ring = u.ring
+        i_unit = imaginary_unit(ring)
+        first = [ring.zero] + [i_unit * x for x in u.rows[0][1:]]
+        return Matrix._of_rows(ring, tuple(map(tuple, _probe_rows(
+            first, v.rows, ring.zero))))
+    grids = []
+    for (du, ure, uim), (dv, vre, vim) in zip(u.grids, v.grids):
+        den = lcm(du, dv)
+        fu, fv = den // du, den // dv
+        # I*(a + b*i) = -b + a*i
+        first_re = [0] + [-fu * b for b in uim[1:n]]
+        first_im = [0] + [fu * a for a in ure[1:n]]
+        re = _probe_rows(first_re, _split_rows(map(mul, vre, repeat(fv)), n),
+                         0)
+        im = _probe_rows(first_im, _split_rows(map(mul, vim, repeat(fv)), n),
+                         0)
+        grids.append(_flat_grid(den, list(chain.from_iterable(re)),
+                                list(chain.from_iterable(im))))
+    return Matrix._of_grids(u.ring, tuple(grids))
+
+
 def star_transpose(x):
     """(x*)^{i,j} = star of x^{j,i}."""
     star = x.ring.star
@@ -519,9 +608,21 @@ def _grids_differ_by_scalar(ga, gb):
     """differ_by_scalar at one point, for the grids of a and b there."""
     da, are, aim = ga
     db, bre, bim = gb
-    if da != db:
-        return False
-    return _grid_is_scalar(list(map(sub, are, bre)), list(map(sub, aim, bim)))
+    return da == db and _shifted_equal(are, bre) and _shifted_equal(aim, bim)
+
+
+def _shifted_equal(x, y):
+    """Whether the row-major numerators x and y of n*n entries differ by
+    one value c on the diagonal and agree off it: c is the first
+    diagonal gap, and y is compared as stored when c = 0, else with c
+    added on its diagonal."""
+    c = x[0] - y[0]
+    if not c:
+        return x == y
+    step = isqrt(len(y)) + 1
+    shifted = list(y)
+    shifted[::step] = map(add, y[::step], repeat(c))
+    return list(x) == shifted
 
 
 def _shift_diagonal(x, lam):

@@ -39,14 +39,15 @@ from .lie import (
     staircase,
 )
 from .matrices import (
-    Matrix,
     at_point,
     differ_by_scalar,
     from_points,
+    gather,
+    probe_read,
     require_skew_adjoint,
 )
 from .reporting import VerificationReport, require_campaign_args, seeded_trials
-from .rings import GAUSS, FunctionRing, imaginary_unit
+from .rings import GAUSS, FunctionRing
 
 
 class GaugedInnerTwoLocal(GaugedInnerOracle):
@@ -92,12 +93,10 @@ def delta_eval(oracle, z):
     return bracket(oracle.query(z, z), z)
 
 
-def extract_offdiagonal(oracle, i, j, p=None):
-    """The entry pair (a^{ij}, a^{ji}) of any implementer.
-
-    Reads it off the witness for the pair (s_{i,p}, s_{p,j}); any third
-    index p gives the same answer.
-    """
+def _corner_witness(oracle, i, j, p=None):
+    """The witness of the pair (s_{i,p}, s_{p,j}), which has the entries
+    (i, j), (j, i) of every implementer; p defaults to the smallest
+    index outside {i, j}."""
     n = oracle.n
     if n < 3:
         raise NeedThreeIndices("corner extraction needs size at least 3")
@@ -108,7 +107,28 @@ def extract_offdiagonal(oracle, i, j, p=None):
     if p in (i, j):
         raise EqualIndices("third index %d collides with (%d, %d)" % (p, i, j))
     ring = oracle.ring
-    a = oracle.query(s_elem(n, i, p, ring), s_elem(n, p, j, ring))
+    return oracle.query(s_elem(n, i, p, ring), s_elem(n, p, j, ring))
+
+
+def _diagonal_witness(oracle, i_o=1, j_o=2):
+    """The witness of the pair (s_{i_o,j_o}, staircase), which has the
+    diagonal of an implementer up to one central shift."""
+    n = oracle.n
+    if n < 3:
+        raise NeedThreeIndices("diagonal extraction needs size at least 3")
+    if i_o == j_o:
+        raise EqualIndices("observation indices must differ")
+    ring = oracle.ring
+    return oracle.query(s_elem(n, i_o, j_o, ring), staircase(n, ring))
+
+
+def extract_offdiagonal(oracle, i, j, p=None):
+    """The entry pair (a^{ij}, a^{ji}) of any implementer.
+
+    Reads it off the witness for the pair (s_{i,p}, s_{p,j}); any third
+    index p gives the same answer.
+    """
+    a = _corner_witness(oracle, i, j, p)
     return a.entry(i, j), a.entry(j, i)
 
 
@@ -117,35 +137,30 @@ def extract_diagonal(oracle, i_o=1, j_o=2):
 
     Reads them off the witness for the pair (s_{i_o,j_o}, staircase).
     """
-    n = oracle.n
-    if n < 3:
-        raise NeedThreeIndices("diagonal extraction needs size at least 3")
-    if i_o == j_o:
-        raise EqualIndices("observation indices must differ")
-    ring = oracle.ring
-    c = oracle.query(s_elem(n, i_o, j_o, ring), staircase(n, ring))
-    return tuple(c.entry(i, i) for i in range(1, n + 1))
+    c = _diagonal_witness(oracle, i_o, j_o)
+    return tuple(c.entry(i, i) for i in range(1, oracle.n + 1))
 
 
 def reconstruct_implementer(oracle):
     """Assemble one skew-adjoint matrix implementing the whole map.
 
-    One grid of entry reads: the diagonal off the witness of
-    (s[1,2], staircase), entries (i, j), (j, i) through the smallest free
-    third index, so n(n-1)/2 + 1 pair queries. The result can differ
-    from any given implementer by a central summand only, which no
-    bracket sees.
+    The witness reads of extract_diagonal and extract_offdiagonal, made
+    as one matrices.gather: the diagonal off the witness of
+    (s[1,2], staircase), entries (i, j), (j, i) off the witness of
+    (s[i,p], s[p,j]) for the smallest free third index p, so
+    n(n-1)/2 + 1 pair queries. The result can differ from any given
+    implementer by a central summand only, which no bracket sees.
     """
     n = oracle.n
     if n < 3:
         raise NeedThreeIndices("reconstruction needs size at least 3")
-    diag = extract_diagonal(oracle)
-    grid = [[diag[i] if i == j else None for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            grid[i][j], grid[j][i] = extract_offdiagonal(oracle, i + 1, j + 1)
-    return require_skew_adjoint(Matrix(oracle.ring, grid),
-                                "reconstructed implementer")
+    c = _diagonal_witness(oracle)
+    reads = [((i, i), c, (i, i)) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a = _corner_witness(oracle, i, j)
+            reads += (((i, j), a, (i, j)), ((j, i), a, (j, i)))
+    return require_skew_adjoint(gather(n, reads), "reconstructed implementer")
 
 
 def verify_implementer(oracle, abar, elements):
@@ -222,8 +237,9 @@ class PreparedBracketSolver:
     0), which gives row k + 1 from rows k and k - 1. Only c^{11} is free,
     so the probe kernel is the central line; it is fixed by c^{11} = 0.
     This is the one place bracket equations are set up, for the
-    brute-force solvers and localder.corner_implementer. The read uses
-    only the ring's +, - and I, so it serves every ring.
+    brute-force solvers and localder.corner_implementer. The read,
+    matrices.probe_read, uses only +, - and I, so it serves every ring;
+    on grids it runs on integer numerators.
     """
 
     _cache = {}
@@ -247,24 +263,11 @@ class PreparedBracketSolver:
 
     def candidate(self, values, ring):
         """The c with c^{11} = 0 read off the probe values [c, Idiag[1]],
-        [c, staircase]; over a function ring, read point by point. The
-        read does not check that c matches both values: callers check c
-        on the whole basis."""
-        if isinstance(ring, FunctionRing):
-            return from_points(
-                self.candidate([at_point(v, k) for v in values], GAUSS)
-                for k in range(ring.npoints))
-        n = self.n
-        u, v = (x.rows for x in values)
-        i_unit, zero = imaginary_unit(ring), ring.zero
-        # c padded by a zero border: row 0, column 0 and column n + 1
-        c = [[zero] * (n + 2) for _ in range(n + 1)]
-        for j in range(2, n + 1):
-            c[1][j] = i_unit * u[0][j - 1]
-        for k in range(1, n):
-            c[k + 1][1:n + 1] = [c[k][j - 1] - c[k][j + 1] + c[k - 1][j]
-                                 - v[k - 1][j - 1] for j in range(1, n + 1)]
-        return Matrix(ring, [row[1:n + 1] for row in c[1:]])
+        [c, staircase], matrices over ring, by matrices.probe_read: on
+        integer numerators at each point over a ring with grids, on ring
+        elements otherwise. The read does not check that c matches both
+        values: callers check c on the whole basis."""
+        return probe_read(*values)
 
     def solve_values(self, nabla, ring):
         """One matrix c with [c, .] == nabla on K_n, or Infeasible.

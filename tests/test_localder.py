@@ -229,6 +229,27 @@ class TestBlockReads:
     """Block values are the map's stored images of canonical basis
     elements."""
 
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_extract_and_embed_against_entry_reads(self, ring):
+        rng = random.Random(88)
+        for n in (3, 5):
+            x = random_skew(rng, n, ring)
+            for S in upper_pairs(range(1, n + 1)):
+                block = localder._extract_block(x, S)
+                assert block.n == 2
+                for a, p in enumerate(S, 1):
+                    for b, q in enumerate(S, 1):
+                        assert block.entry(a, b) == x.entry(p, q)
+                y = random_skew(rng, 2, ring)
+                full = localder._embed_block(y, S, n)
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        want = (y.entry(S.index(p) + 1, S.index(q) + 1)
+                                if p in S and q in S else ring.zero)
+                        assert full.entry(p, q) == want
+                assert localder._extract_block(full, S) == y
+
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(2)],
                              ids=["gauss", "fnring2"])
     def test_block_basis_embeds_as_memoized_basis_elements(self, ring):
@@ -269,6 +290,25 @@ class TestChecks:
         _, lmap = make_map(60, 3, ring=r)
         assert verify_spanning_set(lmap).passed
         assert check_eq_5_1(lmap).passed
+
+    def test_eq_5_1_brackets_each_single_witness_once(self, monkeypatch):
+        n = 5
+        _, lmap = make_map(62, n)
+        # the witnesses, each checked by a bracket of its own, come first
+        for i, k in upper_pairs(range(1, n + 1)):
+            lmap.witness(ie_diag(n, i) + ie_diag(n, k))
+        factors = []
+
+        def recording(a, b):
+            factors.append(b)
+            return bracket(a, b)
+
+        monkeypatch.setattr(localder, "bracket", recording)
+        assert check_eq_5_1(lmap).passed
+        singles = [b for b in factors
+                   if any(b is ie_diag(n, i) for i in range(1, n + 1))]
+        assert len(singles) == n
+        assert len(factors) == n + n * (n - 1) // 2
 
     def test_commuting_witness_shift_is_tolerated(self):
         # a non-central perturbation that commutes with the probed

@@ -33,6 +33,7 @@ from skewlie.matrices import (
     differ_by_scalar,
     from_entries,
     from_points,
+    gather,
     is_skew_adjoint,
     star_transpose,
     zeros,
@@ -44,6 +45,7 @@ from skewlie.rings import (
     GaussianRational,
     PolynomialRing,
 )
+from skewlie.symcheck import SkewSymbols
 from skewlie.twolocal import (
     GaugedInnerTwoLocal,
     reconstruct_implementer,
@@ -584,6 +586,49 @@ class TestScalarShortcut:
                 assert got == entrywise_bracket(a, b) != zeros(n, ring)
                 assert signs == [-1 if a is d else 1] * len(d.grids)
 
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
+                             ids=["gauss", "fnring3"])
+    def test_diagonal_gaps_against_the_reference(self, ring):
+        # differ_by_scalar takes c, the first diagonal gap, and compares
+        # re and im as stored when c = 0, else with c on the diagonal
+        rng = random.Random(46)
+        n = 4
+        zero, one, i_unit = ring.zero, ring.one, ring.imag
+        two = one + one
+        gaps = [
+            # a gap only at the last diagonal entry
+            [zero] * (n - 1) + [one],
+            [zero] * (n - 1) + [i_unit],
+            # a first gap of zero, a later one not zero
+            [zero, one, one, one],
+            [zero, two * i_unit, zero, two * i_unit],
+            # a first gap not zero, a later one different
+            [one, one, one, two],
+            [i_unit, i_unit, two * i_unit, i_unit],
+            # re equal, im shifted: by a scalar, then not
+            [i_unit] * n,
+            [two * i_unit] * (n - 1) + [zero],
+            # both shifted by one scalar
+            [one + i_unit] * n,
+        ]
+        seen = set()
+        for other in (random_skew(rng, n, ring), random_matrix(rng, n, ring)):
+            for gap in gaps:
+                x = other + _diagonal(ring, gap)
+                for a, b in ((x, other), (other, x)):
+                    ref = _scalar_gap(a, b)
+                    assert differ_by_scalar(a, b) == ref
+                    seen.add(ref)
+            shifted = other + _diagonal(ring, [i_unit] * n)
+            assert all(gs[1] == go[1] for gs, go in zip(shifted.grids,
+                                                        other.grids))
+            assert differ_by_scalar(shifted, other)
+            # a scalar gap on the diagonal and one off it
+            off = shifted + from_entries(n, {(2, 3): one}, ring)
+            assert not differ_by_scalar(off, other) and not _scalar_gap(
+                off, other)
+        assert seen == {True, False}
+
     def test_unequal_denominators_give_false(self):
         n = 3
         x = canonical_basis(n)[0]
@@ -773,6 +818,96 @@ class TestPointValues:
         with pytest.raises(DimensionMismatch, match="must be Gaussian"):
             from_points([a, from_points([a, a])])
 
+
+
+def _gather_reference(n, reads):
+    """gather read entry by entry: zero, then source.entry(p, q) written
+    at (i, j) for each read in turn."""
+    ring = reads[0][1].ring
+    grid = [[ring.zero] * n for _ in range(n)]
+    for (i, j), src, (p, q) in reads:
+        grid[i - 1][j - 1] = src.entry(p, q)
+    return Matrix(ring, grid)
+
+
+def _random_reads(rng, n, sources, count):
+    return [((rng.randint(1, n), rng.randint(1, n)), src,
+             (rng.randint(1, src.n), rng.randint(1, src.n)))
+            for src in rng.choices(sources, k=count)]
+
+
+class TestGather:
+    """gather against an entry-by-entry reference, with sources of other
+    sizes and on different denominators, over every stored form."""
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(1), FunctionRing(2),
+                                      FunctionRing(3), RINGS[2]],
+                             ids=["gauss", "fnring1", "fnring2", "fnring3",
+                                  "poly"])
+    def test_matches_entry_reads(self, ring):
+        rng = random.Random(47)
+        for n in (1, 2, 4, 6):
+            # denominators 1, 2, 3, 5 and 7 at each point, sizes 2..7
+            sources = [_scaled(ring, random_matrix(rng, m, ring), k)
+                       for m, k in ((n, 1), (n, 2), (2, 3), (7, 5), (n, 7))]
+            sources.append(random_skew(rng, 3, ring))
+            for count in (1, n, n * n, 3 * n * n):
+                reads = _random_reads(rng, n, sources, count)
+                got = gather(n, reads)
+                ref = _gather_reference(n, reads)
+                assert got == ref and got.n == n and got.ring == ring
+                assert got.cache_key() == ref.cache_key()
+                if got.grids is not None:
+                    assert _grids_reduced(got)
+                    assert _entries_reduced(got)
+
+    def test_each_point_reads_its_own_numerators(self):
+        # the sources differ at every point and in their denominator there
+        ring = FunctionRing(3)
+        n = 3
+        a = from_points([gmat([[k, 0, 0], [0, 0, 0], [0, 0, (0, 1, k + 1)]])
+                         for k in (1, 2, 3)])
+        b = from_points([gmat([[(1, 0, 5 - k), 0], [0, 0]])
+                         for k in (1, 2, 3)])
+        got = gather(n, [((1, 1), a, (1, 1)), ((3, 3), a, (3, 3)),
+                         ((1, 3), b, (1, 1))])
+        for t, k in enumerate((1, 2, 3)):
+            assert at_point(got, t) == gmat([[k, 0, (1, 0, 5 - k)],
+                                             [0, 0, 0],
+                                             [0, 0, (0, 1, k + 1)]])
+
+    def test_linear_forms_are_picked_off_the_rows(self):
+        n = 4
+        ring, mats = SkewSymbols(n).declare("a").declare(
+            "b", diagonal="zero").build()
+        sources = [mats["a"], mats["b"]]
+        rng = random.Random(48)
+        for count in (1, n, n * n, 3 * n * n):
+            reads = _random_reads(rng, n, sources, count)
+            got = gather(n, reads)
+            assert got.grids is None and got.ring is ring
+            assert got.rows == _gather_reference(n, reads).rows
+
+    def test_reads_are_checked(self):
+        a, b = gmat([[1, 2], [3, 4]]), zeros(3)
+        with pytest.raises(IndexOutOfRange):
+            gather(2, [((1, 3), a, (1, 1))])
+        with pytest.raises(IndexOutOfRange):
+            gather(2, [((1, 1), a, (3, 1))])
+        with pytest.raises(IndexOutOfRange):
+            gather(3, [((0, 1), b, (1, 1))])
+        with pytest.raises(DimensionMismatch, match="at least one"):
+            gather(2, [])
+        with pytest.raises(DimensionMismatch, match="different rings"):
+            gather(2, [((1, 1), a, (1, 1)),
+                       ((2, 2), zeros(2, FunctionRing(2)), (1, 1))])
+
+    def test_later_read_wins(self):
+        a, b = gmat([[1, 2], [3, 4]]), gmat([[(5, 1, 3)]])
+        assert gather(2, [((1, 2), a, (2, 2)), ((1, 2), b, (1, 1))]) == \
+            gmat([[0, (5, 1, 3)], [0, 0]])
+        assert gather(2, [((1, 2), b, (1, 1)), ((1, 2), a, (2, 2))]) == \
+            gmat([[0, 4], [0, 0]])
 
 
 def _lcm_form(rows):

@@ -30,8 +30,8 @@ from skewlie.lie import (
     s_elem,
     staircase,
 )
-from skewlie.matrices import at_point, from_entries, zeros
-from skewlie.rings import GAUSS, FunctionRing
+from skewlie.matrices import Matrix, at_point, from_entries, zeros
+from skewlie.rings import GAUSS, FunctionRing, imaginary_unit
 from skewlie.twolocal import (
     GaugedInnerTwoLocal,
     PreparedBracketSolver,
@@ -176,6 +176,41 @@ class TestReconstruction:
             assert reconstruct_implementer(proj) == at_point(abar, k)
 
 
+class NonSkewCornerOracle:
+    """Forwards queries, adding 1 at entry (1, 2) of the witness of the
+    corner pair (s[1,3], s[3,2]) only, so that the (1, 2) read is not
+    the negated star of the (2, 1) read."""
+
+    def __init__(self, base):
+        self.base = base
+        self.ring = base.ring
+        self.n = base.n
+        self._key = query_key(s_elem(base.n, 1, 3, base.ring),
+                              s_elem(base.n, 3, 2, base.ring))
+
+    def query(self, x, y):
+        w = self.base.query(x, y)
+        if query_key(x, y) == self._key:
+            return w + from_entries(self.n, {(1, 2): 1}, self.ring)
+        return w
+
+
+class TestReconstructionChecks:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_needs_three_indices(self, n):
+        _, oracle = make_oracle(45, n)
+        with pytest.raises(NeedThreeIndices):
+            reconstruct_implementer(oracle)
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(2)],
+                             ids=["gauss", "fnring2"])
+    def test_a_read_that_is_not_skew_adjoint_is_refused(self, ring):
+        _, base = make_oracle(46, 4, ring=ring)
+        reconstruct_implementer(base)
+        with pytest.raises(NotSkewAdjoint, match="reconstructed implementer"):
+            reconstruct_implementer(NonSkewCornerOracle(base))
+
+
 def old_verify_rule(oracle, abar, elements):
     """The two-bracket rule verify_implementer replaced, kept as the
     reference: the mapped value read off the witness against [abar, .]."""
@@ -291,6 +326,22 @@ class TestConsistencySweep:
                    for r in failing)
 
 
+def rows_candidate(values, ring, n):
+    """The probe read as PreparedBracketSolver.candidate made it on rows of
+    ring elements before it ran on grids, kept as the reference: c padded
+    by a zero border, row 1 from I*u, row k + 1 from rows k, k - 1 and
+    row k of v."""
+    u, v = (x.rows for x in values)
+    i_unit, zero = imaginary_unit(ring), ring.zero
+    c = [[zero] * (n + 2) for _ in range(n + 1)]
+    for j in range(2, n + 1):
+        c[1][j] = i_unit * u[0][j - 1]
+    for k in range(1, n):
+        c[k + 1][1:n + 1] = [c[k][j - 1] - c[k][j + 1] + c[k - 1][j]
+                             - v[k - 1][j - 1] for j in range(1, n + 1)]
+    return Matrix(ring, [row[1:n + 1] for row in c[1:]])
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("ring,n", [
         (r, n) for r in (GAUSS, FunctionRing(2)) for n in range(2, 9)
@@ -308,6 +359,25 @@ class TestBruteForce:
         assert solver.candidate([bracket(a0, p) for p in probes],
                                 ring) == a0 - shift
         assert solver.candidate([zeros(n, ring)] * 2, ring) == zeros(n, ring)
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(1),
+                                      FunctionRing(3),
+                                      make_ring("poly", 0)],
+                             ids=lambda r: r.name)
+    def test_candidate_matches_the_rows_recurrence(self, ring):
+        # u and v need not come from one c: any pair, on denominators
+        # that differ from each other at every point
+        rng = random.Random(71)
+        for n in range(1, 7):
+            solver = PreparedBracketSolver.for_size(n)
+            a0 = random_skew(rng, n, ring)
+            pairs = [[bracket(a0, p) for p in solver.probes(ring)]]
+            for du, dv in ((3, 4), (1, 5), (6, 1)):
+                pairs.append([random_skew(rng, n, ring) * (ring.one / du),
+                              random_skew(rng, n, ring) * (ring.one / dv)])
+            for values in pairs:
+                assert solver.candidate(values, ring) == \
+                    rows_candidate(values, ring, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_solve_values_evaluates_each_element_once(self, n):
