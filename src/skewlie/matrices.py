@@ -25,9 +25,10 @@ With grids, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
 own. Outside this module, only symcheck.bracket reads grids. Brackets,
 sums, differences, equality, hashing, cache keys, the skew-adjoint and
-scalar checks, the tables of linear maps, the witness diagonal shift
-and random draws read or write the grids here, each as one kernel on
-one grid mapped over the points, reading the numerators as stored:
+scalar checks, the tables of linear maps, the witness diagonal shift,
+entry reads (gather), the bracket solver's probe read and random draws
+read or write the grids here, each as one kernel on one grid mapped
+over the points, reading the numerators as stored:
 
   * a bracket walks the nonzeros of one factor entry by entry,
     accumulating integer real and imaginary parts: b, unless b has more
@@ -38,10 +39,16 @@ one grid mapped over the points, reading the numerators as stored:
     differences cost O(n^2) per point and two dense factors O(n^3).
     Every result grid is reduced by one common gcd
   * differ_by_scalar tells whether a - b is scalar at every point
-    without forming a - b: over equal denominators it subtracts the
-    numerators with map and counts zeros, by the same per-grid scalar
-    rule that is_central reads, so a caller can skip a bracket with a
-    central difference
+    without forming a - b: over equal denominators it compares the
+    numerators of a with those of b, shifted on the diagonal by the
+    first diagonal gap when that is not zero, so a caller can skip a
+    bracket with a central difference
+  * gather builds a matrix from entry reads of other matrices, each
+    numerator scaled to the lcm of the read sources' denominators and
+    the grid reduced once, so the reconstructions (twolocal, localder)
+    read their witnesses without an entry object; probe_read runs the
+    bracket solver's recurrence on the numerators of its two values
+    over the lcm of their denominators
   * when the walked factor has more than n nonzeros and both factors
     are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
     is P - P*, formed on the numerators with map and one memoized
@@ -465,7 +472,8 @@ def gather(n, reads):
     if not picks:
         raise DimensionMismatch("gather needs at least one read")
     ring = picks[0][1].ring
-    if any(src.ring != ring for _, src, _ in picks):
+    if any(src.ring is not ring and src.ring != ring
+           for _, src, _ in picks):
         raise DimensionMismatch("reads from matrices over different rings")
     if picks[0][1].grids is None:
         flat = [ring.zero] * (n * n)
@@ -486,10 +494,9 @@ def gather(n, reads):
 
 
 def _probe_rows(first, v, zero):
-    """The rows of c from its first row and the rows v of [c, staircase]:
-    entry (k, j) of v is c^{k,j-1} - c^{k,j+1} - c^{k+1,j} + c^{k-1,j},
-    entries out of range zero, which gives row k + 1 from rows k and
-    k - 1. Uses only + and -, so it runs on integers and on ring
+    """The rows of c from its first row and the rows v of [c, staircase]
+    (the recurrence of twolocal.PreparedBracketSolver, out-of-range
+    entries zero). Uses only + and -, so it runs on integers and on ring
     elements alike."""
     n = len(first)
     prev, cur = [zero] * (n + 2), [zero, *first, zero]

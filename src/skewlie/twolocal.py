@@ -5,7 +5,7 @@ inner derivation that matches it on both: a witness a with mapped values
 [a, x] and [a, y]. Different pairs may receive different witnesses, and
 each witness is only determined up to a central summand. The functions
 here rebuild one global implementer from finitely many pair queries, as
-one grid of entry reads:
+entry reads off their witnesses:
 
   * off-diagonal entries (i, j), (j, i): the witness for (s_{i,p}, s_{p,j})
     has them right for any third index p
@@ -13,7 +13,11 @@ one grid of entry reads:
     diagonal up to one common central shift, which brackets ignore
 
 so n >= 3 is required, and the result implements the map exactly on all
-of K_n even though only O(n^2) pairs were ever queried.
+of K_n even though only O(n^2) pairs were ever queried. The pair that
+each read queries is chosen in one place (_corner_witness,
+_diagonal_witness); reconstruct_implementer makes all its reads as one
+matrices.gather, on the witnesses' integer grids, while the extract_*
+functions and the consistency sweep return entry objects.
 """
 
 from __future__ import annotations
