@@ -22,7 +22,7 @@ it.
 
 from __future__ import annotations
 
-from hashlib import sha256
+import random
 
 from .errors import ConfigError, DimensionMismatch, EqualIndices
 from .matrices import (
@@ -227,10 +227,13 @@ class GaugedInnerOracle:
     by shifting a0's diagonal only: at each point the witness shares
     a0's re numerators and copies its im numerators with lam*den added
     to the diagonal.
-    The scale lam is an integer drawn from sha256 of the seed, the
-    order-free key of the queried elements (query_key, the reprs of
-    what they store) and, over a function ring, the point, so it varies
-    from query to query and from point to point.
+    The scale lam is an integer in [-9, 9], drawn with randint from the
+    oracle's own random.Random(seed) the first time a query key
+    (query_key: the set of queried elements) is asked, once per point
+    over a function ring, so it varies from query to query and from
+    point to point. Which central witness a key gets is free: a witness
+    is fixed only up to the query's centralizer, and no check relies on
+    a particular one.
     The mapped values are those of [a0, .]; the gauges exercise exactly
     the freedom reconstruction has to cope with. Witnesses are memoized
     per key, so a repeated query returns the same object. gauge="none"
@@ -244,15 +247,9 @@ class GaugedInnerOracle:
         self.a0 = require_skew_adjoint(a0, self.seed_role)
         self.ring = a0.ring
         self.n = a0.n
-        self.seed = seed
         self.gauge = require_gauge(gauge)
+        self._rng = random.Random(seed)
         self._witnesses = {}
-
-    def _draw(self, key, point):
-        """The integer scale lam for a query key at one point."""
-        msg = "|".join((str(self.seed),) + key + (str(point),))
-        h = sha256(msg.encode()).digest()
-        return int.from_bytes(h[:4], "big") % 19 - 9
 
     def _witness(self, *elements):
         """The witness answered for a query on elements."""
@@ -261,16 +258,17 @@ class GaugedInnerOracle:
         key = query_key(*elements)
         w = self._witnesses.get(key)
         if w is None:
-            w = _shift_diagonal(self.a0, lambda t: self._draw(key, t))
+            w = _shift_diagonal(self.a0, lambda t: self._rng.randint(-9, 9))
             self._witnesses[key] = w
         return w
 
 
 def query_key(*elements):
-    """The order-free identity of a query on elements: their sorted
-    cache keys, the reprs of what each stores. Two queries get one key
-    exactly when they are on equal elements."""
-    return tuple(sorted(z.cache_key() for z in elements))
+    """The order-free identity of a query on elements: the set of them.
+    Matrices compare and hash on their stored forms, canonical over the
+    Gaussian rationals, function rings and polynomial rings, so two
+    queries get one key exactly when they are on equal elements."""
+    return frozenset(elements)
 
 
 def is_central(x):

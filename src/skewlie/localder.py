@@ -130,7 +130,7 @@ class WitnessedLocalMap:
             if not is_skew_adjoint(value):
                 raise WitnessContractError(
                     "claimed value for %s is not skew-adjoint" % label)
-            self._memo[b.cache_key()] = w
+            self._memo[b] = w
             values.append(value)
         self.map = LinearLieMap(self.ring, self.n, values)
 
@@ -139,8 +139,7 @@ class WitnessedLocalMap:
         return self.map.apply(x)
 
     def witness(self, x):
-        key = x.cache_key()
-        w = self._memo.get(key)
+        w = self._memo.get(x)
         if w is None:
             value, w = self.oracle.query(x)
             if bracket(w, x) != value:
@@ -149,7 +148,7 @@ class WitnessedLocalMap:
             if value != self.nabla(x):
                 raise WitnessContractError(
                     "claimed value disagrees with the linear extension")
-            self._memo[key] = w
+            self._memo[x] = w
         return w
 
 

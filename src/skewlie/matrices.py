@@ -17,9 +17,10 @@ What a matrix stores depends on its ring:
   * any other ring (polynomials, and the linear forms of symcheck's
     unknowns): the rows of ring elements
 
-cache_key is the repr of the stored form. Reduced grids and polynomial
-rows are canonical, so over those rings two matrices have equal keys
-exactly when they are equal.
+Equality and hashing read the stored form, and cache_key is its repr.
+Reduced grids and polynomial rows are canonical, so over those rings
+equal matrices hash alike and have equal keys, which is what lets
+lie.query_key key oracle queries on the matrices themselves.
 
 With grids, rows builds the entry objects (GaussianRational,
 FunctionElement) lazily, once; entry(i, j) before that builds only its
@@ -76,11 +77,12 @@ fraction in its inner loop.
 lie.random_skews draws its matrices in one pass over rng's 32-bit
 words, read from getrandbits(32 * k) with k never more than the draws
 still owed, so no word is drawn that is not used. A word's top byte t
-decides its draw as random_parts' randint does: a numerator
-(randint(-9, 9)) takes t < 152 as (t >> 3) - 9, a denominator
-(randint(1, 5)) takes t < 160 as (t >> 5) + 1, and any other t is
-rejected. The values and the rng state after them are those of the
-same draws made one by one, entry by entry.
+decides its draw as the randint calls of GaussianField.random_element
+and random_real do: a numerator (randint(-9, 9)) takes t < 152 as
+(t >> 3) - 9, a denominator (randint(1, 5)) takes t < 160 as
+(t >> 5) + 1, and any other t is rejected. The values and the rng
+state after them are those of the same draws made one by one, entry by
+entry.
 """
 
 from __future__ import annotations
@@ -828,8 +830,8 @@ def _word_draw(lo, hi):
     return lo, width, 8 - width.bit_length()
 
 
-# random_parts' ranges: a numerator takes a top byte below 19 << 3 = 152,
-# a denominator one below 5 << 5 = 160
+# the ranges of GaussianField's random draws: a numerator takes a top
+# byte below 19 << 3 = 152, a denominator one below 5 << 5 = 160
 _NUM_LO, _NUM_WIDTH, _NUM_SHIFT = _word_draw(-9, 9)
 _DEN_LO, _DEN_WIDTH, _DEN_SHIFT = _word_draw(1, 5)
 _NUM_LIMIT = _NUM_WIDTH << _NUM_SHIFT

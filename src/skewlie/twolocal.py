@@ -265,14 +265,6 @@ class PreparedBracketSolver:
     def probes(self, ring):
         return ie_diag(self.n, 1, ring), staircase(self.n, ring)
 
-    def candidate(self, values, ring):
-        """The c with c^{11} = 0 read off the probe values [c, Idiag[1]],
-        [c, staircase], matrices over ring, by matrices.probe_read: on
-        integer numerators at each point over a ring with grids, on ring
-        elements otherwise. The read does not check that c matches both
-        values: callers check c on the whole basis."""
-        return probe_read(*values)
-
     def solve_values(self, nabla, ring):
         """One matrix c with [c, .] == nabla on K_n, or Infeasible.
 
@@ -282,9 +274,9 @@ class PreparedBracketSolver:
         """
         basis = canonical_basis(self.n, ring)
         values = [nabla(b) for b in basis]
-        cand = self.candidate(
-            [nabla(p) if k is None else values[k]
-             for k, p in zip(self._in_basis, self.probes(ring))], ring)
+        cand = probe_read(*[nabla(p) if k is None else values[k]
+                            for k, p in zip(self._in_basis,
+                                            self.probes(ring))])
         for label, b, v in zip(basis_labels(self.n), basis, values):
             if bracket(cand, b) != v:
                 raise Infeasible("no inner derivation matches the map at %s"
@@ -297,8 +289,7 @@ def brute_force_implementer(oracle):
     basis by verify_implementer."""
     n, ring = oracle.n, oracle.ring
     solver = PreparedBracketSolver.for_size(n)
-    cand = solver.candidate([delta_eval(oracle, p)
-                             for p in solver.probes(ring)], ring)
+    cand = probe_read(*[delta_eval(oracle, p) for p in solver.probes(ring)])
     bad = verify_implementer(oracle, cand,
                              zip(basis_labels(n), canonical_basis(n, ring)))
     if bad:

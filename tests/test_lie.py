@@ -321,20 +321,26 @@ class TestGauge:
         assert not is_central(s_elem(3, 1, 2))
 
     def test_gauge_draw_pinned(self):
-        # the sha256 scale draw is invisible to every report, so its
-        # values for seed 7 are frozen here: w - a0 = lam * I * identity.
-        # The draw does not depend on a0; a0 over den = 6 checks that the
-        # shift is lam, not lam / den, on a grid over den
+        # the scale draw is invisible to every report, so its values for
+        # seed 7 are frozen here: w - a0 = lam * I * identity, with lam
+        # read off the oracle's own random.Random(7) per point, in the
+        # order in which keys are first asked. The draw does not depend
+        # on a0; a0 over den = 6 checks that the shift is lam, not
+        # lam / den, on a grid over den
         rows = [[0, 1, 0], [-1, 0, 2], [0, -2, 0]]
         fn = FunctionRing(2)
-        cases = ((GAUSS, 5, 7), (fn, fn.lift((-7, 8)), fn.lift((0, 2))))
+        cases = ((GAUSS, (1, -5), 1),
+                 (fn, (fn.lift((1, -5)), fn.lift((3, -8))), fn.lift((1, -5))))
         for den in (1, 6):
-            for ring, pair_lam, local_lam in cases:
+            for ring, pair_lams, local_lam in cases:
                 a0 = Matrix(ring, [[ring.scalar(Fraction(v, den)) for v in r]
                                    for r in rows])
                 two = GaugedInnerTwoLocal(a0, seed=7)
-                w = two.query(s_elem(3, 1, 2, ring), staircase(3, ring))
-                assert w - a0 == central(pair_lam, 3, ring)
+                queries = ((s_elem(3, 1, 2, ring), staircase(3, ring)),
+                           (staircase(3, ring), ie_diag(3, 2, ring)))
+                for pair, lam in zip(queries, pair_lams):
+                    w = two.query(*pair)
+                    assert w - a0 == central(lam, 3, ring)
                 _, w = GaugedInnerLocal(a0, seed=7).query(
                     ie_diag(3, 2, ring))
                 assert w - a0 == central(local_lam, 3, ring)

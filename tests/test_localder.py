@@ -13,6 +13,7 @@ import random
 import pytest
 
 from skewlie import localder
+from skewlie.cli import make_ring
 from skewlie.errors import (
     ConfigError,
     DimensionMismatch,
@@ -50,9 +51,19 @@ from skewlie.localder import (
     verify_full,
     verify_spanning_set,
 )
-from skewlie.matrices import at_point, from_entries, upper_pairs, zeros
+from skewlie.matrices import (
+    Matrix,
+    at_point,
+    from_entries,
+    upper_pairs,
+    zeros,
+)
 from skewlie.rings import GAUSS, FunctionRing
-from skewlie.twolocal import PreparedBracketSolver
+from skewlie.twolocal import (
+    GaugedInnerTwoLocal,
+    PreparedBracketSolver,
+    TamperedPairOracle,
+)
 
 
 class CountingOracle:
@@ -135,6 +146,78 @@ class TestWitnessedMap:
         lmap = WitnessedLocalMap(PatchworkOracle())
         with pytest.raises(WitnessContractError):
             lmap.witness(staircase(3))
+
+
+KEY_RINGS = [GAUSS, FunctionRing(2), make_ring("poly", 0)]
+
+
+def equal_copy(x):
+    """A matrix equal to x that is another object, built from its rows."""
+    c = Matrix(x.ring, x.rows)
+    assert c == x and c is not x
+    return c
+
+
+class TestQueryKey:
+    """A query is keyed on the values of its elements (query_key), not on
+    the objects: an equal copy asks the same query."""
+
+    @pytest.mark.parametrize("ring", KEY_RINGS, ids=lambda r: r.name)
+    def test_equal_copy_gets_the_same_witness(self, ring):
+        rng = random.Random(81)
+        a0, x, y = (random_skew(rng, 3, ring) for _ in range(3))
+        two = GaugedInnerTwoLocal(a0, seed=3)
+        w = two.query(x, y)
+        assert two.query(equal_copy(y), equal_copy(x)) is w
+        local = GaugedInnerLocal(a0, seed=3)
+        _, w = local.query(x)
+        assert local.query(equal_copy(x))[1] is w
+        # the memo of a witnessed map answers an equal copy, of a basis
+        # element or of an element it witnessed before, without a query
+        oracle = CountingOracle(GaugedInnerLocal(a0, seed=3))
+        lmap = WitnessedLocalMap(oracle)
+        asked = oracle.calls
+        b = canonical_basis(3, ring)[4]
+        assert lmap.witness(equal_copy(b)) is lmap.witness(b)
+        w = lmap.witness(x)
+        assert lmap.witness(equal_copy(x)) is w
+        assert oracle.calls == asked + 1
+
+    @pytest.mark.parametrize("ring", KEY_RINGS, ids=lambda r: r.name)
+    def test_one_seed_and_one_order_give_equal_witnesses(self, ring):
+        # the second oracle of each kind is asked fresh equal copies,
+        # kept alive, so a repeated query must find its key again
+        # rather than draw a new scale
+        rng = random.Random(82)
+        a0, x, y, z = (random_skew(rng, 3, ring) for _ in range(4))
+        pairs = [(x, y), (y, z), (y, x), (z, z), (x, y)]
+        copies = [(equal_copy(p), equal_copy(q)) for p, q in pairs]
+        first = GaugedInnerTwoLocal(a0, seed=5)
+        second = GaugedInnerTwoLocal(a0, seed=5)
+        assert [first.query(*p) for p in pairs] \
+            == [second.query(*c) for c in copies]
+        singles = [x, y, x, z, y]
+        copies = [equal_copy(p) for p in singles]
+        first = GaugedInnerLocal(a0, seed=5)
+        second = GaugedInnerLocal(a0, seed=5)
+        assert [first.query(p) for p in singles] \
+            == [second.query(c) for c in copies]
+
+    def test_tampered_oracles_fire_on_an_equal_copy(self):
+        ring = make_ring("poly", 0)
+        rng = random.Random(83)
+        a0, x, y, bump = (random_skew(rng, 3, ring) for _ in range(4))
+        base = GaugedInnerTwoLocal(a0, seed=6)
+        bad = TamperedPairOracle(base, x, y, bump)
+        assert bad.query(equal_copy(y), equal_copy(x)) \
+            == base.query(x, y) + bump
+        assert bad.query(x, x) == base.query(x, x)
+        base = GaugedInnerLocal(a0, seed=6)
+        value, w = base.query(x)
+        bad = TamperedLocalOracle(base, x, bump)
+        assert bad.query(equal_copy(x)) == (value + bracket(bump, x),
+                                            w + bump)
+        assert bad.query(y) == base.query(y)
 
 
 class TestBuildD:

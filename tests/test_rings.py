@@ -165,25 +165,6 @@ class TestPolynomialRing:
             assert r.star(x) == x
 
 
-def _randint_parts(rng, real=False):
-    """random_parts as drawn through rng.randint."""
-    a = rng.randint(-9, 9)
-    b = 0 if real else rng.randint(-9, 9)
-    return a, b, rng.randint(1, 5)
-
-
-class TestRandomParts:
-    @pytest.mark.parametrize("real", [False, True], ids=["element", "real"])
-    def test_same_draws_and_state_as_randint(self, real):
-        # random_parts redoes randint's getrandbits rejection; the values
-        # and the generator state after them must match randint exactly
-        for seed in range(200):
-            rng, ref = random.Random(seed), random.Random(seed)
-            drawn = [GAUSS.random_parts(rng, real=real) for _ in range(300)]
-            assert drawn == [_randint_parts(ref, real) for _ in range(300)]
-            assert rng.getstate() == ref.getstate()
-
-
 @pytest.mark.parametrize("ring", [
     GAUSS,
     FunctionRing(3),
