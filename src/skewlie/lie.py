@@ -230,15 +230,18 @@ class GaugedInnerOracle:
     The scale lam is an integer in [-9, 9], drawn with randint from the
     oracle's own random.Random(seed) the first time a query key
     (query_key: the set of queried elements) is asked, once per point
-    over a function ring, so it varies from query to query and from
-    point to point. Which central witness a key gets is free: a witness
-    is fixed only up to the query's centralizer, and no check relies on
-    a particular one.
+    in point order over a function ring, so it varies from query to
+    query and from point to point. Which central witness a key gets is
+    free: a witness is fixed only up to the query's centralizer, and no
+    check relies on a particular one.
     The mapped values are those of [a0, .]; the gauges exercise exactly
     the freedom reconstruction has to cope with. Witnesses are memoized
-    per key, so a repeated query returns the same object. gauge="none"
-    answers a0 itself; a gauge outside GAUGES raises ConfigError.
-    Subclasses define query and name their seed in seed_role.
+    per key, so a repeated query returns the same object, and shared
+    per scale: keys that draw the same scales (at every point) get one
+    immutable witness, so over the Gaussian rationals an oracle builds
+    at most 19. gauge="none" answers a0 itself; a gauge outside GAUGES
+    raises ConfigError. Subclasses define query and name their seed in
+    seed_role.
     """
 
     seed_role = "oracle seed"
@@ -249,7 +252,11 @@ class GaugedInnerOracle:
         self.n = a0.n
         self.gauge = require_gauge(gauge)
         self._rng = random.Random(seed)
+        # one scale per point, or one over a ring without grids
+        self._npoints = len(a0.grids) if a0.grids is not None else 1
+        # witnesses per query key, and per tuple of scales
         self._witnesses = {}
+        self._shared = {}
 
     def _witness(self, *elements):
         """The witness answered for a query on elements."""
@@ -258,7 +265,15 @@ class GaugedInnerOracle:
         key = query_key(*elements)
         w = self._witnesses.get(key)
         if w is None:
-            w = _shift_diagonal(self.a0, lambda t: self._rng.randint(-9, 9))
+            randint = self._rng.randint
+            # a tuple of a list: CPython sizes it exactly, where one of a
+            # generator is resized from a spare, which doubled the
+            # collector's passes over a FunctionRing(3) campaign
+            scales = tuple([randint(-9, 9) for _ in range(self._npoints)])
+            w = self._shared.get(scales)
+            if w is None:
+                w = self._shared[scales] = _shift_diagonal(self.a0,
+                                                           scales.__getitem__)
             self._witnesses[key] = w
         return w
 

@@ -68,8 +68,9 @@ class GaugedInnerLocal(GaugedInnerOracle):
 
     query(x) returns ([a0, x], w) where w is the gauged witness of lie's
     GaugedInnerOracle, keyed on x: invisible to the mapped values, but
-    different for every element, which is the freedom reconstruction has
-    to tolerate.
+    with its own drawn scale for every element, so elements may get
+    different witnesses, which is the freedom reconstruction has to
+    tolerate; elements that draw the same scale share one.
     """
 
     seed_role = "local seed"

@@ -17,7 +17,8 @@ What a matrix stores depends on its ring:
   * any other ring (polynomials, and the linear forms of symcheck's
     unknowns): the rows of ring elements
 
-Equality and hashing read the stored form, and cache_key is its repr.
+Equality and hashing read the stored form, and cache_key is its repr;
+the hash, like the key, is computed once and cached with the matrix.
 Reduced grids and polynomial rows are canonical, so over those rings
 equal matrices hash alike and have equal keys, which is what lets
 lie.query_key key oracle queries on the matrices themselves.
@@ -317,9 +318,11 @@ class Matrix:
         return self.grids == other.grids
 
     def __hash__(self):
-        if self.grids is None:
-            return hash((self.n, self.rows))
-        return hash(self.grids)
+        h = self._cache.get("hash")
+        if h is None:
+            h = self._cache["hash"] = hash(
+                (self.n, self.rows) if self.grids is None else self.grids)
+        return h
 
     def __repr__(self):
         return "Matrix(%s, n=%d)" % (self.ring.name, self.n)

@@ -23,7 +23,9 @@ from skewlie.lie import (
     ie_bar,
     ie_diag,
     is_central,
+    query_key,
     random_skew,
+    random_skews,
     s_elem,
     staircase,
 )
@@ -43,7 +45,11 @@ from skewlie.rings import (
     PolynomialRing,
     imaginary_unit,
 )
-from skewlie.twolocal import GaugedInnerTwoLocal
+from skewlie.twolocal import (
+    GaugedInnerTwoLocal,
+    reconstruct_implementer,
+    verify_implementer,
+)
 
 RINGS = [GAUSS, FunctionRing(2), PolynomialRing(("z0", "z1"), ((0, 1),))]
 
@@ -344,6 +350,65 @@ class TestGauge:
                 _, w = GaugedInnerLocal(a0, seed=7).query(
                     ie_diag(3, 2, ring))
                 assert w - a0 == central(local_lam, 3, ring)
+
+    def test_witnesses_are_shared_per_scale(self):
+        # one n = 6 two-local trial, as twolocal_campaign runs it: every
+        # new key draws one scale, keys with equal scales share one
+        # witness object, and there are at most 19 scales
+        n, seed = 6, 41
+        rng = random.Random(seed)
+        a0 = random_skew(rng, n)
+        oracle = RecordingOracle(GaugedInnerTwoLocal(a0, seed=seed))
+        abar = reconstruct_implementer(oracle)
+        elements = list(zip(basis_labels(n), canonical_basis(n)))
+        elements += [("random#%d" % k, x)
+                     for k, x in enumerate(random_skews(rng, n, GAUSS, 50))]
+        assert verify_implementer(oracle, abar, elements) == []
+        ref = random.Random(seed)
+        scales = {key: ref.randint(-9, 9) for key in oracle.first}
+        assert len(oracle.first) == n * (n - 1) // 2 + 1 + len(elements)
+        assert len({id(w) for w in oracle.first.values()}) == len(
+            set(scales.values())) <= 19
+        for key, w in oracle.first.items():
+            assert w - a0 == central(scales[key], n, GAUSS)
+            for other, v in oracle.first.items():
+                assert (v is w) == (scales[other] == scales[key])
+
+    def test_new_keys_draw_one_scale_per_point(self):
+        # after N new keys over FunctionRing(3) the oracle's generator is
+        # where 3N randint(-9, 9) calls leave random.Random(seed); a
+        # repeated key, in either order, draws nothing
+        ring = FunctionRing(3)
+        rng = random.Random(42)
+        a0 = random_skew(rng, 3, ring)
+        oracle = GaugedInnerTwoLocal(a0, seed=43)
+        xs = random_skews(rng, 3, ring, 5)
+        asked = set()
+        for x in xs:
+            for pair in ((x, x), (xs[0], x), (x, xs[0]), (x, x)):
+                oracle.query(*pair)
+                asked.add(query_key(*pair))
+                ref = random.Random(43)
+                for _ in range(3 * len(asked)):
+                    ref.randint(-9, 9)
+                assert oracle._rng.getstate() == ref.getstate()
+        assert len(asked) == 9
+
+
+class RecordingOracle:
+    """Forwards pair queries and records the witness first answered for
+    each query key, in the order in which keys are first asked."""
+
+    def __init__(self, base):
+        self.base = base
+        self.ring = base.ring
+        self.n = base.n
+        self.first = {}
+
+    def query(self, x, y):
+        w = self.base.query(x, y)
+        assert self.first.setdefault(query_key(x, y), w) is w
+        return w
 
 
 def bracket_is_central(x):

@@ -1199,6 +1199,21 @@ class TestCacheKey:
                 assert (p == q) == (k == j)
                 assert (p.cache_key() == q.cache_key()) == (k == j)
 
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_cached_hash_matches_an_equal_copy(self, ring):
+        # the hash is cached with the matrix; before and after the cache
+        # is filled it is the hash of an equal copy built from rows
+        rng = random.Random(38)
+        a, b = random_skew(rng, 3, ring), random_skew(rng, 3, ring)
+        for x in (a, commutator(a, b), a - a):
+            copy = Matrix(ring, x.rows)
+            assert copy == x and copy is not x
+            assert "hash" not in x._cache and "hash" not in copy._cache
+            h = hash(x)
+            assert x._cache["hash"] == h == hash(x)
+            assert hash(copy) == h and copy._cache["hash"] == h
+            assert hash(Matrix(ring, x.rows)) == h
+
 
 class TestNoMaterialization:
     """Kernels, checks and keys read the stored forms: no entry object is

@@ -33,6 +33,7 @@ from skewlie.lie import (
 from skewlie.matrices import (
     Matrix,
     at_point,
+    differ_by_scalar,
     from_entries,
     probe_read,
     zeros,
@@ -300,6 +301,111 @@ class TestVerifyImplementer:
             brackets = _recorded_brackets(monkeypatch)
             assert verify_implementer(bad, abar, elements) == [label]
             assert brackets == gaps == [z]
+
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_shared_non_scalar_witness_brackets_every_element(self, ring):
+        # one witness object for every query, not a scalar away from
+        # abar: its scalar test is memoized, its bracket is not, so the
+        # flagged labels are those z with [w - abar, z] != 0, which
+        # s[1,2] (the first element) is not
+        n = 4
+        abar = random_skew(random.Random(60), n, ring)
+        oracle = FixedWitnessOracle(abar + s_elem(n, 1, 2, ring))
+        elements = checked_elements(n, ring, 61)
+        want = [label for label, z in elements
+                if bracket(s_elem(n, 1, 2, ring), z) != zeros(n, ring)]
+        assert want[0] != elements[0][0] and len(want) < len(elements)
+        assert verify_implementer(oracle, abar, elements) == want
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+    def test_fresh_witnesses_are_tested_one_by_one(self, ring):
+        # a fresh witness object on every query: for the first half of
+        # the elements a scalar away from abar, then tampered, with the
+        # honest copies freed at the switch. A freed witness's id may be
+        # reused by a later witness, so the memo holds each witness it
+        # keys
+        n = 4
+        abar = random_skew(random.Random(62), n, ring)
+        elements = checked_elements(n, ring, 63, count=60)
+        half = len(elements) // 2
+        oracle = FreshCopyOracle(abar + central_shift(n, ring),
+                                 abar + s_elem(n, 1, 2, ring), half)
+        want = [label for label, z in elements[half:]
+                if bracket(s_elem(n, 1, 2, ring), z) != zeros(n, ring)]
+        assert len(want) > len(elements) // 4
+        assert verify_implementer(oracle, abar, elements) == want
+
+    def test_one_scalar_test_per_distinct_witness(self, monkeypatch):
+        n = 4
+        _, base = make_oracle(64, n)
+        abar = reconstruct_implementer(base)
+        oracle = WitnessRecordingOracle(base)
+        tested = []
+
+        def recording(w, b):
+            tested.append(w)
+            return differ_by_scalar(w, b)
+
+        monkeypatch.setattr(twolocal, "differ_by_scalar", recording)
+        elements = checked_elements(n, GAUSS, 65, count=40)
+        assert verify_implementer(oracle, abar, elements) == []
+        answered = {id(w) for w in oracle.answered}
+        assert len(tested) == len({id(w) for w in tested}) == len(answered)
+        # 56 queries, at most 19 scales
+        assert len(answered) <= 19 < len(elements)
+
+
+class FixedWitnessOracle:
+    """Answers one witness object for every pair."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def query(self, x, y):
+        return self.w
+
+
+class FreshCopyOracle:
+    """Answers a fresh copy of honest, built from rows, to its first
+    switch queries and of tampered to the rest. It keeps the honest
+    copies until the first tampered query and then drops them all at
+    once, so their ids are free for the tampered copies to take."""
+
+    def __init__(self, honest, tampered, switch):
+        self.honest = honest
+        self.tampered = tampered
+        self.switch = switch
+        self.calls = 0
+        self.kept = []
+
+    def query(self, x, y):
+        self.calls += 1
+        if self.calls <= self.switch:
+            w = Matrix(self.honest.ring, self.honest.rows)
+            self.kept.append(w)
+            return w
+        self.kept.clear()
+        return Matrix(self.tampered.ring, self.tampered.rows)
+
+
+class WitnessRecordingOracle:
+    """Forwards pair queries and keeps every witness answered."""
+
+    def __init__(self, base):
+        self.base = base
+        self.answered = []
+
+    def query(self, x, y):
+        w = self.base.query(x, y)
+        self.answered.append(w)
+        return w
+
+
+def central_shift(n, ring):
+    """2 * I * identity, central in K_n."""
+    v = imaginary_unit(ring) * 2
+    return from_entries(n, {(t, t): v for t in range(1, n + 1)}, ring)
 
 
 class TestConsistencySweep:
