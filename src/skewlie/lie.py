@@ -252,8 +252,9 @@ class GaugedInnerOracle:
         self.n = a0.n
         self.gauge = require_gauge(gauge)
         self._rng = random.Random(seed)
-        # one scale per point, or one over a ring without grids
-        self._npoints = len(a0.grids) if a0.grids is not None else 1
+        # one scale per point of a function ring, else one
+        self._npoints = (a0.ring.npoints if isinstance(a0.ring, FunctionRing)
+                         else 1)
         # witnesses per query key, and per tuple of scales
         self._witnesses = {}
         self._shared = {}

@@ -32,14 +32,14 @@ entry reads (gather), the bracket solver's probe read and random draws
 read or write the grids here, each as one kernel on one grid mapped
 over the points, reading the numerators as stored:
 
-  * a bracket walks the nonzeros of one factor entry by entry,
-    accumulating integer real and imaginary parts: b, unless b has more
-    than n nonzeros and a has fewer. Each matrix reads its support (the
-    positions nonzero at some point) once and caches it, and the walk
-    visits only those positions, so a memoized basis element is scanned
-    once per process, brackets against basis elements and central
-    differences cost O(n^2) per point and two dense factors O(n^3).
-    Every result grid is reduced by one common gcd
+  * a bracket [a, b] walks the nonzeros of b, its second factor, entry
+    by entry, accumulating integer real and imaginary parts; the library's
+    callers put the queried element there, [witness, x]. Each matrix
+    reads its support (the positions nonzero at some point) once and
+    caches it, and the walk visits only b's, so a memoized basis element
+    is scanned once per process, brackets with a basis element or a
+    central difference as b cost O(n^2) per point and two dense factors
+    O(n^3). Every result grid is reduced by one common gcd
   * differ_by_scalar tells whether a - b is scalar at every point
     without forming a - b: over equal denominators it compares the
     numerators of a with those of b, shifted on the diagonal by the
@@ -51,12 +51,12 @@ over the points, reading the numerators as stored:
     read their witnesses without an entry object; probe_read runs the
     bracket solver's recurrence on the numerators of its two values
     over the lcm of their denominators
-  * when the walked factor has more than n nonzeros and both factors
-    are skew-adjoint, only P = ab is walked: ba = (ab)*, so the bracket
-    is P - P*, formed on the numerators with map and one memoized
-    transpose per n. is_skew_adjoint reads a matrix's grids once, in C,
-    and caches the answer with it; only random_skews draws, skew-adjoint
-    by construction, are cached as such without a check
+  * when b has more than n nonzeros and both factors are skew-adjoint,
+    only P = ab is walked: ba = (ab)*, so the bracket is P - P*, formed
+    on the numerators with map and one memoized transpose per n.
+    is_skew_adjoint reads a matrix's grids once, in C, and caches the
+    answer with it; only random_skews draws, skew-adjoint by
+    construction, are cached as such without a check
   * the table of a linear map on K_n holds the n^2 real coordinates
     (the lie.decompose coefficients) of every basis image, n^2 x n^2
     integers per point, and apply rebuilds the skew-adjoint image grid
@@ -67,8 +67,8 @@ over the points, reading the numerators as stored:
     back off the bytes of the sum
   * sums and differences work on the numerators of both grids with
     map, so the arithmetic and the one gcd run in C
-  * brackets over other rings walk the same factor with the ring's own
-    + and *; symcheck brackets its unknowns (matrices of linear forms)
+  * brackets over other rings walk b's nonzero entries with the ring's
+    own + and *; symcheck brackets its unknowns (matrices of linear forms)
     with its own kernel, symcheck.bracket, which reads a Gaussian-integer
     second factor off its grid and accumulates each entry in one dict
 
@@ -247,10 +247,6 @@ class Matrix:
             self._cache["support"] = support
         return support
 
-    def _nnz(self):
-        """How many entries are nonzero at some point."""
-        return len(self._support())
-
     def cache_key(self):
         """repr of what the matrix stores: its grids, or its rows over a
         ring without grids. Over one ring, equal keys mean equal
@@ -350,18 +346,17 @@ def _grid_combine(ga, gb, sign):
         tuple(map(add, map(mul, aim, fa), map(mul, bim, fb))))
 
 
-def _grid_sparse_commutator(ga, gb, sign, support, skew=False):
-    """sign * (a*b - b*a) for the grids of a and b at one point, walking
-    only b's nonzeros, read at the row-major positions support (b's
-    Matrix._support, which covers them at every point); the sign is
-    folded into b's entries. With skew (a and b skew-adjoint) only
-    P = sign*a*b is walked: b*a = (a*b)*, so the bracket is P - P*,
-    re = P_re - P_re^T and im = P_im + P_im^T."""
+def _grid_sparse_commutator(ga, gb, support, skew=False):
+    """a*b - b*a for the grids of a and b at one point, walking only b's
+    nonzeros, read at the row-major positions support (b's
+    Matrix._support, which covers them at every point). With skew (a and
+    b skew-adjoint) only P = a*b is walked: b*a = (a*b)*, so the bracket
+    is P - P*, re = P_re - P_re^T and im = P_im + P_im^T."""
     da, are, aim = ga
     db, bre, bim = gb
     size = len(are)
     n = isqrt(size)
-    nz = [(k // n, k % n, sign * bre[k], sign * bim[k])
+    nz = [(k // n, k % n, bre[k], bim[k])
           for k in support if bre[k] or bim[k]]
     cre = [0] * size
     cim = [0] * size
@@ -414,31 +409,20 @@ def _sparse_commutator(a, b):
 
 
 def commutator(a, b):
-    """The bracket ab - ba in one pass over the nonzeros of one factor:
-    b, unless b has more than n nonzeros and a has fewer, in which case
-    a is walked and the sign of [b, a] = -[a, b] folded in. On grids the
-    walk reads the walked factor's cached support, and when that factor
-    has more than n nonzeros and both factors are skew-adjoint, only
-    their product is walked (_grid_sparse_commutator with skew)."""
+    """The bracket ab - ba in one pass over the nonzeros of b, the second
+    factor. On grids the walk reads b's cached support, and when b has
+    more than n nonzeros and both factors are skew-adjoint, only their
+    product is walked (_grid_sparse_commutator with skew)."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise DimensionMismatch("commutator needs two matrices")
     a._check_compatible(b)
-    n = a.n
-    nnz_b = b._nnz()
-    swap = nnz_b > n and a._nnz() < nnz_b
     if a.grids is None:
-        return -_sparse_commutator(b, a) if swap else _sparse_commutator(a, b)
-    walked = a if swap else b
-    support = walked._support()
-    skew = repeat(len(support) > n and is_skew_adjoint(a)
+        return _sparse_commutator(a, b)
+    support = b._support()
+    skew = repeat(len(support) > a.n and is_skew_adjoint(a)
                   and is_skew_adjoint(b))
-    if swap:
-        grids = map(_grid_sparse_commutator, b.grids, a.grids,
-                    repeat(-1), repeat(support), skew)
-    else:
-        grids = map(_grid_sparse_commutator, a.grids, b.grids,
-                    repeat(1), repeat(support), skew)
-    return Matrix._of_grids(a.ring, tuple(grids))
+    return Matrix._of_grids(a.ring, tuple(map(
+        _grid_sparse_commutator, a.grids, b.grids, repeat(support), skew)))
 
 
 def from_entries(n, entries, ring=GAUSS):

@@ -176,8 +176,7 @@ def verify_implementer(oracle, abar, elements):
     only the two matrices, whatever the oracle's gauge. The scalar test
     runs once per distinct witness object in a call: the memo, keyed on
     id(w), holds w, so no id is reused while it lives. Otherwise the
-    bracket decides for each element, its nonzeros counted on its
-    grids."""
+    bracket decides for each element, by its support."""
     bad = []
     scalar = {}
     for label, z in elements:
@@ -185,7 +184,7 @@ def verify_implementer(oracle, abar, elements):
         seen = scalar.get(id(w))
         if seen is None:
             seen = scalar[id(w)] = (w, differ_by_scalar(w, abar))
-        if not seen[1] and bracket(w - abar, z)._nnz():
+        if not seen[1] and bracket(w - abar, z)._support():
             bad.append(label)
     return bad
 

@@ -140,7 +140,7 @@ class TestWitnessedMap:
                 self.b = ie_diag(3, 3)
 
             def query(self, x):
-                w = self.a if x._nnz() <= 2 else self.b
+                w = self.a if len(x._support()) <= 2 else self.b
                 return bracket(w, x), w
 
         lmap = WitnessedLocalMap(PatchworkOracle())

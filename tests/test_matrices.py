@@ -187,10 +187,10 @@ def _shape_pairs(shape, rng, n, ring):
                 (ints, _scaled(ring, sparse, 5))]
     if shape == "mixed-support":
         # over a function ring: a basis element at point 0 and dense at
-        # the others, so the factor walked, picked on the support over all
-        # points, is not the one point 0 alone would pick; over the other
-        # rings: n + 1 nonzeros, one past the count at which b is walked
-        # whatever a is
+        # the others, so the support walked, the union over all points,
+        # is wider than point 0's own; over the other rings: n + 1
+        # nonzeros, one past n, the count a grid bracket compares b's
+        # support with
         if isinstance(ring, FunctionRing):
             mixed = [from_points([at_point(e, 0)]
                                  + [at_point(random_matrix(rng, n, ring), t)
@@ -279,24 +279,24 @@ class TestCommutator:
             a @ a
 
 
-def _walk_signs(monkeypatch):
-    """The signs of the per-point walks commutator makes from now on."""
-    signs = []
+def _walks(monkeypatch):
+    """(support, skew) of each per-point walk commutator makes from now
+    on: the positions walked, and whether only the product ab is."""
+    walks = []
     original = matrices._grid_sparse_commutator
 
-    def recording(ga, gb, sign, *skew):
-        signs.append(sign)
-        return original(ga, gb, sign, *skew)
+    def recording(ga, gb, support, skew=False):
+        walks.append((support, skew))
+        return original(ga, gb, support, skew)
 
     monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
-    return signs
+    return walks
 
 
 class TestKernelRouting:
     """Gaussian and function-ring brackets run on integer grids; only
-    polynomial rings take the ring-generic loop. Both walk b, unless b has
-    more than n nonzeros and a has fewer, and then walk a with the sign
-    folded in."""
+    polynomial rings take the ring-generic loop. Both walk b, the second
+    factor, whichever factor has fewer nonzeros."""
 
     @pytest.fixture
     def generic_calls(self, monkeypatch):
@@ -304,7 +304,7 @@ class TestKernelRouting:
         original = matrices._sparse_commutator
 
         def counting(a, b):
-            calls.append(a.ring)
+            calls.append((a, b))
             return original(a, b)
 
         monkeypatch.setattr(matrices, "_sparse_commutator", counting)
@@ -317,26 +317,31 @@ class TestKernelRouting:
         assert localder_campaign(ring, 3, 1, 5, random_checks=5).passed
         assert generic_calls == []
 
-    def test_dense_against_staircase_walks_the_staircase(self, monkeypatch):
+    def test_dense_against_staircase_walks_the_second_factor(self,
+                                                             monkeypatch):
         # the staircase has 2(n - 1) > n nonzeros, fewer than a dense
-        # factor's n^2, so it is walked in either argument order
-        signs = _walk_signs(monkeypatch)
+        # factor's n^2; in either argument order b is walked
+        walks = _walks(monkeypatch)
         rng = random.Random(7)
         for n in range(4, 9):
             st, dense = staircase(n), random_skew(rng, n)
-            for a, b, sign in ((dense, st, 1), (st, dense, -1)):
-                signs.clear()
+            for a, b in ((dense, st), (st, dense)):
+                walks.clear()
                 assert commutator(a, b) == entrywise_bracket(a, b)
-                assert signs == [sign]
+                assert [support for support, _ in walks] == [b._support()]
 
     def test_polynomial_brackets_take_the_generic_loop(self, generic_calls):
         ring = RINGS[2]
         rng = random.Random(3)
         a = random_matrix(rng, 3, ring)
         e = canonical_basis(3, ring)[0]
-        for x, y in ((a, e), (e, a), (a, random_matrix(rng, 3, ring))):
+        pairs = [(a, e), (e, a), (a, random_matrix(rng, 3, ring))]
+        for x, y in pairs:
             assert commutator(x, y) == entrywise_bracket(x, y)
+        # each walks its second factor, never the other
         assert len(generic_calls) == 3
+        assert all(x is p and y is q
+                   for (x, y), (p, q) in zip(generic_calls, pairs))
 
 
 class TestSupportCache:
@@ -356,12 +361,11 @@ class TestSupportCache:
                            if p.entry(i + 1, j + 1)})
             assert x._support() == tuple(want)
             assert x._cache["support"] is x._support()
-            assert x._nnz() == len(want)
         dense = random_skew(rng, n, FunctionRing(3))
         assert dense._support() == tuple(range(n * n))
 
     def test_walking_a_factor_zero_at_some_points(self, monkeypatch):
-        signs = _walk_signs(monkeypatch)
+        walks = _walks(monkeypatch)
         rng = random.Random(72)
         for n in (3, 4, 5):
             e = canonical_basis(n)[n]
@@ -370,12 +374,23 @@ class TestSupportCache:
                            (staircase(n), e, zeros(n))):
                 f = from_points(points)
                 other = random_skew(rng, n, f.ring)
-                # f has fewer nonzeros than the dense factor, so it is
-                # walked in either argument order, on every point
-                for a, b, sign in ((other, f, 1), (f, other, -1)):
-                    signs.clear()
+                # b is walked in either argument order, on every point,
+                # at the positions nonzero at some point
+                for a, b in ((other, f), (f, other)):
+                    walks.clear()
                     assert commutator(a, b) == entrywise_bracket(a, b)
-                    assert signs == [sign] * 3
+                    assert [support for support, _ in walks] \
+                        == [b._support()] * 3
+
+    @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3), RINGS[2]],
+                             ids=["gauss", "fnring3", "poly"])
+    def test_bracket_reads_only_the_second_factors_support(self, ring):
+        rng = random.Random(74)
+        for n in (3, 4, 5):
+            for _ in range(3):
+                a, b = random_skew(rng, n, ring), random_skew(rng, n, ring)
+                assert commutator(a, b) == entrywise_bracket(a, b)
+                assert "support" not in a._cache
 
     def test_memoized_basis_support_is_read_once(self, monkeypatch):
         rng = random.Random(73)
@@ -386,9 +401,9 @@ class TestSupportCache:
         seen = []
         original = matrices._grid_sparse_commutator
 
-        def recording(ga, gb, sign, support, skew=False):
+        def recording(ga, gb, support, skew=False):
             seen.append(support)
-            return original(ga, gb, sign, support, skew)
+            return original(ga, gb, support, skew)
 
         def no_rescan(*_):
             raise AssertionError("a cached support was read again")
@@ -401,22 +416,9 @@ class TestSupportCache:
                     for a, b in ((x, e), (e, x)):
                         seen.clear()
                         assert commutator(a, b) == entrywise_bracket(a, b)
-                        # the basis element is walked, at its cached support
-                        assert seen == [supports[id(e)]]
-                        assert seen[0] is e._support()
-
-
-def _walk_modes(monkeypatch):
-    """(sign, skew) of each per-point walk commutator makes from now on."""
-    modes = []
-    original = matrices._grid_sparse_commutator
-
-    def recording(ga, gb, sign, support, skew=False):
-        modes.append((sign, skew))
-        return original(ga, gb, sign, support, skew)
-
-    monkeypatch.setattr(matrices, "_grid_sparse_commutator", recording)
-    return modes
+                        # b is walked, at its cached support
+                        assert seen == [supports[id(b)]]
+                        assert seen[0] is b._support()
 
 
 def _unflagged(x):
@@ -427,7 +429,7 @@ def _unflagged(x):
 
 
 class TestSkewBracket:
-    """Two skew-adjoint factors whose walked factor has more than n
+    """Two skew-adjoint factors whose second factor b has more than n
     nonzeros take the one-product walk, [a, b] = P - P* for P = ab; every
     other grid bracket walks both sides. Only draws are cached as
     skew-adjoint without a check; every other result is checked on its
@@ -436,16 +438,17 @@ class TestSkewBracket:
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
     def test_one_product_matches_the_reference(self, ring, monkeypatch):
-        modes = _walk_modes(monkeypatch)
+        walks = _walks(monkeypatch)
         rng = random.Random(51)
         points = len(zeros(1, ring).grids)
         for n in range(3, 9):
             x, y = random_skew(rng, n, ring), random_skew(rng, n, ring)
             st = staircase(n, ring)
-            # the staircase is walked in either argument order; a dense
-            # factor drawn with a zero entry may be walked against another;
-            # an unflagged factor is checked on its grids
-            pairs = [(x, y), (y, x), (x, st), (st, x),
+            e = canonical_basis(n, ring)[n]
+            # b, the staircase or a dense factor, is walked in either
+            # argument order, against a basis element too; an unflagged
+            # factor is checked on its grids
+            pairs = [(x, y), (y, x), (x, st), (st, x), (e, x),
                      (_unflagged(x), y), (st, _unflagged(y))]
             # sums, differences, brackets, witness shifts and apply images
             # carry no cached fact, so each is checked on its grids
@@ -456,27 +459,29 @@ class TestSkewBracket:
                 assert "skew" not in s._cache
                 pairs += [(s, y), (st, s)]
             for a, b in pairs:
-                sign = -1 if n < b._nnz() > a._nnz() else 1
-                modes.clear()
+                walks.clear()
                 got = commutator(a, b)
                 assert got == entrywise_bracket(a, b)
-                assert modes == [(sign, True)] * points
+                assert walks == [(b._support(), True)] * points
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
     def test_other_pairs_walk_both_sides(self, ring, monkeypatch):
-        modes = _walk_modes(monkeypatch)
+        walks = _walks(monkeypatch)
         rng = random.Random(52)
+        points = len(zeros(1, ring).grids)
         for n in range(3, 7):
             m, x = random_matrix(rng, n, ring), random_skew(rng, n, ring)
             assert not is_skew_adjoint(m)
             e = canonical_basis(n, ring)[n]
+            # a factor that is not skew-adjoint, or a b with at most n
+            # nonzeros
             for a, b in ((m, random_matrix(rng, n, ring)), (m, x), (x, m),
-                         (x, e), (e, x)):
-                modes.clear()
+                         (x, e)):
+                walks.clear()
                 got = commutator(a, b)
                 assert got == entrywise_bracket(a, b)
-                assert modes and not any(skew for _, skew in modes)
+                assert walks == [(b._support(), False)] * points
 
     @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
     def test_skew_flags_are_never_wrong(self, ring):
@@ -520,23 +525,23 @@ def _scalar_gap(a, b):
             and is_central(a - b))
 
 
-class TestScalarShortcut:
+class TestDifferByScalar:
     """differ_by_scalar(a, b) is True only when a and b have the same
     denominator at every point and a - b is scalar there, read without
     forming a - b; two-local verification skips its bracket on it. The
-    bracket itself has no scalar shortcut: a scalar factor is walked,
-    to the reference zero, and so is any other factor with n
-    nonzeros."""
+    bracket itself has no scalar shortcut: it walks b, its second factor,
+    a scalar (to the reference zero) or any other factor with n
+    nonzeros alike."""
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
     def test_scalar_factor_gives_the_reference_zero(self, ring,
                                                     monkeypatch):
-        signs = _walk_signs(monkeypatch)
+        walks = _walks(monkeypatch)
         rng = random.Random(41)
         n = 3
         for c in _scalar_factors(ring, rng, n):
-            assert c._nnz() == n
+            assert len(c._support()) == n
             for other in (random_skew(rng, n, ring),
                           random_matrix(rng, n, ring)):
                 shifted = matrices._shift_diagonal(other, lambda t: t - 1)
@@ -546,20 +551,21 @@ class TestScalarShortcut:
                 for a, b in ((x, other), (other, x), (x, x)):
                     assert differ_by_scalar(a, b) == _scalar_gap(a, b)
                 for a, b in ((c, other), (other, c)):
-                    signs.clear()
+                    walks.clear()
                     ref = entrywise_bracket(a, b)
                     got = commutator(a, b)
                     assert got == ref == zeros(n, ring)
                     assert hash(got) == hash(ref)
                     assert got.cache_key() == ref.cache_key()
                     assert is_skew_adjoint(got)
-                    assert signs == [-1 if a is c else 1] * len(c.grids)
+                    assert [support for support, _ in walks] \
+                        == [b._support()] * len(c.grids)
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
     def test_non_scalar_factor_with_n_nonzeros_is_walked(self, ring,
                                                          monkeypatch):
-        signs = _walk_signs(monkeypatch)
+        walks = _walks(monkeypatch)
         rng = random.Random(42)
         n = 3
         i_unit = ring.imag
@@ -577,14 +583,15 @@ class TestScalarShortcut:
                 [at_point(scalar, 0), at_point(scalar, 1),
                  at_point(factors[0], 2)]))
         for d in factors:
-            assert d._nnz() == n
+            assert len(d._support()) == n
             other = random_skew(rng, n, ring)
             assert not differ_by_scalar(other + d, other)
             for a, b in ((d, other), (other, d)):
-                signs.clear()
+                walks.clear()
                 got = commutator(a, b)
                 assert got == entrywise_bracket(a, b) != zeros(n, ring)
-                assert signs == [-1 if a is d else 1] * len(d.grids)
+                assert [support for support, _ in walks] \
+                    == [b._support()] * len(d.grids)
 
     @pytest.mark.parametrize("ring", [GAUSS, FunctionRing(3)],
                              ids=["gauss", "fnring3"])
